@@ -1,19 +1,19 @@
 #!/usr/bin/env python3
-"""Benchmark the filter-core backends against each other.
+"""Benchmark the gateway's filter engine.
 
 The workload mirrors what the gateway does under flood load: a table of
 installed rules, a population of tracked flows, and a firehose of verdicts
 that are mostly unauthorized initiations with some legitimate segments mixed
-in. Run after an editable install:
+in. Run from the repository root; no install is needed:
 
-    python benchmarks/bench_filter.py [--segments N]
+    PYTHONPATH=src python benchmarks/bench_filter.py [--segments N]
 """
 
 import argparse
 import random
 import time
 
-from sdperim.gateway.filtering import available_engines
+from sdperim.gateway.filtering import FilterEngine
 
 
 def build_workload(n_rules: int, n_flows: int, n_segments: int, seed: int = 1):
@@ -34,8 +34,8 @@ def build_workload(n_rules: int, n_flows: int, n_segments: int, seed: int = 1):
     return rules, flows, segments
 
 
-def run_backend(engine_cls, rules, flows, segments):
-    engine = engine_cls()
+def run(rules, flows, segments):
+    engine = FilterEngine()
     for client, ip, svc, port in rules:
         engine.install_rule(client, ip, svc, port, now=0.0, ttl=1e9)
     for ip, sport, dport in flows:
@@ -57,23 +57,10 @@ def main():
     parser.add_argument("--segments", type=int, default=500_000)
     args = parser.parse_args()
 
-    engines = available_engines()
-    print(f"backends: {', '.join(engines)}")
     rules, flows, segments = build_workload(args.rules, args.flows, args.segments)
-
-    results = {}
-    for name, cls in sorted(engines.items()):
-        elapsed, forwarded, dropped = run_backend(cls, rules, flows, segments)
-        results[name] = (elapsed, forwarded, dropped)
-        print(f"{name:>9}: {args.segments / elapsed / 1e6:6.2f} M verdicts/s"
-              f"  ({elapsed:.3f}s for {args.segments} segments; {forwarded} forwarded, {dropped} dropped)")
-
-    counts = {(f, d) for _, f, d in results.values()}
-    if len(counts) != 1:
-        raise SystemExit("backends disagree on verdict counts!")
-    if len(results) == 2:
-        py, comp = results["python"][0], results["compiled"][0]
-        print(f"\ncompiled speedup over pure Python: {py / comp:.2f}x")
+    elapsed, forwarded, dropped = run(rules, flows, segments)
+    print(f"{args.segments / elapsed / 1e6:.2f} M verdicts/s"
+          f"  ({elapsed:.3f}s for {args.segments} segments; {forwarded} forwarded, {dropped} dropped)")
 
 
 if __name__ == "__main__":

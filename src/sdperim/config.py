@@ -332,10 +332,6 @@ def load_material(cfg: DeploymentConfig, base_dir) -> Material:
     return Material(ca, identities, keys)
 
 
-def ca_public(cfg: DeploymentConfig, base_dir) -> bytes:
-    return bytes.fromhex(_read(os.path.join(base_dir, cfg.material_dir), "ca.pub"))
-
-
 class RecordStore:
     """Append-only JSON-lines store of authorized hosts and their material."""
 

@@ -115,7 +115,6 @@ class _ClientCtx:
 class Session:
     session_id: bytes
     client_id: bytes
-    phase: str = "authenticated"  # authenticated -> revoked, never backwards
 
 
 class ControllerNode(Node):
@@ -440,12 +439,7 @@ class ControllerNode(Node):
         request_id = fields.u32(F.REQUEST_ID)
         svc = self.services.get(service_id)
         session = self.sessions.get(ctx.session_id) if ctx.session_id else None
-        if (
-            session is None
-            or session.phase != "authenticated"
-            or svc is None
-            or service_id not in ctx.record.authorized_services
-        ):
+        if session is None or svc is None or service_id not in ctx.record.authorized_services:
             return [
                 self._log(event="authorize", verdict="denied", reason="unauthorized", service=service_id),
                 self._client_send(
@@ -571,9 +565,7 @@ class ControllerNode(Node):
     def _revoke(self, ctx, reason, now):
         key = (ctx.gw.flow, ctx.relay_flow)
         self.clients_ctx.pop(key, None)
-        if ctx.session_id is not None and ctx.session_id in self.sessions:
-            self.sessions[ctx.session_id].phase = "revoked"
-            del self.sessions[ctx.session_id]
+        self.sessions.pop(ctx.session_id, None)
         actions = [self._log(event="revoke", client=ctx.client_id.hex(), reason=reason)]
         for link in self.by_gateway.values():
             actions.append(self._gw_send(link, Kind.AH_REVOKE, [(F.SUBJECT_ID, ctx.client_id)]))

@@ -1,4 +1,4 @@
-from .filtering import BACKEND, DROP, FORWARD, FilterEngine, available_engines
+from .filtering import DROP, FORWARD, FilterEngine
 from .node import GatewayNode, ServiceBinding
 
-__all__ = ["BACKEND", "DROP", "FORWARD", "FilterEngine", "available_engines", "GatewayNode", "ServiceBinding"]
+__all__ = ["DROP", "FORWARD", "FilterEngine", "GatewayNode", "ServiceBinding"]

@@ -140,9 +140,15 @@ def _run_protected(spec: ExperimentSpec, cfg) -> ExperimentResult:
 
     rx_samples: list[int] = []
     cpu_samples: list[int] = []
+    half_samples: list[int] = []
+
+    def sample_gateway():
+        cpu_samples.append(gw.engine.work_units)
+        half_samples.append(net.half_open_count(gw_host))
+
     for i in range(n + 1):
         net.call_at(t0 + i * spec.interval, lambda: rx_samples.append(len(tunnel.rx)))
-        net.call_at(t0 + i * spec.interval, lambda: cpu_samples.append(gw.engine.work_units))
+        net.call_at(t0 + i * spec.interval, sample_gateway)
 
     net.run(until=t0 + spec.window + 1.0)
 
@@ -164,7 +170,8 @@ def _run_protected(spec: ExperimentSpec, cfg) -> ExperimentResult:
     for i in range(n):
         acked = (rx_samples[i + 1] - rx_samples[i]) // spec.ping_size if i + 1 < len(rx_samples) else 0
         cpu = cpu_samples[i + 1] - cpu_samples[i] if i + 1 < len(cpu_samples) else 0
-        capture.append(acked, seen[i], forwarded[i], cpu, 0)
+        half = half_samples[i + 1] if i + 1 < len(half_samples) else 0
+        capture.append(acked, seen[i], forwarded[i], cpu, half)
 
     echo = dep.services[svc.service_id]
     foreign = {h: c for h, c in echo.stats.origins.items() if h != gw_host}

@@ -179,17 +179,9 @@ class SpaKeyStore:
             self._secrets.pop(client_id, None)
             self._last_counter.pop(client_id, None)
 
-    def known(self, client_id: bytes) -> bool:
-        with self._lock:
-            return client_id in self._secrets
-
     def last_counter(self, client_id: bytes) -> int:
         with self._lock:
             return self._last_counter.get(client_id, 0)
-
-    def client_ids(self) -> list[bytes]:
-        with self._lock:
-            return list(self._secrets)
 
     def verify(self, packet: SpaPacket, now: float) -> SpaVerdict:
         """Full verification; advances the stored counter only on ACCEPT."""
@@ -212,10 +204,6 @@ class SpaKeyStore:
                 return SpaVerdict.REPLAY_DETECTED
             self._last_counter[packet.client_id] = packet.counter
         return SpaVerdict.ACCEPT
-
-
-def verify_spa(packet: SpaPacket, store: SpaKeyStore, now: float) -> SpaVerdict:
-    return store.verify(packet, now)
 
 
 @dataclass

@@ -449,8 +449,6 @@ class SimNet:
         if peer is None:
             return
         peer_node, peer_local, _ = peer
-        if flow.state == "closed":
-            pass
         flow.state = "closed"
         node = self.nodes.get(peer_node)
         if node is not None and peer_local is not None and peer_local >= 0:
@@ -469,14 +467,6 @@ class SimNet:
                 continue
             out.append(rec)
         return out
-
-    def count_frames(self, src: str, dst: str) -> int:
-        return len(self.protocol_frames(src, dst))
-
-    def export_trace(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for rec in self.trace:
-                fh.write(rec.to_json() + "\n")
 
     def trace_jsonl(self) -> str:
         return "".join(rec.to_json() + "\n" for rec in self.trace)
