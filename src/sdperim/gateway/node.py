@@ -241,12 +241,12 @@ class GatewayNode(Node):
         src = self._flow_src[flow]
         try:
             kind, fields = decode_frame(data)
+            if kind != Kind.CHANNEL_HELLO:
+                return [Log({"event": "relay", "verdict": "drop", "reason": "no-hello", "src": src[0]})]
+            subject = fields.need(F.SUBJECT_ID)
         except WireError:
             return [Log({"event": "relay", "verdict": "drop", "reason": "malformed", "src": src[0]})]
-        if kind != Kind.CHANNEL_HELLO:
-            return [Log({"event": "relay", "verdict": "drop", "reason": "no-hello", "src": src[0]})]
         gate = self.relay_gate.get(src[0])
-        subject = fields.need(F.SUBJECT_ID)
         if gate is None or gate.consumed or gate.client_id != subject or gate.deadline < now:
             return [Log({"event": "relay", "verdict": "drop", "reason": "gate-mismatch", "src": src[0]})]
         gate.consumed = True

@@ -10,7 +10,7 @@ attacker and the service.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..deploy import build_sim, default_config
 from ..services import PingerNode
@@ -53,7 +53,6 @@ class ExperimentResult:
     baseline_throughput: float
     flood_throughput: float
     trace_jsonl: str = ""
-    gateway_logs: list = field(default_factory=list)
 
     @property
     def zero_leak(self) -> bool:
@@ -185,7 +184,6 @@ def _run_protected(spec: ExperimentSpec, cfg) -> ExperimentResult:
         baseline_throughput=base,
         flood_throughput=during,
         trace_jsonl=net.trace_jsonl(),
-        gateway_logs=list(net.logs[gw_host]),
     )
 
 
@@ -249,7 +247,6 @@ def _run_unprotected(spec: ExperimentSpec, cfg) -> ExperimentResult:
         baseline_throughput=base,
         flood_throughput=during,
         trace_jsonl=net.trace_jsonl(),
-        gateway_logs=[],
     )
 
 

@@ -6,6 +6,11 @@ rules stay meaningful). Outbound connections bind the host address as their
 source. Framed ports run a frame splitter so nodes always see whole frames;
 raw ports pass chunks through.
 
+The asyncio protocol callbacks call the node inline and execute the actions
+it returns before they return. Nodes are synchronous and the event loop is
+single-threaded, so events need no queue, task or lock; the only tasks a
+host creates are outbound connects.
+
 A kernel listener cannot withhold its accept, so a declined inbound stream
 is severed immediately instead of staying perfectly dark; scanners observe
 that as an unreachable service (see the port scanner's verdict rule).
@@ -16,6 +21,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
+from collections import deque
 
 from .base import (
     FRAMED,
@@ -31,30 +37,79 @@ from .base import (
 )
 from ..wire import FrameSplitter, WireError
 
+# Newest log records kept in memory; the log file, when given, gets every one.
+# Forged packets each log a record, so an unbounded copy grows with a flood.
+LOG_KEEP = 1024
+
 
 class _Datagram(asyncio.DatagramProtocol):
     def __init__(self, host: "RealHost", port: int):
         self.host = host
         self.port = port
+
+    def datagram_received(self, data, addr):
+        host = self.host
+        host._execute(host.node.on_datagram(self.port, addr, data, time.time()))
+
+
+class _Stream(asyncio.Protocol):
+    """One TCP stream. Inbound streams take a flow id from the node when the
+    connection arrives; outbound ones are created with the node's id."""
+
+    def __init__(self, host: "RealHost", mode: str, flow: int | None = None, port: int | None = None):
+        self.host = host
+        self.flow = flow
+        self.port = port
         self.transport = None
+        self.splitter = FrameSplitter() if mode == FRAMED else None
+        self.accepted = False
+        self.closed = False
 
     def connection_made(self, transport):
         self.transport = transport
+        host, node = self.host, self.host.node
+        if self.closed or host._stopped:
+            transport.close()
+            return
+        if self.flow is not None:
+            host._execute(node.on_connected(self.flow, time.time()))
+            return
+        self.flow = node.new_flow()
+        host._flows[self.flow] = self
+        peer = transport.get_extra_info("peername") or ("?", 0)
+        try:
+            host._execute(node.on_stream_request(self.flow, self.port, peer, time.time()))
+        finally:
+            if not self.accepted:
+                # declined (or the hook raised): sever before any payload byte
+                self.close()
+        if self.accepted:
+            host._execute(node.on_connected(self.flow, time.time()))
 
-    def datagram_received(self, data, addr):
-        self.host._dispatch_soon(lambda now: self.host.node.on_datagram(self.port, addr, data, now))
+    def data_received(self, data):
+        host = self.host
+        if self.splitter is None:
+            chunks = (data,)
+        else:
+            try:
+                chunks = self.splitter.feed(data)
+            except WireError:
+                self.connection_lost(None)
+                return
+        for chunk in chunks:
+            host._execute(host.node.on_data(self.flow, chunk, time.time()))
 
+    def connection_lost(self, exc):
+        host = self.host
+        if not self.closed and not host._stopped:
+            self.close()
+            host._execute(host.node.on_closed(self.flow, time.time()))
 
-class _Flow:
-    def __init__(self, local_id: int, mode: str):
-        self.local_id = local_id
-        self.mode = mode
-        self.reader: asyncio.StreamReader | None = None
-        self.writer: asyncio.StreamWriter | None = None
-        self.task: asyncio.Task | None = None
-        self.splitter = FrameSplitter() if mode == FRAMED else None
-        self.accepted = asyncio.Event()
-        self.closed = False
+    def close(self):
+        self.closed = True
+        self.host._flows.pop(self.flow, None)
+        if self.transport is not None:
+            self.transport.close()
 
 
 class RealHost:
@@ -65,16 +120,15 @@ class RealHost:
     def __init__(self, node: Node, bind_host: str = "127.0.0.1", log_path=None):
         self.node = node
         self.bind_host = bind_host
-        self.logs: list[dict] = []
+        self.logs: deque[dict] = deque(maxlen=LOG_KEEP)
         self._log_path = log_path
         self._log_fh = None
-        self._lock = asyncio.Lock()
-        self._flows: dict[int, _Flow] = {}
+        self._flows: dict[int, _Stream] = {}
         self._timers: dict[str, asyncio.TimerHandle] = {}
         self._servers: list[asyncio.AbstractServer] = []
         self._udp: dict[int, asyncio.DatagramTransport] = {}
         self._udp_send: asyncio.DatagramTransport | None = None
-        self._tasks: set[asyncio.Task] = set()
+        self._connects: set[asyncio.Task] = set()
         self._stopped = False
 
     # -- lifecycle ----------------------------------------------------------
@@ -93,13 +147,11 @@ class RealHost:
             asyncio.DatagramProtocol, local_addr=(self.bind_host, 0)
         )
         for port, mode in self.node.tcp_ports.items():
-            server = await asyncio.start_server(
-                lambda r, w, port=port, mode=mode: self._on_inbound(r, w, port, mode),
-                host=self.bind_host,
-                port=port,
+            server = await loop.create_server(
+                lambda port=port, mode=mode: _Stream(self, mode, port=port), host=self.bind_host, port=port
             )
             self._servers.append(server)
-        await self._dispatch(lambda now: self.node.start(now))
+        await self.call(self.node.start)
 
     async def stop(self):
         if self._stopped:
@@ -110,43 +162,33 @@ class RealHost:
         self._timers.clear()
         for server in self._servers:
             server.close()
+        for transport in self._udp.values():
+            transport.close()
+        if self._udp_send is not None:
+            self._udp_send.close()
+        for stream in list(self._flows.values()):
+            stream.close()
+        for task in self._connects:
+            task.cancel()
         for server in self._servers:
             try:
                 await server.wait_closed()
             except Exception:
                 pass
-        for transport in self._udp.values():
-            transport.close()
-        if self._udp_send is not None:
-            self._udp_send.close()
-        for flow in list(self._flows.values()):
-            self._close_flow(flow)
-        for task in list(self._tasks):
-            task.cancel()
-        if self._tasks:
-            await asyncio.gather(*self._tasks, return_exceptions=True)
+        if self._connects:
+            await asyncio.gather(*self._connects, return_exceptions=True)
         if self._log_fh is not None:
             self._log_fh.close()
             self._log_fh = None
 
     async def call(self, fn):
         """Run a node API call (e.g. ``lambda now: node.open_service(...)``)
-        under the host lock and execute its actions."""
-        return await self._dispatch(fn)
+        and execute its actions."""
+        actions = fn(time.time())
+        self._execute(actions)
+        return actions
 
-    # -- node event dispatch ---------------------------------------------------
-
-    async def _dispatch(self, fn):
-        async with self._lock:
-            now = time.time()
-            actions = fn(now)
-            self._execute(actions)
-            return actions
-
-    def _dispatch_soon(self, fn):
-        task = asyncio.ensure_future(self._dispatch(fn))
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
+    # -- actions ----------------------------------------------------------------
 
     def _execute(self, actions):
         for action in actions or ():
@@ -154,24 +196,23 @@ class RealHost:
                 if self._udp_send is not None:
                     self._udp_send.sendto(action.data, action.dst)
             elif isinstance(action, OpenStream):
-                flow = _Flow(action.flow, action.mode)
-                self._flows[action.flow] = flow
-                self._spawn(self._connect(flow, action.dst))
+                stream = _Stream(self, action.mode, flow=action.flow)
+                self._flows[action.flow] = stream
+                task = asyncio.ensure_future(self._connect(stream, action.dst))
+                self._connects.add(task)
+                task.add_done_callback(self._connects.discard)
             elif isinstance(action, AcceptStream):
-                flow = self._flows.get(action.flow)
-                if flow is not None:
-                    flow.accepted.set()
+                stream = self._flows.get(action.flow)
+                if stream is not None:
+                    stream.accepted = True
             elif isinstance(action, Send):
-                flow = self._flows.get(action.flow)
-                if flow is not None and flow.writer is not None and not flow.closed:
-                    try:
-                        flow.writer.write(action.data)
-                    except ConnectionError:
-                        pass
+                stream = self._flows.get(action.flow)
+                if stream is not None and stream.transport is not None:
+                    stream.transport.write(action.data)
             elif isinstance(action, Close):
-                flow = self._flows.get(action.flow)
-                if flow is not None:
-                    self._close_flow(flow)
+                stream = self._flows.get(action.flow)
+                if stream is not None:
+                    stream.close()
             elif isinstance(action, SetTimer):
                 self._set_timer(action.key, action.delay)
             elif isinstance(action, CancelTimer):
@@ -185,81 +226,22 @@ class RealHost:
                     self._log_fh.write(json.dumps(record, sort_keys=True) + "\n")
                     self._log_fh.flush()
 
-    def _spawn(self, coro):
-        task = asyncio.ensure_future(coro)
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
-
     def _set_timer(self, key, delay):
-        loop = asyncio.get_running_loop()
         old = self._timers.pop(key, None)
         if old is not None:
             old.cancel()
 
         def fire():
             self._timers.pop(key, None)
-            self._dispatch_soon(lambda now: self.node.on_timer(key, now))
+            self._execute(self.node.on_timer(key, time.time()))
 
-        self._timers[key] = loop.call_later(delay, fire)
+        self._timers[key] = asyncio.get_running_loop().call_later(delay, fire)
 
-    # -- streams ---------------------------------------------------------------
-
-    async def _connect(self, flow: _Flow, dst):
+    async def _connect(self, stream: _Stream, dst):
         try:
-            reader, writer = await asyncio.open_connection(
-                dst[0], dst[1], local_addr=(self.bind_host, 0)
+            await asyncio.get_running_loop().create_connection(
+                lambda: stream, dst[0], dst[1], local_addr=(self.bind_host, 0)
             )
         except OSError as exc:
-            await self._dispatch(lambda now: self.node.on_connect_failed(flow.local_id, str(exc), now))
-            return
-        flow.reader = reader
-        flow.writer = writer
-        await self._dispatch(lambda now: self.node.on_connected(flow.local_id, now))
-        await self._read_loop(flow)
-
-    async def _on_inbound(self, reader, writer, port, mode):
-        peer = writer.get_extra_info("peername") or ("?", 0)
-        local_id = self.node.new_flow()
-        flow = _Flow(local_id, mode)
-        flow.reader = reader
-        flow.writer = writer
-        self._flows[local_id] = flow
-        await self._dispatch(lambda now: self.node.on_stream_request(local_id, port, peer, now))
-        if not flow.accepted.is_set():
-            # declined: sever before any payload byte
-            self._flows.pop(local_id, None)
-            writer.close()
-            return
-        await self._dispatch(lambda now: self.node.on_connected(local_id, now))
-        await self._read_loop(flow)
-
-    async def _read_loop(self, flow: _Flow):
-        try:
-            while True:
-                data = await flow.reader.read(65536)
-                if not data:
-                    break
-                if flow.splitter is not None:
-                    try:
-                        frames = flow.splitter.feed(data)
-                    except WireError:
-                        break
-                    for frame in frames:
-                        await self._dispatch(lambda now, frame=frame: self.node.on_data(flow.local_id, frame, now))
-                else:
-                    await self._dispatch(lambda now, data=data: self.node.on_data(flow.local_id, data, now))
-        except (ConnectionError, asyncio.CancelledError, OSError):
-            pass
-        finally:
-            if not flow.closed and not self._stopped:
-                self._close_flow(flow)
-                await self._dispatch(lambda now: self.node.on_closed(flow.local_id, now))
-
-    def _close_flow(self, flow: _Flow):
-        flow.closed = True
-        self._flows.pop(flow.local_id, None)
-        if flow.writer is not None:
-            try:
-                flow.writer.close()
-            except Exception:
-                pass
+            self._flows.pop(stream.flow, None)
+            self._execute(self.node.on_connect_failed(stream.flow, str(exc), time.time()))

@@ -405,6 +405,29 @@ class TestDarkness:
         replies = [r for r in dep.net.trace[before:] if r.dst == "client"]
         assert replies == []
 
+    def test_relay_hello_without_subject_is_dropped_silently(self):
+        # the relay gate is structural, so a made-up key opens it; a hello
+        # that then omits its subject must be a logged drop, not a crash
+        dep = authed_deployment()
+
+        class Forger(Node):
+            def on_connected(self, flow, now):
+                return [Send(flow, encode_frame(Kind.CHANNEL_HELLO, []))]
+
+        forger = Forger("client")
+        dep.net.add_node(forger)
+        before = len(dep.net.trace)
+        packet = spa.build_spa(spa.SpaKey(b"\x99" * 16, b"\x98" * 32), 1, spa.TargetRole.CONTROLLER,
+                               dep.net.clock, b"\x00" * spa.NONCE_LEN)
+        dep.net.act(forger, [SendDatagram(("gateway", 62201), packet.encode())])
+        dep.net.run(until=dep.net.clock + 0.5)
+        dep.net.act(forger, [OpenStream(forger.new_flow(), ("gateway", 5000))])
+        dep.net.run(until=dep.net.clock + 2.0)
+        relay = [r for r in dep.net.logs["gateway"] if r.get("event") == "relay"]
+        assert [r["reason"] for r in relay] == ["malformed"]
+        replies = [r for r in dep.net.trace[before:] if r.dst == "client" and r.cls == "data"]
+        assert replies == []
+
     def test_least_privilege_rule_table_subset_of_records(self):
         dep = authed_deployment()
         client = connect_client(dep)

@@ -5,6 +5,7 @@ Each test uses its own port range to avoid collisions.
 """
 
 import asyncio
+import json
 import random
 
 from sdperim import spa
@@ -13,7 +14,10 @@ from sdperim.config import generate_material
 from sdperim.deploy import build_client, build_controller, build_gateway, build_sim, default_config
 from sdperim.services import EchoNode
 from sdperim.transport.base import Send, SendDatagram
+from sdperim.transport.base import FRAMED, RAW, AcceptStream, Log, Node
 from sdperim.transport.real import RealHost
+from sdperim.transport.real import LOG_KEEP
+from sdperim.wire import MAX_FRAME_LEN
 
 CTRL_IP, GW_IP, CLOUD_IP, CLIENT_IP, OTHER_IP = (
     "127.0.0.10",
@@ -206,3 +210,133 @@ def test_gateway_relay_is_transparent_end_to_end():
             assert stack.ctrl.session_count() == 1
 
     asyncio.run(main())
+
+
+# -- driver contract: contained hook failures, framing errors, bounded logs ------
+
+
+class ContractNode(Node):
+    """Records datagrams, accepts every stream and echoes its bytes; raises
+    on the events a test marks."""
+
+    def __init__(self, udp_ports=(), tcp_ports=None, fail_requests=0):
+        super().__init__("contract")
+        self.udp_ports = list(udp_ports)
+        self.tcp_ports = dict(tcp_ports or {})
+        self.fail_requests = fail_requests
+        self.datagrams = []
+        self.connected = []
+        self.closed = []
+
+    def on_datagram(self, port, src, data, now):
+        if data == b"boom":
+            raise RuntimeError("hook failure")
+        self.datagrams.append(data)
+        return []
+
+    def on_stream_request(self, flow, port, src, now):
+        if self.fail_requests:
+            self.fail_requests -= 1
+            raise RuntimeError("hook failure")
+        return [AcceptStream(flow)]
+
+    def on_connected(self, flow, now):
+        self.connected.append(flow)
+        return []
+
+    def on_data(self, flow, data, now):
+        return [Send(flow, data)]
+
+    def on_closed(self, flow, now):
+        self.closed.append(flow)
+        return []
+
+
+async def run_contract(node, ip, body):
+    """Run ``body(host, errors)`` on a started host; ``errors`` collects what
+    the event loop reports as unhandled."""
+    errors = []
+    asyncio.get_running_loop().set_exception_handler(lambda loop, ctx: errors.append(ctx))
+    host = RealHost(node, ip)
+    await host.start()
+    try:
+        await body(host, errors)
+    finally:
+        await host.stop()
+
+
+def test_raising_datagram_hook_leaves_listener_serving():
+    node = ContractNode(udp_ports=[21501])
+
+    async def body(host, errors):
+        loop = asyncio.get_running_loop()
+        sender, _ = await loop.create_datagram_endpoint(asyncio.DatagramProtocol, local_addr=(OTHER_IP, 0))
+        try:
+            sender.sendto(b"boom", ("127.0.0.30", 21501))
+            assert await wait_for(lambda: errors, 5.0)
+            sender.sendto(b"after", ("127.0.0.30", 21501))
+            assert await wait_for(lambda: node.datagrams == [b"after"], 5.0)
+        finally:
+            sender.close()
+
+    asyncio.run(run_contract(node, "127.0.0.30", body))
+
+
+def test_raising_stream_request_hook_severs_that_stream_only():
+    node = ContractNode(tcp_ports={21601: RAW}, fail_requests=1)
+
+    async def body(host, errors):
+        reader, writer = await asyncio.open_connection("127.0.0.31", 21601, local_addr=(OTHER_IP, 0))
+        try:
+            data = await asyncio.wait_for(reader.read(64), timeout=5.0)
+            assert data == b""  # severed: end of stream
+        except ConnectionError:
+            pass  # severed with a reset
+        finally:
+            writer.close()
+        assert errors and node.connected == []
+        reader, writer = await asyncio.open_connection("127.0.0.31", 21601, local_addr=(OTHER_IP, 0))
+        try:
+            writer.write(b"still-serving")
+            assert await asyncio.wait_for(reader.readexactly(13), timeout=5.0) == b"still-serving"
+        finally:
+            writer.close()
+
+    asyncio.run(run_contract(node, "127.0.0.31", body))
+
+
+def test_oversized_frame_header_closes_stream_once():
+    node = ContractNode(tcp_ports={21701: FRAMED})
+
+    async def body(host, errors):
+        reader, writer = await asyncio.open_connection("127.0.0.32", 21701, local_addr=(OTHER_IP, 0))
+        try:
+            assert await wait_for(lambda: node.connected, 5.0)
+            writer.write((MAX_FRAME_LEN + 1).to_bytes(4, "big"))
+            try:
+                assert await asyncio.wait_for(reader.read(64), timeout=5.0) == b""
+            except ConnectionError:
+                pass
+            await asyncio.sleep(0.1)  # a second on_closed would arrive with the kernel's close
+        finally:
+            writer.close()
+        assert node.closed == node.connected and len(node.closed) == 1
+        assert errors == []
+
+    asyncio.run(run_contract(node, "127.0.0.32", body))
+
+
+def test_logs_keep_newest_records_while_file_gets_all(tmp_path):
+    path = tmp_path / "host.jsonl"
+    host = RealHost(ContractNode(), "127.0.0.33", log_path=str(path))
+
+    async def main():
+        await host.start()
+        try:
+            await host.call(lambda now: [Log({"i": i}) for i in range(LOG_KEEP + 5)])
+        finally:
+            await host.stop()
+
+    asyncio.run(main())
+    assert [r["i"] for r in host.logs] == list(range(5, LOG_KEEP + 5))
+    assert [json.loads(line)["i"] for line in path.read_text().splitlines()] == list(range(LOG_KEEP + 5))
