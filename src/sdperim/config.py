@@ -1,9 +1,10 @@
-"""Deployment configuration, key provisioning, and the record store.
+"""Deployment configuration and key provisioning.
 
 One YAML document describes a whole deployment; every binary reads the same
 file and uses only its role section. Secrets never live in the YAML: they
-are provisioned into a material directory, and the controller's authorized
-hosts live in an append-only records file there.
+are provisioned into a material directory, one file per host and kind. The
+controller's records of authorized hosts are built from this file and that
+material at start-up (``Material.records``).
 
 Example::
 
@@ -34,7 +35,6 @@ Topology links are directed; omit the section to get a default full chain.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 from dataclasses import asdict, dataclass, field
@@ -264,13 +264,9 @@ def generate_material(cfg: DeploymentConfig, rng: random.Random | None = None) -
 
 # -- provisioning to disk -------------------------------------------------------
 
-_RECORDS = "records.jsonl"
-
-
 def provision(cfg: DeploymentConfig, base_dir, force: bool = False) -> str:
-    """Generate and write key and certificate files for every host, plus the
-    controller's append-only records file. Refuses to overwrite existing
-    material unless ``force``."""
+    """Generate and write key, certificate and first-contact secret files for
+    every host. Refuses to overwrite existing material unless ``force``."""
     material_dir = os.path.join(base_dir, cfg.material_dir)
     if os.path.exists(material_dir) and os.listdir(material_dir) and not force:
         raise ConfigError(f"material already exists in {material_dir}; use force to replace")
@@ -281,29 +277,8 @@ def provision(cfg: DeploymentConfig, base_dir, force: bool = False) -> str:
     for hex_id, identity in material.identities.items():
         _write(material_dir, f"{hex_id}.cert", identity.cert.encode().hex())
         _write(material_dir, f"{hex_id}.key", identity.signing_seed().hex())
-    store = RecordStore(os.path.join(material_dir, _RECORDS))
-    for g in cfg.gateways:
-        store.append(
-            {
-                "type": "gateway",
-                "id": g.id,
-                "secret": material.spa_keys[g.id].secret.hex(),
-                "cert": material.identities[g.id].cert.encode().hex(),
-            }
-        )
-        _write(material_dir, f"{g.id}.spa", material.spa_keys[g.id].secret.hex())
-    for c in cfg.clients:
-        store.append(
-            {
-                "type": "client",
-                "id": c.id,
-                "secret": material.spa_keys[c.id].secret.hex(),
-                "cert": material.identities[c.id].cert.encode().hex(),
-                "services": list(c.services),
-                "validation_interval": cfg.timing.validation_interval,
-            }
-        )
-        _write(material_dir, f"{c.id}.spa", material.spa_keys[c.id].secret.hex())
+    for entry in [*cfg.gateways, *cfg.clients]:
+        _write(material_dir, f"{entry.id}.spa", material.spa_keys[entry.id].secret.hex())
     return material_dir
 
 
@@ -330,55 +305,3 @@ def load_material(cfg: DeploymentConfig, base_dir) -> Material:
         if entry is not cfg.controller:
             keys[entry.id] = spa.SpaKey(entry.id_bytes, bytes.fromhex(_read(material_dir, f"{entry.id}.spa")))
     return Material(ca, identities, keys)
-
-
-class RecordStore:
-    """Append-only JSON-lines store of authorized hosts and their material."""
-
-    def __init__(self, path):
-        self.path = path
-
-    def append(self, record: dict) -> None:
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-
-    def load(self) -> list[dict]:
-        if not os.path.exists(self.path):
-            return []
-        out = []
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    out.append(json.loads(line))
-        return out
-
-    def client_records(self, default_interval: float = 30.0) -> list[ClientRecord]:
-        out = []
-        for rec in self.load():
-            if rec.get("type") != "client":
-                continue
-            out.append(
-                ClientRecord(
-                    client_id=bytes.fromhex(rec["id"]),
-                    spa_key=spa.SpaKey(bytes.fromhex(rec["id"]), bytes.fromhex(rec["secret"])),
-                    certificate=bytes.fromhex(rec["cert"]),
-                    authorized_services=list(rec.get("services", [])),
-                    validation_interval=float(rec.get("validation_interval", default_interval)),
-                )
-            )
-        return out
-
-    def gateway_records(self) -> list[GatewayRecord]:
-        out = []
-        for rec in self.load():
-            if rec.get("type") != "gateway":
-                continue
-            out.append(
-                GatewayRecord(
-                    gateway_id=bytes.fromhex(rec["id"]),
-                    spa_key=spa.SpaKey(bytes.fromhex(rec["id"]), bytes.fromhex(rec["secret"])),
-                    certificate=bytes.fromhex(rec["cert"]),
-                )
-            )
-        return out

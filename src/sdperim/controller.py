@@ -51,8 +51,6 @@ class ServiceDescriptor:
     protected_host: str
     protected_port: int
     public_port: int
-    protocol: str = "tcp"
-    rule_ttl: float | None = None  # overrides the deployment default
 
 
 @dataclass
@@ -460,7 +458,6 @@ class ControllerNode(Node):
             ]
         token = self._next_request
         self._next_request += 1
-        ttl = svc.rule_ttl if svc.rule_ttl is not None else self.rule_ttl
         self._pending_auth[token] = {
             "ctx": ctx,
             "request_id": request_id,
@@ -473,7 +470,7 @@ class ControllerNode(Node):
             (F.SERVICE_ID, text(service_id)),
             (F.HOST, text(ctx.observed_host)),
             (F.PORT, u16(svc.public_port)),
-            (F.TTL_MS, u32(int(ttl * 1000))),
+            (F.TTL_MS, u32(int(self.rule_ttl * 1000))),
         ]
         return [
             self._gw_send(gw_link, Kind.AH_AUTHORIZE, directive),

@@ -242,13 +242,13 @@ class GatewayNode(Node):
         try:
             kind, fields = decode_frame(data)
             if kind != Kind.CHANNEL_HELLO:
-                return [Log({"event": "relay", "verdict": "drop", "reason": "no-hello", "src": src[0]})]
+                return self._drop_relay(flow, "no-hello")
             subject = fields.need(F.SUBJECT_ID)
         except WireError:
-            return [Log({"event": "relay", "verdict": "drop", "reason": "malformed", "src": src[0]})]
+            return self._drop_relay(flow, "malformed")
         gate = self.relay_gate.get(src[0])
         if gate is None or gate.consumed or gate.client_id != subject or gate.deadline < now:
-            return [Log({"event": "relay", "verdict": "drop", "reason": "gate-mismatch", "src": src[0]})]
+            return self._drop_relay(flow, "gate-mismatch")
         gate.consumed = True
         relay = _RelayFlow(flow=flow, relay_id=self._next_relay_id, client_id=subject, src=src)
         self._next_relay_id += 1
@@ -267,6 +267,10 @@ class GatewayNode(Node):
             ),
             self._upstream(Kind.SPA_FORWARD, [(F.FLOW, u32(relay.relay_id)), (F.DATA, gate.spa_bytes)]),
         ]
+
+    def _drop_relay(self, flow, reason):
+        src = self._flow_src.pop(flow)
+        return [Log({"event": "relay", "verdict": "drop", "reason": reason, "src": src[0]}), Close(flow)]
 
     def _on_relay_frame(self, relay, data, now):
         if relay.dead or not self.registered:
@@ -315,17 +319,17 @@ class GatewayNode(Node):
                 relay.dead = True  # swallow everything; the source times out
             return []
         if kind == Kind.CLIENT_SERVICES:
-            return self._on_client_services(fields, now)
+            return self._on_client_services(fields)
         if kind == Kind.AH_AUTHORIZE:
             return self._on_authorize(fields, now)
         if kind == Kind.AH_REVOKE:
             return self._on_revoke(fields.need(F.SUBJECT_ID), now)
         return []
 
-    def _on_client_services(self, fields, now):
+    def _on_client_services(self, fields):
         relay = self.by_relay_id.get(fields.u32(F.FLOW))
         client_id = fields.need(F.SUBJECT_ID)
-        key = spa.SpaKey(client_id, fields.need(F.SECRET), now)
+        key = spa.SpaKey(client_id, fields.need(F.SECRET))
         self.client_store.register(key, last_counter=fields.u64(F.COUNTER))
         entries = [parse_service_entry(e) for e in fields.all(F.ENTRY)]
         self.client_infos[client_id] = {

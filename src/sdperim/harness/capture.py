@@ -67,14 +67,8 @@ class CaptureSeries:
 def label_attack_segments(trace_records, dst: str, dst_port: int) -> list:
     """Initiation segments at the target whose frame length is under the
     attack-labeling threshold; returns the records (reporting only)."""
-    out = []
-    for rec in trace_records:
-        cls = rec["cls"] if isinstance(rec, dict) else rec.cls
-        if cls != "syn":
-            continue
-        r_dst = rec["dst"] if isinstance(rec, dict) else rec.dst
-        r_port = rec["dst_port"] if isinstance(rec, dict) else rec.dst_port
-        size = rec["size"] if isinstance(rec, dict) else rec.size
-        if r_dst == dst and r_port == dst_port and size < ATTACK_FRAME_LIMIT:
-            out.append(rec)
-    return out
+    return [
+        rec
+        for rec in trace_records
+        if rec.cls == "syn" and rec.dst == dst and rec.dst_port == dst_port and rec.size < ATTACK_FRAME_LIMIT
+    ]

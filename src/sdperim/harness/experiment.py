@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Callable
 
-from ..deploy import build_sim, default_config
-from ..services import PingerNode
-from ..transport.sim import two_way
-from .capture import ATTACK_FRAME_LIMIT, CaptureSeries
+from ..deploy import SimDeployment, build_sim, default_config
+from ..services import EchoNode, PingerNode
+from ..transport.sim import SimNet, Topology, two_way
+from .capture import CaptureSeries, label_attack_segments
 from .flood import FloodSpec, FloodStats, sim_flood
 
 SETUP_END = 5.0  # virtual seconds reserved for registration + authentication
@@ -80,11 +81,148 @@ class ExperimentResult:
         return json.dumps(self.summary(), indent=2, sort_keys=True)
 
 
+def setup_with_sdp(cfg, seed: int, outsider: str) -> SimDeployment:
+    """The reference deployment with ``outsider`` linked to the gateway and
+    the client authenticated and granted its first service, at 4.0 s."""
+    dep = build_sim(cfg, seed=seed, start_clients=False)
+    net = dep.net
+    for link in two_way(outsider, dep.gateway().name):
+        net.topology.links[(link.src, link.dst)] = link
+        net.topology.nodes.update((link.src, link.dst))
+    client = dep.client()
+    net.run(until=1.0)
+    net.add_node(client)
+    net.run(until=3.0)
+    if not client.ready:
+        raise RuntimeError("client failed to authenticate during setup")
+    net.act(client, client.open_service(cfg.services[0].service_id, net.clock))
+    net.run(until=4.0)
+    return dep
+
+
+@dataclass
+class _Arm:
+    """What differs between the two arms; ``run_experiment`` does the rest."""
+
+    net: SimNet
+    target: tuple[str, int]  # where the flood and the legitimate traffic arrive
+    echo: EchoNode
+    legit_host: str  # the legitimate origin the echo service sees
+    rx_bytes: Callable[[], int]  # legitimate bytes echoed back so far
+    work_units: Callable[[], int]  # filter work done so far
+    forwarded: Callable[[list[float]], list[float]]  # attack SYN arrivals -> times forwarded to the service
+
+
 def run_experiment(spec: ExperimentSpec, cfg=None) -> ExperimentResult:
     cfg = cfg or default_config(seed=spec.seed)
-    if spec.with_sdp:
-        return _run_protected(spec, cfg)
-    return _run_unprotected(spec, cfg)
+    arm = _protected_arm(spec, cfg) if spec.with_sdp else _unprotected_arm(spec, cfg)
+    net = arm.net
+    t0 = SETUP_END
+    n = int(spec.window / spec.interval)
+    flood_stats = None
+    if spec.flood_enabled:
+        flood_stats = sim_flood(
+            net,
+            FloodSpec(*arm.target, rate=spec.flood_rate, duration=spec.flood_duration),
+            attacker="attacker",
+            start=t0 + spec.flood_start,
+        )
+
+    # two events per interval: trace sequence numbers count scheduled events
+    rx_samples: list[int] = []
+    work_samples: list[int] = []
+    half_samples: list[int] = []
+
+    def sample_load():
+        work_samples.append(arm.work_units())
+        half_samples.append(net.half_open_count(arm.target[0]))
+
+    for i in range(n + 1):
+        net.call_at(t0 + i * spec.interval, lambda: rx_samples.append(arm.rx_bytes()))
+        net.call_at(t0 + i * spec.interval, sample_load)
+
+    net.run(until=t0 + spec.window + 1.0)
+
+    arrivals = [r.delivered for r in label_attack_segments(net.trace, *arm.target) if r.delivered is not None]
+    seen = _bucket(arrivals, t0, spec.interval, n)
+    forwarded = _bucket(arm.forwarded(arrivals), t0, spec.interval, n)
+    capture = CaptureSeries(start=t0, interval=spec.interval)
+    for i in range(n):
+        capture.append(
+            (rx_samples[i + 1] - rx_samples[i]) // spec.ping_size,
+            seen[i],
+            forwarded[i],
+            work_samples[i + 1] - work_samples[i],
+            half_samples[i + 1],
+        )
+
+    origins = arm.echo.stats.origins
+    base, during = _throughput(capture, spec)
+    return ExperimentResult(
+        spec=spec,
+        capture=capture,
+        flood=flood_stats,
+        service_origins=dict(origins),
+        attacker_segments_to_service=sum(c for h, c in origins.items() if h != arm.legit_host),
+        baseline_throughput=base,
+        flood_throughput=during,
+        trace_jsonl=net.trace_jsonl(),
+    )
+
+
+def _protected_arm(spec: ExperimentSpec, cfg) -> _Arm:
+    dep = setup_with_sdp(cfg, spec.seed, "attacker")
+    net, gw, client = dep.net, dep.gateway(), dep.client()
+    svc = cfg.services[0]
+    net.act(client, client.open_tunnel_stream(svc.service_id))
+    net.run(until=SETUP_END)
+    tunnel = client.tunnels[svc.service_id]
+    if not tunnel.established:
+        raise RuntimeError("tunnel failed to establish during setup")
+
+    ping = b"\x55" * spec.ping_size
+    period = 1.0 / spec.echo_rate
+    for k in range(int(spec.window * spec.echo_rate)):
+        net.call_at(SETUP_END + k * period, lambda: net.act(client, client.tunnel_send(svc.service_id, ping)))
+
+    def forwarded(arrivals):
+        return [
+            rec["ts"]
+            for rec in net.logs[gw.name]
+            if rec.get("event") == "filter" and rec.get("verdict") == "forward" and rec["src"].startswith("10.66.")
+        ]
+
+    return _Arm(
+        net=net,
+        target=(gw.name, svc.public_port),
+        echo=dep.services[svc.service_id],
+        legit_host=gw.name,  # the gateway splices legitimate sessions onto the service
+        rx_bytes=lambda: len(tunnel.rx),
+        work_units=lambda: gw.engine.work_units,
+        forwarded=forwarded,
+    )
+
+
+def _unprotected_arm(spec: ExperimentSpec, cfg) -> _Arm:
+    """No perimeter: the attacker reaches the service directly, and so does
+    the legitimate sender."""
+    svc = cfg.services[0]
+    target = (svc.protected_host, svc.protected_port)
+    net = SimNet(Topology(two_way("pinger", target[0]) + two_way("attacker", target[0])), seed=spec.seed)
+    echo = EchoNode(*target)
+    pinger = PingerNode("pinger", target, spec.echo_rate, spec.ping_size)
+    net.add_node(echo)
+    net.add_node(pinger)
+    net.run(until=SETUP_END)
+    return _Arm(
+        net=net,
+        target=target,
+        echo=echo,
+        legit_host="pinger",
+        rx_bytes=lambda: pinger.rx_bytes,
+        work_units=lambda: 0,
+        forwarded=lambda arrivals: arrivals,  # every attack initiation reaches the unprotected service
+    )
 
 
 def _bucket(times, t0: float, interval: float, n: int) -> list[int]:
@@ -94,160 +232,6 @@ def _bucket(times, t0: float, interval: float, n: int) -> list[int]:
         if 0 <= i < n:
             out[i] += 1
     return out
-
-
-def _run_protected(spec: ExperimentSpec, cfg) -> ExperimentResult:
-    dep = build_sim(cfg, seed=spec.seed, start_clients=False)
-    net = dep.net
-    gw = dep.gateway()
-    svc = cfg.services[0]
-    gw_host = gw.name
-
-    for link in two_way("attacker", gw_host):
-        net.topology.links[(link.src, link.dst)] = link
-        net.topology.nodes.update((link.src, link.dst))
-
-    client = dep.client()
-    net.run(until=1.0)
-    net.add_node(client)
-    net.run(until=3.0)
-    if not client.ready:
-        raise RuntimeError("client failed to authenticate during setup")
-    net.act(client, client.open_service(svc.service_id, net.clock))
-    net.run(until=4.0)
-    net.act(client, client.open_tunnel_stream(svc.service_id))
-    net.run(until=SETUP_END)
-    tunnel = client.tunnels[svc.service_id]
-    if not tunnel.established:
-        raise RuntimeError("tunnel failed to establish during setup")
-
-    t0 = SETUP_END
-    n = int(spec.window / spec.interval)
-    ping = b"\x55" * spec.ping_size
-    period = 1.0 / spec.echo_rate
-    for k in range(int(spec.window * spec.echo_rate)):
-        net.call_at(t0 + k * period, lambda: net.act(client, client.tunnel_send(svc.service_id, ping)))
-
-    flood_stats = None
-    if spec.flood_enabled:
-        flood_stats = sim_flood(
-            net,
-            FloodSpec(gw_host, svc.public_port, rate=spec.flood_rate, duration=spec.flood_duration),
-            attacker="attacker",
-            start=t0 + spec.flood_start,
-        )
-
-    rx_samples: list[int] = []
-    cpu_samples: list[int] = []
-    half_samples: list[int] = []
-
-    def sample_gateway():
-        cpu_samples.append(gw.engine.work_units)
-        half_samples.append(net.half_open_count(gw_host))
-
-    for i in range(n + 1):
-        net.call_at(t0 + i * spec.interval, lambda: rx_samples.append(len(tunnel.rx)))
-        net.call_at(t0 + i * spec.interval, sample_gateway)
-
-    net.run(until=t0 + spec.window + 1.0)
-
-    attack_syns = [
-        rec
-        for rec in net.trace
-        if rec.cls == "syn" and rec.dst == gw_host and rec.dst_port == svc.public_port and rec.size < ATTACK_FRAME_LIMIT
-    ]
-    seen = _bucket([r.delivered for r in attack_syns if r.delivered is not None], t0, spec.interval, n)
-    spoofed_hosts = {rec["src"] for rec in net.logs[gw_host] if rec.get("event") == "filter" and rec["src"].startswith("10.66.")}
-    forwarded_times = [
-        rec["ts"]
-        for rec in net.logs[gw_host]
-        if rec.get("event") == "filter" and rec.get("verdict") == "forward" and rec["src"] in spoofed_hosts
-    ]
-    forwarded = _bucket(forwarded_times, t0, spec.interval, n)
-
-    capture = CaptureSeries(start=t0, interval=spec.interval)
-    for i in range(n):
-        acked = (rx_samples[i + 1] - rx_samples[i]) // spec.ping_size if i + 1 < len(rx_samples) else 0
-        cpu = cpu_samples[i + 1] - cpu_samples[i] if i + 1 < len(cpu_samples) else 0
-        half = half_samples[i + 1] if i + 1 < len(half_samples) else 0
-        capture.append(acked, seen[i], forwarded[i], cpu, half)
-
-    echo = dep.services[svc.service_id]
-    foreign = {h: c for h, c in echo.stats.origins.items() if h != gw_host}
-    base, during = _throughput(capture, spec)
-    return ExperimentResult(
-        spec=spec,
-        capture=capture,
-        flood=flood_stats,
-        service_origins=dict(echo.stats.origins),
-        attacker_segments_to_service=sum(foreign.values()),
-        baseline_throughput=base,
-        flood_throughput=during,
-        trace_jsonl=net.trace_jsonl(),
-    )
-
-
-def _run_unprotected(spec: ExperimentSpec, cfg) -> ExperimentResult:
-    """No perimeter: the attacker reaches the service directly, and so does
-    the legitimate sender."""
-    from ..services import EchoNode
-    from ..transport.sim import SimNet, Topology
-
-    svc = cfg.services[0]
-    host = svc.protected_host
-    topo = Topology(two_way("pinger", host) + two_way("attacker", host))
-    net = SimNet(topo, seed=spec.seed)
-    echo = EchoNode(host, svc.protected_port)
-    pinger = PingerNode("pinger", (host, svc.protected_port), spec.echo_rate, spec.ping_size)
-    net.add_node(echo)
-    net.add_node(pinger)
-    net.run(until=SETUP_END)
-
-    t0 = SETUP_END
-    n = int(spec.window / spec.interval)
-    flood_stats = None
-    if spec.flood_enabled:
-        flood_stats = sim_flood(
-            net,
-            FloodSpec(host, svc.protected_port, rate=spec.flood_rate, duration=spec.flood_duration),
-            attacker="attacker",
-            start=t0 + spec.flood_start,
-        )
-
-    rx_samples: list[int] = []
-    half_samples: list[int] = []
-    for i in range(n + 1):
-        net.call_at(t0 + i * spec.interval, lambda: rx_samples.append(pinger.rx_bytes))
-        net.call_at(t0 + i * spec.interval, lambda: half_samples.append(net.half_open_count(host)))
-
-    net.run(until=t0 + spec.window + 1.0)
-
-    attack_syns = [
-        rec
-        for rec in net.trace
-        if rec.cls == "syn" and rec.dst == host and rec.dst_port == svc.protected_port and rec.size < ATTACK_FRAME_LIMIT
-    ]
-    seen = _bucket([r.delivered for r in attack_syns if r.delivered is not None], t0, spec.interval, n)
-
-    capture = CaptureSeries(start=t0, interval=spec.interval)
-    for i in range(n):
-        acked = (rx_samples[i + 1] - rx_samples[i]) // spec.ping_size if i + 1 < len(rx_samples) else 0
-        half = half_samples[i + 1] if i + 1 < len(half_samples) else 0
-        # every attack initiation reaches the unprotected service
-        capture.append(acked, seen[i], seen[i], 0, half)
-
-    foreign = {h: c for h, c in echo.stats.origins.items() if h != "pinger"}
-    base, during = _throughput(capture, spec)
-    return ExperimentResult(
-        spec=spec,
-        capture=capture,
-        flood=flood_stats,
-        service_origins=dict(echo.stats.origins),
-        attacker_segments_to_service=sum(foreign.values()),
-        baseline_throughput=base,
-        flood_throughput=during,
-        trace_jsonl=net.trace_jsonl(),
-    )
 
 
 def _throughput(capture: CaptureSeries, spec: ExperimentSpec) -> tuple[float, float]:

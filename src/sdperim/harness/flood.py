@@ -17,7 +17,6 @@ class FloodSpec:
     target_port: int
     rate: float = 1000.0
     duration: float = 60.0
-    spoof_sources: bool = True
     payload_size: int = 40
 
     def __post_init__(self):
@@ -56,31 +55,22 @@ def spoofed_source(rng, i: int) -> tuple[str, int]:
 
 def sim_flood(net, spec: FloodSpec, attacker: str, start: float) -> FloodStats:
     """Schedule the whole flood on the simulated backend. Segments originate
-    at the ``attacker`` node; sources are spoofed per segment when requested."""
-    stats = FloodStats(mode="sim-spoofed" if spec.spoof_sources else "sim-direct", started_at=start)
+    at the ``attacker`` node, each from its own spoofed source."""
+    stats = FloodStats(mode="sim-spoofed", started_at=start)
     rng = net.node_rng(f"{attacker}:flood")
     total = int(spec.rate * spec.duration)
     period = 1.0 / spec.rate
     target = (spec.target_host, spec.target_port)
-    seen_sources = set()
 
-    def make(i):
-        if spec.spoof_sources:
-            src = spoofed_source(rng, i)
-        else:
-            src = (attacker, 1024 + (i % 60000))
-        seen_sources.add(src[0])
-
-        def fire():
-            net.inject_syn(src, target, size=spec.payload_size, attacker=attacker)
-            stats.sent += 1
-
-        return fire
+    def fire():
+        # events fire in schedule order, so ``sent`` is this segment's index
+        net.inject_syn(spoofed_source(rng, stats.sent), target, size=spec.payload_size, attacker=attacker)
+        stats.sent += 1
 
     for i in range(total):
-        net.call_at(start + i * period, make(i))
+        net.call_at(start + i * period, fire)
     stats.finished_at = start + spec.duration
-    stats.sources = total if spec.spoof_sources else min(total, 60000)
+    stats.sources = total
     return stats
 
 

@@ -13,9 +13,10 @@ import os
 
 from .delay_model import DelayParams, reconcile
 from .deploy import build_sim, default_config
-from .harness.experiment import ExperimentSpec, run_experiment
+from .harness.experiment import ExperimentSpec, run_experiment, setup_with_sdp
 from .harness.scan import ScannerNode
-from .transport.sim import PROTOCOL_CLASSES, two_way
+from .services import EchoNode
+from .transport.sim import PROTOCOL_CLASSES, SimNet, Topology, two_way
 
 AUTH_HOPS = (("client", "gateway"), ("gateway", "controller"), ("controller", "gateway"), ("gateway", "client"))
 
@@ -84,32 +85,16 @@ def _scenario_dos(seed: int, out_dir: str, with_sdp: bool, flood: bool = True) -
 def _scenario_portscan(seed: int, out_dir: str, with_sdp: bool) -> dict:
     ports = range(1, 2049)
     if with_sdp:
-        cfg = default_config(seed=seed)
-        dep = build_sim(cfg, seed=seed, start_clients=False)
-        net = dep.net
-        for link in two_way("scanner", "gateway"):
-            net.topology.links[(link.src, link.dst)] = link
-            net.topology.nodes.update((link.src, link.dst))
-        client = dep.client()
-        net.run(until=1.0)
-        net.add_node(client)
-        net.run(until=3.0)
-        net.act(client, client.open_service("echo-cloud", net.clock))
+        dep = setup_with_sdp(default_config(seed=seed), seed, "scanner")
+        net, target = dep.net, dep.gateway().name
         net.run(until=5.0)
-        scanner = ScannerNode("scanner", "gateway", ports, timeout=0.5)
-        net.add_node(scanner)
-        net.run(until=net.clock + 10.0)
-        report = scanner.report()
     else:
-        from .services import EchoNode
-        from .transport.sim import SimNet, Topology
-
-        net = SimNet(Topology(two_way("scanner", "cloud")), seed=seed)
+        net, target = SimNet(Topology(two_way("scanner", "cloud")), seed=seed), "cloud"
         net.add_node(EchoNode("cloud", 22))
-        scanner = ScannerNode("scanner", "cloud", ports, timeout=0.5)
-        net.add_node(scanner)
-        net.run(until=10.0)
-        report = scanner.report()
+    scanner = ScannerNode("scanner", target, ports, timeout=0.5)
+    net.add_node(scanner)
+    net.run(until=net.clock + 10.0)
+    report = scanner.report()
     _write(out_dir, "scan.json", report.to_json())
     return {"open": report.open_ports(), "counts": report.counts()}
 

@@ -26,21 +26,15 @@ class EchoNode(Node):
         for p in extra_ports or []:
             self.tcp_ports[p] = RAW
         self.stats = ServiceStats()
-        self._flow_src: dict[int, str] = {}
 
     def on_stream_request(self, flow, port, src, now):
         self.stats.connections += 1
         self.stats.origins[src[0]] = self.stats.origins.get(src[0], 0) + 1
-        self._flow_src[flow] = src[0]
         return [AcceptStream(flow)]
 
     def on_data(self, flow, data, now):
         self.stats.bytes_in += len(data)
         return [Send(flow, data)]
-
-    def on_closed(self, flow, now):
-        self._flow_src.pop(flow, None)
-        return []
 
 
 class PingerNode(Node):

@@ -64,7 +64,6 @@ class SpaKey:
 
     client_id: bytes
     secret: bytes
-    created_at: float = 0.0
 
     def __post_init__(self):
         if len(self.client_id) != CLIENT_ID_LEN:
@@ -73,7 +72,7 @@ class SpaKey:
             raise ValueError(f"secret must be {SECRET_LEN} bytes")
 
     def __repr__(self):
-        return f"SpaKey(client_id={self.client_id.hex()}, secret=<redacted>, created_at={self.created_at})"
+        return f"SpaKey(client_id={self.client_id.hex()}, secret=<redacted>)"
 
 
 @dataclass(frozen=True)

@@ -93,12 +93,6 @@ class Topology:
     def link(self, src: str, dst: str) -> LinkSpec | None:
         return self.links.get((src, dst))
 
-    def require_chain(self, client: str, gateway: str, controller: str, cloud: str) -> None:
-        """Check the standard deployment chain is connected both ways."""
-        for a, b in ((client, gateway), (gateway, controller), (gateway, cloud)):
-            if (a, b) not in self.links or (b, a) not in self.links:
-                raise ValueError(f"topology missing link {a} <-> {b}")
-
 
 def two_way(src: str, dst: str, rate_bps: float = 1e9, speed_mps: float = 2e8, beta_m: float = 1.0, **kw) -> list[LinkSpec]:
     return [LinkSpec(src, dst, rate_bps, speed_mps, beta_m, **kw), LinkSpec(dst, src, rate_bps, speed_mps, beta_m, **kw)]
@@ -455,18 +449,6 @@ class SimNet:
             self.act(node, node.on_closed(peer_local, self.clock))
 
     # -- trace utilities ----------------------------------------------------
-
-    def protocol_frames(self, src: str | None = None, dst: str | None = None) -> list[TraceRecord]:
-        out = []
-        for rec in self.trace:
-            if rec.cls not in PROTOCOL_CLASSES or rec.dropped:
-                continue
-            if src is not None and rec.src != src:
-                continue
-            if dst is not None and rec.dst != dst:
-                continue
-            out.append(rec)
-        return out
 
     def trace_jsonl(self) -> str:
         return "".join(rec.to_json() + "\n" for rec in self.trace)

@@ -1,4 +1,4 @@
-"""Deployment config: round trip, validation, provisioning, record store."""
+"""Deployment config: round trip, validation, provisioning."""
 
 import os
 
@@ -7,7 +7,6 @@ import yaml
 
 from sdperim.config import (
     ConfigError,
-    RecordStore,
     config_from_dict,
     dump_config,
     load_config,
@@ -62,7 +61,7 @@ def test_provision_writes_material_and_refuses_overwrite(tmp_path):
     (tmp_path / "deploy.yaml").write_text(dump_config(cfg))
     material_dir = provision(cfg, tmp_path)
     names = sorted(os.listdir(material_dir))
-    assert "ca.pub" in names and "records.jsonl" in names
+    assert "ca.pub" in names
     assert f"{cfg.clients[0].id}.spa" in names
     assert f"{cfg.gateways[0].id}.cert" in names
     with pytest.raises(ConfigError, match="force"):
@@ -73,24 +72,12 @@ def test_provision_writes_material_and_refuses_overwrite(tmp_path):
 def test_provisioned_material_loads_and_matches_records(tmp_path):
     cfg = default_config()
     material_dir = provision(cfg, tmp_path)
-    material = load_material(cfg, tmp_path)
-    store = RecordStore(os.path.join(material_dir, "records.jsonl"))
-    clients = store.client_records()
+    clients, _, gateways = load_material(cfg, tmp_path).records(cfg)
     assert len(clients) == 1
     record = clients[0]
     assert record.client_id == cfg.clients[0].id_bytes
-    assert record.spa_key.secret == material.spa_keys[cfg.clients[0].id].secret
+    with open(os.path.join(material_dir, f"{cfg.clients[0].id}.spa"), encoding="utf-8") as fh:
+        assert record.spa_key.secret.hex() == fh.read().strip()
     assert record.authorized_services == ["echo-cloud"]
-    gateways = store.gateway_records()
     assert len(gateways) == 1
     assert gateways[0].gateway_id == cfg.gateways[0].id_bytes
-
-
-def test_record_store_is_append_only(tmp_path):
-    store = RecordStore(tmp_path / "records.jsonl")
-    store.append({"type": "client", "id": "aa" * 16, "secret": "00" * 32, "cert": "", "services": []})
-    store.append({"type": "gateway", "id": "bb" * 16, "secret": "01" * 32, "cert": ""})
-    lines = (tmp_path / "records.jsonl").read_text().strip().splitlines()
-    assert len(lines) == 2
-    assert len(store.client_records()) == 1
-    assert len(store.gateway_records()) == 1

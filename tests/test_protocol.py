@@ -15,7 +15,7 @@ from sdperim.client import ClientNode, Phase
 from sdperim.deploy import build_sim, default_config
 from sdperim.transport.base import Node, OpenStream, Send, SendDatagram
 from sdperim.transport.sim import PROTOCOL_CLASSES, two_way
-from sdperim.wire import Kind, encode_frame
+from sdperim.wire import F, Kind, encode_frame
 
 AUTH_DEADLINE = 20.0
 
@@ -405,14 +405,28 @@ class TestDarkness:
         replies = [r for r in dep.net.trace[before:] if r.dst == "client"]
         assert replies == []
 
-    def test_relay_hello_without_subject_is_dropped_silently(self):
-        # the relay gate is structural, so a made-up key opens it; a hello
-        # that then omits its subject must be a logged drop, not a crash
+    BAD_FIRST_RELAY_FRAMES = {
+        "malformed": encode_frame(Kind.CHANNEL_HELLO, []),
+        "no-hello": encode_frame(Kind.RELAY_DATA, [(F.DATA, b"x")]),
+        "gate-mismatch": encode_frame(Kind.CHANNEL_HELLO, [(F.SUBJECT_ID, b"\x77" * 16)]),
+    }
+
+    @pytest.mark.parametrize("reason", sorted(BAD_FIRST_RELAY_FRAMES))
+    def test_relay_hello_without_subject_is_dropped_silently(self, reason):
+        # the relay gate is structural, so a made-up key opens it; a bad first
+        # frame must be a logged drop that closes the stream, not a crash or
+        # an entry the gateway keeps
         dep = authed_deployment()
 
         class Forger(Node):
+            closed = []
+
             def on_connected(self, flow, now):
-                return [Send(flow, encode_frame(Kind.CHANNEL_HELLO, []))]
+                return [Send(flow, TestDarkness.BAD_FIRST_RELAY_FRAMES[reason])]
+
+            def on_closed(self, flow, now):
+                self.closed.append(flow)
+                return []
 
         forger = Forger("client")
         dep.net.add_node(forger)
@@ -421,10 +435,13 @@ class TestDarkness:
                                dep.net.clock, b"\x00" * spa.NONCE_LEN)
         dep.net.act(forger, [SendDatagram(("gateway", 62201), packet.encode())])
         dep.net.run(until=dep.net.clock + 0.5)
-        dep.net.act(forger, [OpenStream(forger.new_flow(), ("gateway", 5000))])
+        flow = forger.new_flow()
+        dep.net.act(forger, [OpenStream(flow, ("gateway", 5000))])
         dep.net.run(until=dep.net.clock + 2.0)
         relay = [r for r in dep.net.logs["gateway"] if r.get("event") == "relay"]
-        assert [r["reason"] for r in relay] == ["malformed"]
+        assert [r["reason"] for r in relay] == [reason]
+        assert forger.closed == [flow]
+        assert dep.gateway()._flow_src == {}
         replies = [r for r in dep.net.trace[before:] if r.dst == "client" and r.cls == "data"]
         assert replies == []
 

@@ -1,11 +1,13 @@
-"""Scenario runner: determinism, artifact shape, unknown names."""
+"""Scenario runner: determinism, pinned artifacts, artifact shape, unknown names."""
 
 import hashlib
 import json
 import os
 
 import pytest
+import test_harness
 
+from sdperim.harness.experiment import ExperimentSpec, run_experiment
 from sdperim.scenarios import SCENARIO_NAMES, scenario_run
 
 
@@ -64,3 +66,26 @@ def test_scenario_names_cover_the_shipped_set():
         "portscan_without_sdp",
         "delay_sweep",
     }
+
+
+# sha256 of (capture.csv, experiment.json, trace.jsonl) for TestExperiment.SPEC
+# at seed 3; the simulator contract is byte-identical artifacts per seed
+PINNED = {
+    True: (
+        "a4074de79cb51da1235e1f19e2bdf0584213530f1cf45bfdf80202441e3b19e3",
+        "7ea31baa40a03c2f4debeb82edf394126c991e7b6a35da5cba79c35294faab4a",
+        "aaf7c848fd69e2483788866b246c29589300311b42087ce07e712a13b29abee1",
+    ),
+    False: (
+        "b597bf7e7d299020f475bdd0f1a05df88ea5aafed102acb33914ecc24b87c993",
+        "4d9a17df2779f0ba9aa2b80af3aacedbe3ce324839d99249eae5e5a65e1e2f57",
+        "76615a1f82ade3dcadf41b778287ee59adee4fa0bacb8ae22a4f006574a44a41",
+    ),
+}
+
+
+@pytest.mark.parametrize("with_sdp", [True, False])
+def test_experiment_artifacts_are_pinned(with_sdp):
+    result = run_experiment(ExperimentSpec(seed=3, with_sdp=with_sdp, **test_harness.TestExperiment.SPEC))
+    artifacts = (result.capture.to_csv(), result.to_json(), result.trace_jsonl)
+    assert tuple(hashlib.sha256(a.encode()).hexdigest() for a in artifacts) == PINNED[with_sdp]

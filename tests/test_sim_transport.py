@@ -222,9 +222,3 @@ class TestLinkSpecValidation:
         with pytest.raises(ValueError):
             LinkSpec("a", "b", **base)
 
-    def test_chain_validation(self):
-        topo = Topology(two_way("c", "g") + two_way("g", "ctl") + two_way("g", "cloud"))
-        topo.require_chain("c", "g", "ctl", "cloud")
-        broken = Topology(two_way("c", "g"))
-        with pytest.raises(ValueError):
-            broken.require_chain("c", "g", "ctl", "cloud")
