@@ -6,7 +6,8 @@ Default posture is drop-everything. Three kinds of traffic get through:
   answered),
 - relay streams on the control port from sources whose controller-bound
   authorization datagram was just seen (bytes are relayed verbatim to the
-  controller and back), and
+  controller and back; a stream still silent at the gate's deadline is
+  closed), and
 - service connections matching an Active firewall rule, which are spliced
   byte-for-byte onto a gateway-originated connection to the protected
   service and tracked until closed or idle.
@@ -122,7 +123,7 @@ class GatewayNode(Node):
         self.channel = None
         self._counter = spa.SpaCounterSource()
         self.splices: dict[int, _Splice] = {}  # both flow ids point at the same record
-        self._flow_src: dict[int, tuple] = {}
+        self._flow_src: dict[int, tuple] = {}  # relay stream awaiting its hello -> (src, gate deadline)
 
     # -- upstream channel -----------------------------------------------------
 
@@ -187,7 +188,7 @@ class GatewayNode(Node):
             gate = self.relay_gate.get(src[0])
             if not self.registered or gate is None or gate.consumed or gate.deadline < now:
                 return [Log({"event": "stream", "verdict": "drop", "reason": "ungated", "src": src[0], "port": port})]
-            self._flow_src[flow] = src
+            self._flow_src[flow] = (src, gate.deadline)
             return [AcceptStream(flow)]
         binding = self.by_public_port.get(port)
         if binding is None:
@@ -215,7 +216,6 @@ class GatewayNode(Node):
         )
         self.splices[flow] = splice
         self.splices[service_flow] = splice
-        self._flow_src[flow] = src
         return [
             log,
             AcceptStream(flow),
@@ -230,7 +230,7 @@ class GatewayNode(Node):
         relay = self.relay_flows.get(flow)
         if relay is not None:
             return self._on_relay_frame(relay, data, now)
-        if flow in self._flow_src and flow not in self.splices:
+        if flow in self._flow_src:
             return self._on_first_relay_frame(flow, data, now)
         splice = self.splices.get(flow)
         if splice is not None:
@@ -238,17 +238,17 @@ class GatewayNode(Node):
         return []
 
     def _on_first_relay_frame(self, flow, data, now):
-        src = self._flow_src[flow]
+        src, _ = self._flow_src.pop(flow)
         try:
             kind, fields = decode_frame(data)
             if kind != Kind.CHANNEL_HELLO:
-                return self._drop_relay(flow, "no-hello")
+                return self._drop_relay(flow, src, "no-hello")
             subject = fields.need(F.SUBJECT_ID)
         except WireError:
-            return self._drop_relay(flow, "malformed")
+            return self._drop_relay(flow, src, "malformed")
         gate = self.relay_gate.get(src[0])
         if gate is None or gate.consumed or gate.client_id != subject or gate.deadline < now:
-            return self._drop_relay(flow, "gate-mismatch")
+            return self._drop_relay(flow, src, "gate-mismatch")
         gate.consumed = True
         relay = _RelayFlow(flow=flow, relay_id=self._next_relay_id, client_id=subject, src=src)
         self._next_relay_id += 1
@@ -268,8 +268,7 @@ class GatewayNode(Node):
             self._upstream(Kind.SPA_FORWARD, [(F.FLOW, u32(relay.relay_id)), (F.DATA, gate.spa_bytes)]),
         ]
 
-    def _drop_relay(self, flow, reason):
-        src = self._flow_src.pop(flow)
+    def _drop_relay(self, flow, src, reason):
         return [Log({"event": "relay", "verdict": "drop", "reason": reason, "src": src[0]}), Close(flow)]
 
     def _on_relay_frame(self, relay, data, now):
@@ -420,7 +419,6 @@ class GatewayNode(Node):
     def _teardown_splice(self, splice, reason):
         self.splices.pop(splice.client_flow, None)
         self.splices.pop(splice.service_flow, None)
-        self._flow_src.pop(splice.client_flow, None)
         self.engine.conntrack_remove(*splice.five)
         return [
             Log({"event": "splice", "verdict": "closed", "reason": reason, "src": splice.five[0]}),
@@ -436,7 +434,6 @@ class GatewayNode(Node):
         relay = self.relay_flows.pop(flow, None)
         if relay is not None:
             self.by_relay_id.pop(relay.relay_id, None)
-            self._flow_src.pop(flow, None)
             if self.registered and not relay.dead:
                 return [self._upstream(Kind.RELAY_CLOSE, [(F.FLOW, u32(relay.relay_id))])]
             return []
@@ -455,6 +452,8 @@ class GatewayNode(Node):
             for host in [h for h, g in self.relay_gate.items() if g.deadline < now]:
                 del self.relay_gate[host]
             actions = [SetTimer("sweep", self.sweep_tick)]
+            for flow in [f for f, (_, deadline) in self._flow_src.items() if deadline < now]:
+                actions += self._drop_relay(flow, self._flow_src.pop(flow)[0], "hello-timeout")
             if expired or idled:
                 actions.append(Log({"event": "sweep", "rules_expired": expired, "conns_idled": idled}))
             return actions

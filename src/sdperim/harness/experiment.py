@@ -15,7 +15,7 @@ from typing import Callable
 
 from ..deploy import SimDeployment, build_sim, default_config
 from ..services import EchoNode, PingerNode
-from ..transport.sim import SimNet, Topology, two_way
+from ..transport.sim import SimNet, Topology, TraceRecord, two_way
 from .capture import CaptureSeries, label_attack_segments
 from .flood import FloodSpec, FloodStats, sim_flood
 
@@ -53,7 +53,14 @@ class ExperimentResult:
     attacker_segments_to_service: int
     baseline_throughput: float
     flood_throughput: float
-    trace_jsonl: str = ""
+    trace: list[TraceRecord]  # the net's own list, not a copy
+
+    @property
+    def trace_jsonl(self) -> str:
+        return "".join(map(TraceRecord.to_line, self.trace))
+
+    def write_trace(self, fh) -> None:
+        fh.writelines(map(TraceRecord.to_line, self.trace))
 
     @property
     def zero_leak(self) -> bool:
@@ -88,7 +95,6 @@ def setup_with_sdp(cfg, seed: int, outsider: str) -> SimDeployment:
     net = dep.net
     for link in two_way(outsider, dep.gateway().name):
         net.topology.links[(link.src, link.dst)] = link
-        net.topology.nodes.update((link.src, link.dst))
     client = dep.client()
     net.run(until=1.0)
     net.add_node(client)
@@ -166,7 +172,7 @@ def run_experiment(spec: ExperimentSpec, cfg=None) -> ExperimentResult:
         attacker_segments_to_service=sum(c for h, c in origins.items() if h != arm.legit_host),
         baseline_throughput=base,
         flood_throughput=during,
-        trace_jsonl=net.trace_jsonl(),
+        trace=net.trace,
     )
 
 

@@ -78,7 +78,8 @@ def _scenario_dos(seed: int, out_dir: str, with_sdp: bool, flood: bool = True) -
     result = run_experiment(spec)
     _write(out_dir, "capture.csv", result.capture.to_csv())
     _write(out_dir, "experiment.json", result.to_json())
-    _write(out_dir, "trace.jsonl", result.trace_jsonl)
+    with open(os.path.join(out_dir, "trace.jsonl"), "w", encoding="utf-8") as fh:
+        result.write_trace(fh)
     return result.summary()
 
 

@@ -19,9 +19,9 @@ that declines an initiation emits nothing at all.
 from __future__ import annotations
 
 import heapq
-import json
 import random
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .base import (
     FRAMED,
@@ -83,12 +83,7 @@ class LinkSpec:
 
 class Topology:
     def __init__(self, links: list[LinkSpec]):
-        self.links: dict[tuple[str, str], LinkSpec] = {}
-        self.nodes: set[str] = set()
-        for spec in links:
-            self.links[(spec.src, spec.dst)] = spec
-            self.nodes.add(spec.src)
-            self.nodes.add(spec.dst)
+        self.links: dict[tuple[str, str], LinkSpec] = {(spec.src, spec.dst): spec for spec in links}
 
     def link(self, src: str, dst: str) -> LinkSpec | None:
         return self.links.get((src, dst))
@@ -98,7 +93,7 @@ def two_way(src: str, dst: str, rate_bps: float = 1e9, speed_mps: float = 2e8, b
     return [LinkSpec(src, dst, rate_bps, speed_mps, beta_m, **kw), LinkSpec(dst, src, rate_bps, speed_mps, beta_m, **kw)]
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
     seq: int
     cls: str
@@ -113,27 +108,23 @@ class TraceRecord:
     link_delay: float | None = None  # pure link cost, before in-order clamping
     dropped: bool = False
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "seq": self.seq,
-                "cls": self.cls,
-                "src": self.src,
-                "dst": self.dst,
-                "src_port": self.src_port,
-                "dst_port": self.dst_port,
-                "size": self.size,
-                "kind": self.kind,
-                "sent": self.sent,
-                "delivered": self.delivered,
-                "link_delay": self.link_delay,
-                "dropped": self.dropped,
-            },
-            sort_keys=True,
+    def to_line(self) -> str:
+        """One JSON-lines record, byte-identical to ``json.dumps(asdict(self),
+        sort_keys=True) + "\\n"`` for finite times."""
+        return (
+            f'{{"cls": {_json_str(self.cls)}, "delivered": {_json_opt(self.delivered)}, '
+            f'"dropped": {"true" if self.dropped else "false"}, "dst": {_json_str(self.dst)}, '
+            f'"dst_port": {self.dst_port!r}, "kind": {_json_opt(self.kind)}, '
+            f'"link_delay": {_json_opt(self.link_delay)}, "sent": {self.sent!r}, "seq": {self.seq!r}, '
+            f'"size": {self.size!r}, "src": {_json_str(self.src)}, "src_port": {self.src_port!r}}}\n'
         )
 
 
-@dataclass
+def _json_opt(value: float | int | None) -> str:
+    return "null" if value is None else repr(value)
+
+
+@dataclass(slots=True)
 class _Flow:
     fid: int
     mode: str
@@ -365,7 +356,9 @@ class SimNet:
         elif op == "syn":
             self._on_syn(self._flows[item[1]])
         elif op == "accept":
-            self._on_accept(self._flows[item[1]])
+            flow = self._flows.get(item[1])
+            if flow is not None:  # a timed-out spoofed flow is forgotten
+                self._on_accept(flow)
         elif op == "ack":
             self._on_ack(self._flows[item[1]])
         elif op == "data":
@@ -383,7 +376,10 @@ class SimNet:
             pending = self._pending_accepts.get(name, {})
             if fid in pending:
                 del pending[fid]
-                self._flows[fid].state = "closed"
+                flow = self._flows[fid]
+                flow.state = "closed"
+                if flow.spoofed_src is not None:
+                    self._forget(flow)
         elif op == "connect-failed":
             flow = self._flows[item[1]]
             node = self.nodes.get(flow.init_node)
@@ -407,6 +403,13 @@ class SimNet:
         self._by_local[(host, flow.acc_local)] = flow.fid
         src = flow.spoofed_src or (flow.init_node, flow.init_port)
         self.act(node, node.on_stream_request(flow.acc_local, port, src, self.clock))
+        if flow.spoofed_src is not None and flow.state == "syn-sent":
+            self._forget(flow)  # declined, and no real initiator can close it
+
+    def _forget(self, flow: _Flow) -> None:
+        """Drop a dead spoofed flow: only the acceptor ever knew it."""
+        del self._flows[flow.fid]
+        del self._by_local[(flow.acc_node, flow.acc_local)]
 
     def _on_accept(self, flow: _Flow) -> None:
         # accept segment arrives at the initiator
@@ -450,5 +453,8 @@ class SimNet:
 
     # -- trace utilities ----------------------------------------------------
 
+    def write_trace(self, fh) -> None:
+        fh.writelines(map(TraceRecord.to_line, self.trace))
+
     def trace_jsonl(self) -> str:
-        return "".join(rec.to_json() + "\n" for rec in self.trace)
+        return "".join(map(TraceRecord.to_line, self.trace))

@@ -186,7 +186,7 @@ def test_delaycalc_with_trace(tmp_path):
 
     frames, _ = auth_trace_run(seed=6, alpha_bits=(720, 720, 720, 720), beta_m=(50.0, 200.0, 200.0, 50.0))
     trace = tmp_path / "trace.jsonl"
-    trace.write_text("".join(r.to_json() + "\n" for r in frames))
+    trace.write_text("".join(r.to_line() for r in frames))
     result = run(["delaycalc", "--params", str(params), "--trace", str(trace)])
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout)

@@ -13,6 +13,7 @@ import pytest
 from sdperim import spa
 from sdperim.client import ClientNode, Phase
 from sdperim.deploy import build_sim, default_config
+from sdperim.gateway.node import GATE_WINDOW
 from sdperim.transport.base import Node, OpenStream, Send, SendDatagram
 from sdperim.transport.sim import PROTOCOL_CLASSES, two_way
 from sdperim.wire import F, Kind, encode_frame
@@ -376,7 +377,6 @@ class TestDarkness:
         stranger = Node("stranger")
         for link in two_way("stranger", "gateway") + two_way("stranger", "controller"):
             dep.net.topology.links[(link.src, link.dst)] = link
-            dep.net.topology.nodes.update((link.src, link.dst))
         dep.net.add_node(stranger)
         actions = []
         for i in range(300):
@@ -444,6 +444,34 @@ class TestDarkness:
         assert dep.gateway()._flow_src == {}
         replies = [r for r in dep.net.trace[before:] if r.dst == "client" and r.cls == "data"]
         assert replies == []
+
+    def test_silent_relay_streams_close_at_gate_deadline(self):
+        # a made-up key opens the structural gate; streams that never send a
+        # first frame must not outlive it
+        dep = authed_deployment()
+
+        class Silent(Node):
+            closed = []
+
+            def on_closed(self, flow, now):
+                self.closed.append(flow)
+                return []
+
+        forger = Silent("client")
+        dep.net.add_node(forger)
+        packet = spa.build_spa(spa.SpaKey(b"\x99" * 16, b"\x98" * 32), 1, spa.TargetRole.CONTROLLER,
+                               dep.net.clock, b"\x00" * spa.NONCE_LEN)
+        dep.net.act(forger, [SendDatagram(("gateway", 62201), packet.encode())])
+        dep.net.run(until=dep.net.clock + 0.5)
+        flows = [forger.new_flow() for _ in range(50)]
+        dep.net.act(forger, [OpenStream(flow, ("gateway", 5000)) for flow in flows])
+        dep.net.run(until=dep.net.clock + 1.0)
+        assert len(dep.gateway()._flow_src) == 50
+        dep.net.run(until=dep.net.clock + GATE_WINDOW + 2 * dep.gateway().sweep_tick)
+        assert sorted(forger.closed) == flows
+        assert dep.gateway()._flow_src == {}
+        relay = [r["reason"] for r in dep.net.logs["gateway"] if r.get("event") == "relay"]
+        assert relay == ["hello-timeout"] * 50
 
     def test_least_privilege_rule_table_subset_of_records(self):
         dep = authed_deployment()

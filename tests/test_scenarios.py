@@ -84,8 +84,38 @@ PINNED = {
 }
 
 
+def _artifact_digests(result):
+    artifacts = (result.capture.to_csv(), result.to_json(), result.trace_jsonl)
+    return tuple(hashlib.sha256(a.encode()).hexdigest() for a in artifacts)
+
+
 @pytest.mark.parametrize("with_sdp", [True, False])
 def test_experiment_artifacts_are_pinned(with_sdp):
     result = run_experiment(ExperimentSpec(seed=3, with_sdp=with_sdp, **test_harness.TestExperiment.SPEC))
-    artifacts = (result.capture.to_csv(), result.to_json(), result.trace_jsonl)
-    assert tuple(hashlib.sha256(a.encode()).hexdigest() for a in artifacts) == PINNED[with_sdp]
+    assert _artifact_digests(result) == PINNED[with_sdp]
+
+
+# the same digests for a window that runs past the 60 s handshake timeout of
+# the flood's half-open flows, where the simulator forgets dead spoofed flows
+LONG_SPEC = dict(window=75.0, flood_rate=50, flood_duration=5.0, flood_start=5.0, echo_rate=10)
+PINNED_LONG = {
+    True: (
+        "e7153e0ca9253c949885006e02fba538301df57be1fa913152a3062df1df1824",
+        "a7b0e4ca0ef8641cb4ec194014f3588df06a0063b6206dae6a19b08b4512657a",
+        "b332d3320290d4a36a1bb3b84369443bff4968931d7ba457d0256144c9f0322c",
+    ),
+    False: (
+        "faf1dd12cae655813bc4ef49f7adb8f6faa204f8e5d349eab0728c07fb92c6c9",
+        "fd972f6a875fb4b9db172cb73da6412afc9749080555c7d51bf2e25c2182083b",
+        "f65a955553c06419f056bbfb34ab0b51bfd3607d8a245bb1a180b5c19dc6a2af",
+    ),
+}
+
+
+@pytest.mark.parametrize("with_sdp", [True, False])
+def test_artifacts_past_handshake_timeout_are_pinned(with_sdp):
+    result = run_experiment(ExperimentSpec(seed=3, with_sdp=with_sdp, **LONG_SPEC))
+    if not with_sdp:  # the window sees the flood's half-open flows rise and time out
+        assert max(result.capture.half_open) > 0
+        assert result.capture.half_open[-1] == 0
+    assert _artifact_digests(result) == PINNED_LONG[with_sdp]

@@ -1,9 +1,15 @@
 """Simulated backend: delivery arithmetic, ordering, loss, streams, traces."""
 
-import pytest
+import dataclasses
+import io
+import json
 
-from sdperim.transport.base import RAW, AcceptStream, Node, OpenStream, Send, SendDatagram
-from sdperim.transport.sim import LinkSpec, SimNet, Topology, two_way
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sdperim.transport.base import RAW, AcceptStream, Close, Node, OpenStream, Send, SendDatagram
+from sdperim.transport.sim import LinkSpec, SimNet, Topology, TraceRecord, two_way
 
 
 class Sink(Node):
@@ -46,6 +52,14 @@ class Opener(Node):
     def on_connect_failed(self, flow, reason, now):
         self.failed.append(reason)
         return []
+
+
+class Dark(Node):
+    """Binds a port and declines every stream on it."""
+
+    def __init__(self, name="b", port=9):
+        super().__init__(name)
+        self.tcp_ports = {port: RAW}
 
 
 def make_net(**link_kw):
@@ -144,11 +158,6 @@ class TestStreams:
         assert opener.failed == ["refused"]
 
     def test_declined_stream_is_silent(self):
-        class Dark(Node):
-            def __init__(self):
-                super().__init__("b")
-                self.tcp_ports = {9: RAW}
-
         net = make_net()
         net.add_node(Dark())
         opener = Opener("a", ("b", 9))
@@ -179,6 +188,43 @@ class TestStreams:
         net.run(until=6.0)
         assert net.half_open_count("b") == 0
 
+    def test_declined_spoofed_flows_are_forgotten(self):
+        net = make_net()
+        net.add_node(Dark())
+        net.add_node(Node("a"))
+        net.run()
+        before = len(net._flows)
+        for i in range(25):
+            net.inject_syn((f"10.0.0.{i}", 555), ("b", 9), attacker="a")
+        net.run()
+        assert len(net._flows) == before
+        assert net._by_local == {}
+
+    def test_timed_out_spoofed_flows_are_forgotten(self):
+        net = SimNet(Topology(two_way("a", "b")), seed=1, handshake_timeout=5.0)
+        net.add_node(Sink("b"))
+        net.add_node(Node("a"))
+        net.run()
+        before = len(net._flows)
+        for i in range(25):
+            net.inject_syn((f"10.0.0.{i}", 555), ("b", 9), attacker="a")
+        net.run(until=4.0)
+        assert len(net._flows) == before + 25
+        assert net.half_open_count("b") == 25
+        net.run(until=6.0)
+        assert len(net._flows) == before
+        assert net.half_open_count("b") == 0
+
+    def test_declined_real_flow_is_kept_for_its_close(self):
+        net = make_net()
+        net.add_node(Dark())
+        opener = Opener("a", ("b", 9))
+        net.add_node(opener)
+        net.run()
+        net.act(opener, [Close(opener.flow)])
+        net.run()
+        assert [r.cls for r in net.trace if r.src == "a"] == ["syn", "close"]
+
 
 class TestTrace:
     def test_empty_run_empty_trace(self):
@@ -208,10 +254,45 @@ class TestTrace:
             for i in range(100):
                 net.act(a, [SendDatagram(("b", 9), bytes([i % 256]) * (i % 17 + 1))])
             net.run()
+            streamed = io.StringIO()
+            net.write_trace(streamed)
+            assert streamed.getvalue() == net.trace_jsonl()
             return net.trace_jsonl()
 
         assert run(5) == run(5)
         assert run(5) != run(6)  # loss pattern differs
+
+
+# finite times only: the simulator clock never holds NaN or infinity, and
+# json.dumps would spell those NaN/Infinity, which to_line does not
+times = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-7, 1e16, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(),
+)
+names = st.one_of(st.sampled_from(['"', "\\", '\\"', "\x00\x1f\x7f\n\t", "é→😀", ""]), st.text())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.builds(
+        TraceRecord,
+        seq=st.integers(),
+        cls=names,
+        src=names,
+        dst=names,
+        src_port=st.integers(),
+        dst_port=st.integers(),
+        size=st.integers(),
+        kind=st.none() | st.integers(),
+        sent=times,
+        delivered=st.none() | times,
+        link_delay=st.none() | times,
+        dropped=st.booleans(),
+    )
+)
+def test_trace_line_matches_json_dumps(rec):
+    assert rec.to_line() == json.dumps(dataclasses.asdict(rec), sort_keys=True) + "\n"
 
 
 class TestLinkSpecValidation:
