@@ -6,10 +6,18 @@ rules stay meaningful). Outbound connections bind the host address as their
 source. Framed ports run a frame splitter so nodes always see whole frames;
 raw ports pass chunks through.
 
-The asyncio protocol callbacks call the node inline and execute the actions
-it returns before they return. Nodes are synchronous and the event loop is
+The socket callbacks call the node inline and execute the actions it
+returns before they return. Nodes are synchronous and the event loop is
 single-threaded, so events need no queue, task or lock; the only tasks a
 host creates are outbound connects.
+
+UDP listeners are plain non-blocking sockets watched with ``add_reader``.
+Each wakeup reads one datagram into one host-owned 64 KiB buffer and hands
+the node an exact-size copy. asyncio's datagram transport instead receives
+into a fresh 256 KiB ``bytes`` and shrinks it, and the result keeps a private
+4 KiB page and its own memory mapping however short the datagram is. The
+gateway keeps each controller-target SPA datagram for its gate window, so
+under a keyless flood a page per datagram would be most of its memory.
 
 A kernel listener cannot withhold its accept, so a declined inbound stream
 is severed immediately instead of staying perfectly dark; scanners observe
@@ -20,6 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import time
 from collections import deque
 
@@ -41,15 +50,9 @@ from ..wire import FrameSplitter, WireError
 # Forged packets each log a record, so an unbounded copy grows with a flood.
 LOG_KEEP = 1024
 
-
-class _Datagram(asyncio.DatagramProtocol):
-    def __init__(self, host: "RealHost", port: int):
-        self.host = host
-        self.port = port
-
-    def datagram_received(self, data, addr):
-        host = self.host
-        host._execute(host.node.on_datagram(self.port, addr, data, time.time()))
+# Larger than any UDP payload, so no datagram is truncated: a truncated
+# oversized datagram could parse as a valid-length SPA packet.
+RECV_BUF = 65536
 
 
 class _Stream(asyncio.Protocol):
@@ -126,7 +129,9 @@ class RealHost:
         self._flows: dict[int, _Stream] = {}
         self._timers: dict[str, asyncio.TimerHandle] = {}
         self._servers: list[asyncio.AbstractServer] = []
-        self._udp: dict[int, asyncio.DatagramTransport] = {}
+        self._udp: dict[int, socket.socket] = {}
+        self._recv_buf = bytearray(RECV_BUF)
+        self._recv_view = memoryview(self._recv_buf)
         self._udp_send: asyncio.DatagramTransport | None = None
         self._connects: set[asyncio.Task] = set()
         self._stopped = False
@@ -138,10 +143,17 @@ class RealHost:
         if self._log_path is not None:
             self._log_fh = open(self._log_path, "a", encoding="utf-8")
         for port in self.node.udp_ports:
-            transport, _ = await loop.create_datagram_endpoint(
-                lambda port=port: _Datagram(self, port), local_addr=(self.bind_host, port)
-            )
-            self._udp[port] = transport
+            # not loop.getaddrinfo: its executor thread costs the process RSS
+            family, kind, proto, _, addr = socket.getaddrinfo(self.bind_host, port, type=socket.SOCK_DGRAM)[0]
+            sock = socket.socket(family, kind, proto)
+            try:
+                sock.setblocking(False)
+                sock.bind(addr)
+            except OSError:
+                sock.close()
+                raise
+            self._udp[port] = sock
+            loop.add_reader(sock, self._read_datagram, sock, port)
         # ephemeral socket for outbound datagrams (a host need not listen to send)
         self._udp_send, _ = await loop.create_datagram_endpoint(
             asyncio.DatagramProtocol, local_addr=(self.bind_host, 0)
@@ -162,8 +174,10 @@ class RealHost:
         self._timers.clear()
         for server in self._servers:
             server.close()
-        for transport in self._udp.values():
-            transport.close()
+        loop = asyncio.get_running_loop()
+        for sock in self._udp.values():
+            loop.remove_reader(sock)
+            sock.close()
         if self._udp_send is not None:
             self._udp_send.close()
         for stream in list(self._flows.values()):
@@ -187,6 +201,15 @@ class RealHost:
         actions = fn(time.time())
         self._execute(actions)
         return actions
+
+    def _read_datagram(self, sock: socket.socket, port: int):
+        # One datagram per wakeup: the selector calls again while more wait,
+        # and draining in a loop here measured slower per datagram.
+        try:
+            n, addr = sock.recvfrom_into(self._recv_buf)
+        except OSError:  # EAGAIN, EINTR, or a queued ICMP error: nothing to deliver
+            return
+        self._execute(self.node.on_datagram(port, addr, bytes(self._recv_view[:n]), time.time()))
 
     # -- actions ----------------------------------------------------------------
 

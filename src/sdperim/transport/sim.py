@@ -390,11 +390,11 @@ class SimNet:
     def _on_syn(self, flow: _Flow) -> None:
         host, port = flow.acc_addr
         node = self.nodes.get(host)
-        if node is None:
-            return
-        if port not in node.tcp_ports:
-            # nothing bound: refuse (the dark case is a bound port whose node declines)
-            if flow.spoofed_src is None:
+        if node is None or port not in node.tcp_ports:
+            if flow.spoofed_src is not None:
+                del self._flows[flow.fid]  # nobody will ever answer or close it
+            elif node is not None:
+                # nothing bound: refuse (the dark case is a bound port whose node declines)
                 self._transmit(CLS_CLOSE, host, flow.init_node, port, flow.init_port, SEGMENT_OVERHEAD_BYTES, None,
                                ("connect-failed", flow.fid))
             return

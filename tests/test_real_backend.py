@@ -6,7 +6,14 @@ Each test uses its own port range to avoid collisions.
 
 import asyncio
 import json
+import os
 import random
+import socket
+import subprocess
+import sys
+import time
+
+import pytest
 
 from sdperim import spa
 from sdperim.client import Phase
@@ -340,3 +347,97 @@ def test_logs_keep_newest_records_while_file_gets_all(tmp_path):
     asyncio.run(main())
     assert [r["i"] for r in host.logs] == list(range(5, LOG_KEEP + 5))
     assert [json.loads(line)["i"] for line in path.read_text().splitlines()] == list(range(LOG_KEEP + 5))
+
+
+def test_datagrams_arrive_exactly():
+    node = ContractNode(udp_ports=[21801])
+    sizes = [0, spa.PACKET_LEN + 1, 65507]  # 65,507: the largest IPv4 UDP payload
+
+    async def body(host, errors):
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sender:
+            sender.bind((OTHER_IP, 0))
+            sent = [random.Random(n).randbytes(n) for n in sizes]
+            for data in sent:
+                sender.sendto(data, ("127.0.0.34", 21801))
+            assert await wait_for(lambda: len(node.datagrams) == len(sent), 5.0)
+        assert node.datagrams == sent
+        assert errors == []
+
+    asyncio.run(run_contract(node, "127.0.0.34", body))
+
+
+def test_spa_with_trailing_byte_is_a_malformed_drop():
+    async def main():
+        async with Stack(21900) as stack:
+            key = build_client(stack.cfg, stack.material, "aa" * 16, random.Random(1), gateway_host=GW_IP).spa_key
+            data = spa.build_spa(key, 1, spa.TargetRole.GATEWAY, time.time()).encode() + b"\x00"
+            seen = []
+            on_datagram = stack.gw.on_datagram
+
+            def record(port, src, d, now):
+                seen.append(d)
+                return on_datagram(port, src, d, now)
+
+            stack.gw.on_datagram = record
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sender:
+                sender.bind((CLIENT_IP, 0))
+                sender.sendto(data, (GW_IP, stack.cfg.ports.spa))
+                assert await wait_for(lambda: seen, 5.0)
+            assert seen == [data]
+            gw_logs = stack.hosts[1].logs
+            assert {"event": "spa", "verdict": "drop", "reason": "malformed", "src": CLIENT_IP} in [
+                {k: v for k, v in r.items() if k != "ts"} for r in gw_logs
+            ]
+            assert not stack.gw.data_gate and not stack.gw.relay_gate
+
+    asyncio.run(main())
+
+
+def _proc_status():
+    with open("/proc/self/maps") as fh:
+        maps = sum(1 for _ in fh)
+    with open("/proc/self/status") as fh:
+        rss_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmRSS:"))
+    return maps, rss_kb
+
+
+def retain_datagrams(count: int, batch: int = 100) -> dict:
+    """Have a recording node on ``RealHost`` keep ``count`` 90-byte
+    datagrams; return how much the memory mappings and VmRSS (kB) grew."""
+    node = ContractNode(udp_ports=[22001])
+    grew = {}
+
+    async def body(host, errors):
+        maps0, rss0 = _proc_status()
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sender:
+            sender.bind((OTHER_IP, 0))
+            for start in range(0, count, batch):  # paced: the receive queue holds a few hundred
+                for i in range(start, start + batch):
+                    sender.sendto(i.to_bytes(4, "big") * 22 + b"sp", ("127.0.0.35", 22001))
+                assert await wait_for(lambda: len(node.datagrams) == start + batch, 5.0)
+        maps1, rss1 = _proc_status()
+        assert [len(d) for d in node.datagrams] == [90] * count
+        grew.update(maps=maps1 - maps0, rss_kb=rss1 - rss0)
+
+    asyncio.run(run_contract(node, "127.0.0.35", body))
+    return grew
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc")
+def test_retained_datagrams_stay_small():
+    # The gateway keeps each controller-target SPA datagram for its gate
+    # window, so a datagram must not cost a page and a mapping of its own.
+    # glibc raises its mmap threshold once a process frees a large mapped
+    # block, and then the cost hides; a fresh interpreter with the threshold
+    # pinned at its initial 128 KiB shows it whatever ran before.
+    from sdperim import __file__ as pkg
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pkg)))
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, here]), "MALLOC_MMAP_THRESHOLD_": "131072"}
+    code = "import json, test_real_backend as t; print(json.dumps(t.retain_datagrams(2000)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    grew = json.loads(proc.stdout.splitlines()[-1])
+    assert grew["maps"] < 200  # one mapping per datagram would be 2,000
+    assert grew["rss_kb"] < 4 * 1024  # a page per datagram would be 8,000 kB

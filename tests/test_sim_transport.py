@@ -200,6 +200,20 @@ class TestStreams:
         assert len(net._flows) == before
         assert net._by_local == {}
 
+    @pytest.mark.parametrize("bound", [True, False], ids=["unbound-port", "no-node"])
+    def test_unanswered_spoofed_flows_are_forgotten(self, bound):
+        net = make_net()
+        if bound:
+            net.add_node(Sink("b"))  # listens on 9 only
+        net.add_node(Node("a"))
+        net.run()
+        before = len(net._flows)
+        for i in range(1000):
+            net.inject_syn((f"10.0.{i // 256}.{i % 256}", 555), ("b", 1234), attacker="a")
+        net.run(until=200.0)
+        assert len(net._flows) == before
+        assert net._by_local == {}
+
     def test_timed_out_spoofed_flows_are_forgotten(self):
         net = SimNet(Topology(two_way("a", "b")), seed=1, handshake_timeout=5.0)
         net.add_node(Sink("b"))
