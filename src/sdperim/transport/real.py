@@ -9,7 +9,8 @@ raw ports pass chunks through.
 The socket callbacks call the node inline and execute the actions it
 returns before they return. Nodes are synchronous and the event loop is
 single-threaded, so events need no queue, task or lock; the only tasks a
-host creates are outbound connects.
+host creates are outbound connects and the hand-over of accepted sockets
+to asyncio transports.
 
 UDP listeners are plain non-blocking sockets watched with ``add_reader``.
 Each wakeup reads one datagram into one host-owned 64 KiB buffer and hands
@@ -19,14 +20,21 @@ into a fresh 256 KiB ``bytes`` and shrinks it, and the result keeps a private
 gateway keeps each controller-target SPA datagram for its gate window, so
 under a keyless flood a page per datagram would be most of its memory.
 
-A kernel listener cannot withhold its accept, so a declined inbound stream
-is severed immediately instead of staying perfectly dark; scanners observe
-that as an unreachable service (see the port scanner's verdict rule).
+TCP listeners are watched the same way. Each wakeup accepts one socket and
+asks the node with the peer address ``accept`` returned. A declined stream
+(or one whose hook raised) is closed raw, before any payload byte, with no
+transport, task or selector registration. Only an accepted socket gets an
+asyncio transport, whose ``connection_made`` reports ``on_connected``;
+writes the node issues before then wait on the stream. The kernel still
+completes the handshake and sends the SYN-ACK for every source, so a SYN
+scan sees the port open; withholding it with ``SO_ATTACH_FILTER`` is
+ROADMAP Direction 5.
 """
 
 from __future__ import annotations
 
 import asyncio
+import errno
 import json
 import socket
 import time
@@ -54,40 +62,40 @@ LOG_KEEP = 1024
 # oversized datagram could parse as a valid-length SPA packet.
 RECV_BUF = 65536
 
+# A listener out of descriptors or buffers stays readable, so it leaves the
+# selector for this long instead of waking the loop for nothing (as asyncio's
+# own servers do).
+ACCEPT_RETRY_DELAY = 1.0
+ACCEPT_RESOURCE_ERRNOS = (errno.EMFILE, errno.ENFILE, errno.ENOBUFS, errno.ENOMEM)
+TCP_BACKLOG = 100
+
 
 class _Stream(asyncio.Protocol):
-    """One TCP stream. Inbound streams take a flow id from the node when the
-    connection arrives; outbound ones are created with the node's id."""
+    """One TCP stream of one flow: an inbound one is made when its socket is
+    accepted, an outbound one when the node opens it. ``sock`` is an inbound
+    stream's raw socket until a transport takes it over. Writes issued
+    before the transport exists wait in ``pending``; a close before then
+    drops them with the socket."""
 
-    def __init__(self, host: "RealHost", mode: str, flow: int | None = None, port: int | None = None):
+    def __init__(self, host: "RealHost", mode: str, flow: int, sock: socket.socket | None = None):
         self.host = host
         self.flow = flow
-        self.port = port
+        self.sock = sock
         self.transport = None
+        self.pending: list[bytes] = []
         self.splitter = FrameSplitter() if mode == FRAMED else None
         self.accepted = False
         self.closed = False
 
     def connection_made(self, transport):
         self.transport = transport
-        host, node = self.host, self.host.node
-        if self.closed or host._stopped:
+        if self.closed or self.host._stopped:
             transport.close()
             return
-        if self.flow is not None:
-            host._execute(node.on_connected(self.flow, time.time()))
-            return
-        self.flow = node.new_flow()
-        host._flows[self.flow] = self
-        peer = transport.get_extra_info("peername") or ("?", 0)
-        try:
-            host._execute(node.on_stream_request(self.flow, self.port, peer, time.time()))
-        finally:
-            if not self.accepted:
-                # declined (or the hook raised): sever before any payload byte
-                self.close()
-        if self.accepted:
-            host._execute(node.on_connected(self.flow, time.time()))
+        for data in self.pending:
+            transport.write(data)
+        self.pending.clear()
+        self.host._execute(self.host.node.on_connected(self.flow, time.time()))
 
     def data_received(self, data):
         host = self.host
@@ -108,11 +116,19 @@ class _Stream(asyncio.Protocol):
             self.close()
             host._execute(host.node.on_closed(self.flow, time.time()))
 
+    def write(self, data: bytes):
+        if self.transport is None:
+            self.pending.append(data)
+        else:
+            self.transport.write(data)
+
     def close(self):
         self.closed = True
         self.host._flows.pop(self.flow, None)
         if self.transport is not None:
             self.transport.close()
+        elif self.sock is not None:
+            self.sock.close()
 
 
 class RealHost:
@@ -128,12 +144,11 @@ class RealHost:
         self._log_fh = None
         self._flows: dict[int, _Stream] = {}
         self._timers: dict[str, asyncio.TimerHandle] = {}
-        self._servers: list[asyncio.AbstractServer] = []
-        self._udp: dict[int, socket.socket] = {}
+        self._listeners: list[socket.socket] = []
         self._recv_buf = bytearray(RECV_BUF)
         self._recv_view = memoryview(self._recv_buf)
         self._udp_send: asyncio.DatagramTransport | None = None
-        self._connects: set[asyncio.Task] = set()
+        self._tasks: set[asyncio.Task] = set()  # outbound connects, accepted-stream attaches
         self._stopped = False
 
     # -- lifecycle ----------------------------------------------------------
@@ -143,26 +158,14 @@ class RealHost:
         if self._log_path is not None:
             self._log_fh = open(self._log_path, "a", encoding="utf-8")
         for port in self.node.udp_ports:
-            # not loop.getaddrinfo: its executor thread costs the process RSS
-            family, kind, proto, _, addr = socket.getaddrinfo(self.bind_host, port, type=socket.SOCK_DGRAM)[0]
-            sock = socket.socket(family, kind, proto)
-            try:
-                sock.setblocking(False)
-                sock.bind(addr)
-            except OSError:
-                sock.close()
-                raise
-            self._udp[port] = sock
+            sock = self._bind(port, socket.SOCK_DGRAM)
             loop.add_reader(sock, self._read_datagram, sock, port)
         # ephemeral socket for outbound datagrams (a host need not listen to send)
         self._udp_send, _ = await loop.create_datagram_endpoint(
             asyncio.DatagramProtocol, local_addr=(self.bind_host, 0)
         )
         for port, mode in self.node.tcp_ports.items():
-            server = await loop.create_server(
-                lambda port=port, mode=mode: _Stream(self, mode, port=port), host=self.bind_host, port=port
-            )
-            self._servers.append(server)
+            self._listen(self._bind(port, socket.SOCK_STREAM), port, mode)
         await self.call(self.node.start)
 
     async def stop(self):
@@ -172,25 +175,18 @@ class RealHost:
         for handle in self._timers.values():
             handle.cancel()
         self._timers.clear()
-        for server in self._servers:
-            server.close()
         loop = asyncio.get_running_loop()
-        for sock in self._udp.values():
+        for sock in self._listeners:
             loop.remove_reader(sock)
             sock.close()
         if self._udp_send is not None:
             self._udp_send.close()
         for stream in list(self._flows.values()):
             stream.close()
-        for task in self._connects:
+        for task in self._tasks:
             task.cancel()
-        for server in self._servers:
-            try:
-                await server.wait_closed()
-            except Exception:
-                pass
-        if self._connects:
-            await asyncio.gather(*self._connects, return_exceptions=True)
+        if self._tasks:
+            await asyncio.gather(*self._tasks, return_exceptions=True)
         if self._log_fh is not None:
             self._log_fh.close()
             self._log_fh = None
@@ -202,6 +198,29 @@ class RealHost:
         self._execute(actions)
         return actions
 
+    # -- listeners --------------------------------------------------------------
+
+    def _bind(self, port: int, kind: int) -> socket.socket:
+        # not loop.getaddrinfo: its executor thread costs the process RSS
+        family, _, proto, _, addr = socket.getaddrinfo(self.bind_host, port, type=kind)[0]
+        sock = socket.socket(family, kind, proto)
+        try:
+            sock.setblocking(False)
+            if kind == socket.SOCK_STREAM:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            sock.bind(addr)
+            if kind == socket.SOCK_STREAM:
+                sock.listen(TCP_BACKLOG)
+        except OSError:
+            sock.close()
+            raise
+        self._listeners.append(sock)
+        return sock
+
+    def _listen(self, sock: socket.socket, port: int, mode: str):
+        if not self._stopped:
+            asyncio.get_running_loop().add_reader(sock, self._accept, sock, port, mode)
+
     def _read_datagram(self, sock: socket.socket, port: int):
         # One datagram per wakeup: the selector calls again while more wait,
         # and draining in a loop here measured slower per datagram.
@@ -211,6 +230,39 @@ class RealHost:
             return
         self._execute(self.node.on_datagram(port, addr, bytes(self._recv_view[:n]), time.time()))
 
+    def _accept(self, lsock: socket.socket, port: int, mode: str):
+        # One socket per wakeup, like _read_datagram; the node decides before
+        # asyncio builds anything for it.
+        try:
+            sock, peer = lsock.accept()
+        except (BlockingIOError, InterruptedError, ConnectionAbortedError):
+            return  # nothing waiting, or the initiator gave up first
+        except OSError as exc:
+            if exc.errno not in ACCEPT_RESOURCE_ERRNOS:
+                raise  # the loop's exception handler reports it
+            loop = asyncio.get_running_loop()
+            loop.call_exception_handler({"message": "socket.accept() out of system resource", "exception": exc})
+            loop.remove_reader(lsock)
+            loop.call_later(ACCEPT_RETRY_DELAY, self._listen, lsock, port, mode)
+            return
+        flow = self.node.new_flow()
+        stream = _Stream(self, mode, flow, sock)
+        self._flows[flow] = stream
+        try:
+            self._execute(self.node.on_stream_request(flow, port, peer, time.time()))
+        finally:
+            if not stream.accepted:
+                # declined (or the hook raised): sever before any payload byte
+                stream.close()
+        if not stream.closed:
+            self._spawn(self._attach(stream))
+
+    async def _attach(self, stream: _Stream):
+        sock, stream.sock = stream.sock, None
+        if stream.closed:  # closed before this task ran; close() took the socket
+            return
+        await asyncio.get_running_loop().connect_accepted_socket(lambda: stream, sock)
+
     # -- actions ----------------------------------------------------------------
 
     def _execute(self, actions):
@@ -219,19 +271,17 @@ class RealHost:
                 if self._udp_send is not None:
                     self._udp_send.sendto(action.data, action.dst)
             elif isinstance(action, OpenStream):
-                stream = _Stream(self, action.mode, flow=action.flow)
+                stream = _Stream(self, action.mode, action.flow)
                 self._flows[action.flow] = stream
-                task = asyncio.ensure_future(self._connect(stream, action.dst))
-                self._connects.add(task)
-                task.add_done_callback(self._connects.discard)
+                self._spawn(self._connect(stream, action.dst))
             elif isinstance(action, AcceptStream):
                 stream = self._flows.get(action.flow)
                 if stream is not None:
                     stream.accepted = True
             elif isinstance(action, Send):
                 stream = self._flows.get(action.flow)
-                if stream is not None and stream.transport is not None:
-                    stream.transport.write(action.data)
+                if stream is not None:
+                    stream.write(action.data)
             elif isinstance(action, Close):
                 stream = self._flows.get(action.flow)
                 if stream is not None:
@@ -248,6 +298,11 @@ class RealHost:
                 if self._log_fh is not None:
                     self._log_fh.write(json.dumps(record, sort_keys=True) + "\n")
                     self._log_fh.flush()
+
+    def _spawn(self, coro):
+        task = asyncio.ensure_future(coro)
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
 
     def _set_timer(self, key, delay):
         old = self._timers.pop(key, None)

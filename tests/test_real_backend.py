@@ -5,10 +5,12 @@ Each test uses its own port range to avoid collisions.
 """
 
 import asyncio
+import errno
 import json
 import os
 import random
 import socket
+import struct
 import subprocess
 import sys
 import time
@@ -20,7 +22,7 @@ from sdperim.client import Phase
 from sdperim.config import generate_material
 from sdperim.deploy import build_client, build_controller, build_gateway, build_sim, default_config
 from sdperim.services import EchoNode
-from sdperim.transport.base import Send, SendDatagram
+from sdperim.transport.base import Close, Send, SendDatagram
 from sdperim.transport.base import FRAMED, RAW, AcceptStream, Log, Node
 from sdperim.transport.real import RealHost
 from sdperim.transport.real import LOG_KEEP
@@ -391,6 +393,111 @@ def test_spa_with_trailing_byte_is_a_malformed_drop():
             assert not stack.gw.data_gate and not stack.gw.relay_gate
 
     asyncio.run(main())
+
+
+class ScriptedNode(ContractNode):
+    """Answers every stream request with ``respond(flow)`` and records the
+    source it was given."""
+
+    def __init__(self, tcp_ports, respond):
+        super().__init__(tcp_ports=tcp_ports)
+        self.respond = respond
+        self.sources = []
+
+    def on_stream_request(self, flow, port, src, now):
+        self.sources.append(src)
+        return self.respond(flow)
+
+
+def test_send_from_stream_request_reaches_the_initiator():
+    node = ScriptedNode({22101: RAW}, lambda flow: [AcceptStream(flow), Send(flow, b"banner")])
+
+    async def body(host, errors):
+        reader, writer = await asyncio.open_connection("127.0.0.36", 22101, local_addr=(OTHER_IP, 0))
+        try:
+            assert await asyncio.wait_for(reader.readexactly(6), timeout=5.0) == b"banner"
+            writer.write(b"then-echo")
+            assert await asyncio.wait_for(reader.readexactly(9), timeout=5.0) == b"then-echo"
+        finally:
+            writer.close()
+        assert len(node.connected) == 1 and errors == []
+
+    asyncio.run(run_contract(node, "127.0.0.36", body))
+
+
+def test_close_before_the_transport_exists_reports_nothing():
+    node = ScriptedNode({22201: RAW}, lambda flow: [AcceptStream(flow), Close(flow)])
+
+    async def body(host, errors):
+        reader, writer = await asyncio.open_connection("127.0.0.37", 22201, local_addr=(OTHER_IP, 0))
+        try:
+            assert await asyncio.wait_for(reader.read(64), timeout=5.0) == b""
+        except ConnectionError:
+            pass  # severed with a reset
+        finally:
+            writer.close()
+        await asyncio.sleep(0.1)  # a late on_connected or on_closed would land here
+        assert len(node.sources) == 1
+        assert node.connected == [] and node.closed == [] and host._flows == {}
+        assert errors == []
+
+    asyncio.run(run_contract(node, "127.0.0.37", body))
+
+
+def test_aborting_initiators_are_reported_with_their_address():
+    node = ScriptedNode({22301: RAW}, lambda flow: [])
+    linger_abort = struct.pack("ii", 1, 0)  # close sends RST
+
+    async def body(host, errors):
+        for i in range(200):
+            with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
+                sock.bind((OTHER_IP, 0))
+                sock.setblocking(False)
+                sock.connect_ex(("127.0.0.38", 22301))
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, linger_abort)
+            if i % 20 == 19:  # paced, so the backlog of 100 never overflows
+                assert await wait_for(lambda: len(node.sources) == i + 1, 5.0)
+        assert {src[0] for src in node.sources} == {OTHER_IP}
+        assert host._flows == {} and errors == []
+
+    asyncio.run(run_contract(node, "127.0.0.38", body))
+
+
+class EmfileListener(socket.socket):
+    """A listening socket whose accept fails as if the process had run out
+    of file descriptors."""
+
+    def __init__(self):
+        super().__init__(socket.AF_INET, socket.SOCK_STREAM)
+        self.accepts = []
+
+    def accept(self):
+        self.accepts.append(time.monotonic())
+        raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+
+def test_listener_out_of_descriptors_pauses_instead_of_spinning():
+    node = ContractNode()
+
+    async def body(host, errors):
+        loop = asyncio.get_running_loop()
+        with EmfileListener() as lsock:
+            lsock.bind(("127.0.0.39", 22401))
+            lsock.listen()
+            lsock.setblocking(False)
+            host._listen(lsock, 22401, RAW)
+            # the handshake completes in the kernel, so the listener stays readable
+            with socket.create_connection(("127.0.0.39", 22401), timeout=5.0):
+                assert await wait_for(lambda: lsock.accepts, 5.0)
+                await asyncio.sleep(0.5)
+                assert len(lsock.accepts) == 1
+                assert loop.remove_reader(lsock) is False  # off the selector
+                assert await wait_for(lambda: len(lsock.accepts) == 2, 3.0)  # and back
+            assert 0.9 <= lsock.accepts[1] - lsock.accepts[0] < 2.0
+            loop.remove_reader(lsock)
+        assert [e["message"] for e in errors] == ["socket.accept() out of system resource"] * 2
+
+    asyncio.run(run_contract(node, "127.0.0.39", body))
 
 
 def _proc_status():
