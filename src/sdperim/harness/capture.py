@@ -64,11 +64,12 @@ class CaptureSeries:
         return buf.getvalue()
 
 
+def is_attack_segment(rec, dst: str, dst_port: int) -> bool:
+    """An initiation segment at the target whose frame length is under the
+    attack-labeling threshold (reporting only)."""
+    return rec.cls == "syn" and rec.dst == dst and rec.dst_port == dst_port and rec.size < ATTACK_FRAME_LIMIT
+
+
 def label_attack_segments(trace_records, dst: str, dst_port: int) -> list:
-    """Initiation segments at the target whose frame length is under the
-    attack-labeling threshold; returns the records (reporting only)."""
-    return [
-        rec
-        for rec in trace_records
-        if rec.cls == "syn" and rec.dst == dst and rec.dst_port == dst_port and rec.size < ATTACK_FRAME_LIMIT
-    ]
+    """The records of ``trace_records`` that ``is_attack_segment`` labels."""
+    return [rec for rec in trace_records if is_attack_segment(rec, dst, dst_port)]

@@ -15,8 +15,8 @@ from typing import Callable
 
 from ..deploy import SimDeployment, build_sim, default_config
 from ..services import EchoNode, PingerNode
-from ..transport.sim import SimNet, Topology, TraceRecord, two_way
-from .capture import CaptureSeries, label_attack_segments
+from ..transport.sim import SimNet, Topology, two_way
+from .capture import CaptureSeries, is_attack_segment
 from .flood import FloodSpec, FloodStats, sim_flood
 
 SETUP_END = 5.0  # virtual seconds reserved for registration + authentication
@@ -53,14 +53,6 @@ class ExperimentResult:
     attacker_segments_to_service: int
     baseline_throughput: float
     flood_throughput: float
-    trace: list[TraceRecord]  # the net's own list, not a copy
-
-    @property
-    def trace_jsonl(self) -> str:
-        return "".join(map(TraceRecord.to_line, self.trace))
-
-    def write_trace(self, fh) -> None:
-        fh.writelines(map(TraceRecord.to_line, self.trace))
 
     @property
     def zero_leak(self) -> bool:
@@ -119,10 +111,33 @@ class _Arm:
     forwarded: Callable[[list[float]], list[float]]  # attack SYN arrivals -> times forwarded to the service
 
 
-def run_experiment(spec: ExperimentSpec, cfg=None) -> ExperimentResult:
+class _TraceSink:
+    """Takes each final trace record of an arm's net: writes its line to
+    ``out``, when given, and keeps only the arrival times of attack
+    initiations at the target."""
+
+    def __init__(self, target: tuple[str, int], out=None):
+        self.target = target
+        self.write = out.write if out is not None else None
+        self.attack_arrivals: list[float] = []
+
+    def append(self, rec) -> None:
+        if self.write is not None:
+            self.write(rec.to_line())
+        if rec.delivered is not None and is_attack_segment(rec, *self.target):
+            self.attack_arrivals.append(rec.delivered)
+
+
+def run_experiment(spec: ExperimentSpec, cfg=None, trace_out=None) -> ExperimentResult:
+    """Runs one arm. The trace goes to ``trace_out`` (a text file) line by
+    line as the run makes it; no record is kept."""
     cfg = cfg or default_config(seed=spec.seed)
     arm = _protected_arm(spec, cfg) if spec.with_sdp else _unprotected_arm(spec, cfg)
     net = arm.net
+    sink = _TraceSink(arm.target, trace_out)
+    for rec in net.trace:  # the arm's setup, in order
+        sink.append(rec)
+    net.trace = sink
     t0 = SETUP_END
     n = int(spec.window / spec.interval)
     flood_stats = None
@@ -149,7 +164,7 @@ def run_experiment(spec: ExperimentSpec, cfg=None) -> ExperimentResult:
 
     net.run(until=t0 + spec.window + 1.0)
 
-    arrivals = [r.delivered for r in label_attack_segments(net.trace, *arm.target) if r.delivered is not None]
+    arrivals = sink.attack_arrivals
     seen = _bucket(arrivals, t0, spec.interval, n)
     forwarded = _bucket(arm.forwarded(arrivals), t0, spec.interval, n)
     capture = CaptureSeries(start=t0, interval=spec.interval)
@@ -172,7 +187,6 @@ def run_experiment(spec: ExperimentSpec, cfg=None) -> ExperimentResult:
         attacker_segments_to_service=sum(c for h, c in origins.items() if h != arm.legit_host),
         baseline_throughput=base,
         flood_throughput=during,
-        trace=net.trace,
     )
 
 

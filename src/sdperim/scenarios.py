@@ -66,20 +66,19 @@ def _write(out_dir: str, name: str, content: str) -> None:
 
 
 def _scenario_dos(seed: int, out_dir: str, with_sdp: bool, flood: bool = True) -> dict:
-    spec = ExperimentSpec(
-        seed=seed,
-        with_sdp=with_sdp,
-        window=120.0,
-        flood_enabled=flood,
-        flood_rate=1000.0,
-        flood_duration=60.0,
-        flood_start=30.0,
-    )
-    result = run_experiment(spec)
+    spec = ExperimentSpec(seed=seed, with_sdp=with_sdp, flood_enabled=flood)  # the defaults are the DoS run
+    path = os.path.join(out_dir, "trace.jsonl")
+    part = path + ".part"  # a failed run leaves the previous trace in place
+    fh = open(part, "w", encoding="utf-8")
+    try:
+        with fh:
+            result = run_experiment(spec, trace_out=fh)
+    except BaseException:
+        os.remove(part)
+        raise
+    os.replace(part, path)
     _write(out_dir, "capture.csv", result.capture.to_csv())
     _write(out_dir, "experiment.json", result.to_json())
-    with open(os.path.join(out_dir, "trace.jsonl"), "w", encoding="utf-8") as fh:
-        result.write_trace(fh)
     return result.summary()
 
 
@@ -123,30 +122,23 @@ def _scenario_delay_sweep(seed: int, out_dir: str) -> dict:
     return {"rows": rows}
 
 
+_RUNNERS = {
+    "baseline": lambda seed, d: _scenario_dos(seed, d, with_sdp=True, flood=False),
+    "dos_with_sdp": lambda seed, d: _scenario_dos(seed, d, with_sdp=True),
+    "dos_without_sdp": lambda seed, d: _scenario_dos(seed, d, with_sdp=False),
+    "portscan_with_sdp": lambda seed, d: _scenario_portscan(seed, d, with_sdp=True),
+    "portscan_without_sdp": lambda seed, d: _scenario_portscan(seed, d, with_sdp=False),
+    "delay_sweep": _scenario_delay_sweep,
+}
+SCENARIO_NAMES = tuple(_RUNNERS)
+
+
 def scenario_run(name: str, seed: int, out: str) -> str:
     """Execute one shipped scenario; returns the artifacts directory."""
-    runners = {
-        "baseline": lambda d: _scenario_dos(seed, d, with_sdp=True, flood=False),
-        "dos_with_sdp": lambda d: _scenario_dos(seed, d, with_sdp=True),
-        "dos_without_sdp": lambda d: _scenario_dos(seed, d, with_sdp=False),
-        "portscan_with_sdp": lambda d: _scenario_portscan(seed, d, with_sdp=True),
-        "portscan_without_sdp": lambda d: _scenario_portscan(seed, d, with_sdp=False),
-        "delay_sweep": lambda d: _scenario_delay_sweep(seed, d),
-    }
-    if name not in runners:
-        raise ValueError(f"unknown scenario {name!r}; shipped: {', '.join(sorted(runners))}")
+    if name not in _RUNNERS:
+        raise ValueError(f"unknown scenario {name!r}; shipped: {', '.join(sorted(_RUNNERS))}")
     out_dir = os.path.join(out, f"{name}-{seed}")
     os.makedirs(out_dir, exist_ok=True)
-    summary = runners[name](out_dir)
+    summary = _RUNNERS[name](seed, out_dir)
     _write(out_dir, "summary.json", json.dumps(summary, indent=2, sort_keys=True))
     return out_dir
-
-
-SCENARIO_NAMES = (
-    "baseline",
-    "dos_with_sdp",
-    "dos_without_sdp",
-    "portscan_with_sdp",
-    "portscan_without_sdp",
-    "delay_sweep",
-)

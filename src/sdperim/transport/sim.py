@@ -7,8 +7,10 @@ Each directed link delivers a payload of n bytes after
 where bits is 8*n, or the link's fixed accounting size when one is
 configured (used by experiments that want uniform per-hop packet sizes).
 Processing and queuing delays are not modeled; delivery on a link is
-in-order. Every delivery is recorded in a trace; runs with identical seeds
-and configs produce byte-identical traces.
+in-order. Every send goes to the net's trace sink, once its record is final
+(dropped, or with its delivery time set); the sink is any object with
+``append`` and defaults to a list. Runs with identical seeds and configs
+produce byte-identical traces.
 
 Streams carry a minimal three-segment handshake (initiation, accept, ack) so
 half-open state is observable: an acceptor that answers an initiation whose
@@ -151,7 +153,7 @@ class SimNet:
         self.rng = random.Random(f"simnet:{seed}")
         self._heap: list[tuple[float, int, tuple]] = []
         self._seq = 0
-        self.trace: list[TraceRecord] = []
+        self.trace: list[TraceRecord] = []  # or any sink with append
         self.nodes: dict[str, Node] = {}
         self.logs: dict[str, list[dict]] = {}
         self._flows: dict[int, _Flow] = {}
@@ -206,30 +208,26 @@ class SimNet:
 
     # -- link transmission ----------------------------------------------------
 
-    def _transmit(self, cls: str, src: str, dst: str, src_port: int, dst_port: int, size: int, kind: int | None, deliver_item: tuple | None) -> TraceRecord:
+    def _transmit(self, cls: str, src: str, dst: str, src_port: int, dst_port: int, size: int, kind: int | None, deliver_item: tuple | None) -> None:
         link = self.topology.link(src, dst)
         rec = TraceRecord(
             seq=self._seq + 1, cls=cls, src=src, dst=dst, src_port=src_port, dst_port=dst_port,
             size=size, kind=kind, sent=self.clock, delivered=None,
         )
-        self.trace.append(rec)
-        if link is None:
+        if link is None or (link.loss_rate and self.rng.random() < link.loss_rate):
             rec.dropped = True
-            return rec
-        if link.loss_rate and self.rng.random() < link.loss_rate:
-            rec.dropped = True
-            return rec
-        delay = link.delay(size)
-        rec.link_delay = delay
-        delivery = self.clock + delay
-        last = self._last_delivery.get((src, dst))
-        if last is not None and delivery < last:
-            delivery = last  # in-order per link
-        self._last_delivery[(src, dst)] = delivery
-        rec.delivered = delivery
-        if deliver_item is not None:
-            self._push(delivery, deliver_item)
-        return rec
+        else:
+            delay = link.delay(size)
+            rec.link_delay = delay
+            delivery = self.clock + delay
+            last = self._last_delivery.get((src, dst))
+            if last is not None and delivery < last:
+                delivery = last  # in-order per link
+            self._last_delivery[(src, dst)] = delivery
+            rec.delivered = delivery
+            if deliver_item is not None:
+                self._push(delivery, deliver_item)
+        self.trace.append(rec)  # only once final: a sink may write it out at once
 
     # -- action execution -------------------------------------------------------
 
@@ -452,9 +450,6 @@ class SimNet:
             self.act(node, node.on_closed(peer_local, self.clock))
 
     # -- trace utilities ----------------------------------------------------
-
-    def write_trace(self, fh) -> None:
-        fh.writelines(map(TraceRecord.to_line, self.trace))
 
     def trace_jsonl(self) -> str:
         return "".join(map(TraceRecord.to_line, self.trace))

@@ -198,12 +198,6 @@ def decode_frame(data: bytes) -> tuple[int, Fields]:
     return kind, Fields.decode(data[_FRAME_HDR.size + 1 :])
 
 
-def frame_kind(data: bytes) -> int:
-    if len(data) < _FRAME_HDR.size + 1:
-        raise WireError("short frame")
-    return data[_FRAME_HDR.size]
-
-
 class FrameSplitter:
     """Incremental splitter for a length-prefixed byte stream (real sockets
     deliver arbitrary chunks; the simulator preserves frame boundaries and

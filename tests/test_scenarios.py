@@ -1,12 +1,14 @@
 """Scenario runner: determinism, pinned artifacts, artifact shape, unknown names."""
 
 import hashlib
+import io
 import json
 import os
 
 import pytest
 import test_harness
 
+import sdperim.scenarios
 from sdperim.harness.experiment import ExperimentSpec, run_experiment
 from sdperim.scenarios import SCENARIO_NAMES, scenario_run
 
@@ -84,15 +86,19 @@ PINNED = {
 }
 
 
-def _artifact_digests(result):
-    artifacts = (result.capture.to_csv(), result.to_json(), result.trace_jsonl)
-    return tuple(hashlib.sha256(a.encode()).hexdigest() for a in artifacts)
+def _run_and_digest(spec):
+    """The run, and the digests of its artifacts; the trace is taken from
+    the stream the scenarios write."""
+    trace = io.StringIO()
+    result = run_experiment(spec, trace_out=trace)
+    artifacts = (result.capture.to_csv(), result.to_json(), trace.getvalue())
+    return result, tuple(hashlib.sha256(a.encode()).hexdigest() for a in artifacts)
 
 
 @pytest.mark.parametrize("with_sdp", [True, False])
 def test_experiment_artifacts_are_pinned(with_sdp):
-    result = run_experiment(ExperimentSpec(seed=3, with_sdp=with_sdp, **test_harness.TestExperiment.SPEC))
-    assert _artifact_digests(result) == PINNED[with_sdp]
+    _, digests = _run_and_digest(ExperimentSpec(seed=3, with_sdp=with_sdp, **test_harness.TestExperiment.SPEC))
+    assert digests == PINNED[with_sdp]
 
 
 # the same digests for a window that runs past the 60 s handshake timeout of
@@ -114,8 +120,24 @@ PINNED_LONG = {
 
 @pytest.mark.parametrize("with_sdp", [True, False])
 def test_artifacts_past_handshake_timeout_are_pinned(with_sdp):
-    result = run_experiment(ExperimentSpec(seed=3, with_sdp=with_sdp, **LONG_SPEC))
+    result, digests = _run_and_digest(ExperimentSpec(seed=3, with_sdp=with_sdp, **LONG_SPEC))
     if not with_sdp:  # the window sees the flood's half-open flows rise and time out
         assert max(result.capture.half_open) > 0
         assert result.capture.half_open[-1] == 0
-    assert _artifact_digests(result) == PINNED_LONG[with_sdp]
+    assert digests == PINNED_LONG[with_sdp]
+
+
+def test_failed_run_keeps_the_previous_trace(tmp_path, monkeypatch):
+    out_dir = tmp_path / "dos_with_sdp-1"
+    out_dir.mkdir()
+    (out_dir / "trace.jsonl").write_text("previous run\n")
+
+    def failing_run(spec, trace_out):
+        trace_out.write("partial\n")
+        raise RuntimeError("run failed")
+
+    monkeypatch.setattr(sdperim.scenarios, "run_experiment", failing_run)
+    with pytest.raises(RuntimeError, match="run failed"):
+        scenario_run("dos_with_sdp", 1, tmp_path)
+    assert (out_dir / "trace.jsonl").read_text() == "previous run\n"
+    assert sorted(os.listdir(out_dir)) == ["trace.jsonl"]

@@ -1,7 +1,6 @@
 """Simulated backend: delivery arithmetic, ordering, loss, streams, traces."""
 
 import dataclasses
-import io
 import json
 
 import pytest
@@ -258,23 +257,37 @@ class TestTrace:
         assert (rec.src, rec.dst, rec.size, rec.cls) == ("a", "b", 3, "datagram")
         assert rec.link_delay is not None
 
-    def test_identical_seeds_identical_traces(self):
-        def run(seed):
-            net = SimNet(Topology(two_way("a", "b", loss_rate=0.3)), seed=seed)
-            sink = Sink("b")
-            net.add_node(sink)
-            a = Node("a")
-            net.add_node(a)
-            for i in range(100):
-                net.act(a, [SendDatagram(("b", 9), bytes([i % 256]) * (i % 17 + 1))])
-            net.run()
-            streamed = io.StringIO()
-            net.write_trace(streamed)
-            assert streamed.getvalue() == net.trace_jsonl()
-            return net.trace_jsonl()
+    @staticmethod
+    def lossy_run(seed, trace=None):
+        net = SimNet(Topology(two_way("a", "b", loss_rate=0.3)), seed=seed)
+        if trace is not None:
+            net.trace = trace
+        net.add_node(Sink("b"))
+        a = Node("a")
+        net.add_node(a)
+        for i in range(100):
+            net.act(a, [SendDatagram(("b", 9), bytes([i % 256]) * (i % 17 + 1))])
+        net.run()
+        return net
 
-        assert run(5) == run(5)
-        assert run(5) != run(6)  # loss pattern differs
+    def test_identical_seeds_identical_traces(self):
+        assert self.lossy_run(5).trace_jsonl() == self.lossy_run(5).trace_jsonl()
+        assert self.lossy_run(5).trace_jsonl() != self.lossy_run(6).trace_jsonl()  # loss pattern differs
+
+    def test_records_are_final_when_appended(self):
+        class Spy:
+            def __init__(self):
+                self.records, self.lines = [], []
+
+            def append(self, rec):
+                self.records.append(rec)
+                self.lines.append(rec.to_line())
+
+        spy = Spy()
+        self.lossy_run(5, trace=spy)
+        assert any(r.dropped for r in spy.records) and any(not r.dropped for r in spy.records)
+        assert spy.lines == [r.to_line() for r in spy.records]
+        assert "".join(spy.lines) == self.lossy_run(5).trace_jsonl()
 
 
 # finite times only: the simulator clock never holds NaN or infinity, and
