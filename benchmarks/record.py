@@ -9,7 +9,10 @@ output file. An entry holds the commit (and whether tracked files differ
 from it), the machine facts run.py reports (nproc, Python,
 ``cryptography``), every run's outcome, and per metric the values, their
 median and quartiles: the gated metrics of ``BENCHMARK.json`` in ``gated``
-and the ungated user-visible numbers in ``outcomes``.
+and the ungated user-visible numbers in ``outcomes``. A run's outcome names
+its exit code and every check run.py reported failed; a run that printed no
+result line also keeps the tail of its standard error, and gives a null in
+each metric's values instead of ending the series.
 
 ``--parent DIR`` names a checkout of the parent commit (for example a
 ``git clone`` checked out at it). Its runs alternate with this
@@ -38,36 +41,62 @@ METRIC_LINE = re.compile(r"^  (\w+)\s+(-?\d+(?:\.\d+)?) (\S+)$")
 
 
 def run_once(checkout: str, workload: str, seed: int) -> dict:
+    """One run.py run: its exit code, failed checks, machine facts, result
+    line and ungated outcomes. ``result`` is None, and ``stderr`` holds the
+    tail of standard error, when the run printed no result line."""
     cmd = [sys.executable, "perimbench/run.py", "--workload", workload, "--seed", str(seed)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
+    done = {"exit": proc.returncode, "failed_checks": [], "meta": None, "result": None, "outcomes": {}}
+    for line in lines:
+        if line.startswith("run: "):
+            done["meta"] = json.loads(line[len("run: "):])
+        elif line.startswith("checks: "):
+            verdicts = (check.rsplit("=", 1) for check in line[len("checks: "):].split(", "))
+            done["failed_checks"] += [name for name, verdict in verdicts if verdict != "ok"]
     if not lines or not lines[-1].startswith("{"):
-        raise SystemExit(f"{checkout}: {workload} seed {seed} gave no result:\n{proc.stderr[-2000:]}")
-    result = json.loads(lines[-1])
-    meta = next(json.loads(line[len("run: "):]) for line in lines if line.startswith("run: "))
-    outcomes = {}
+        done["stderr"] = proc.stderr[-2000:]
+        return done
+    done["result"] = result = json.loads(lines[-1])
     for line in lines:
         match = METRIC_LINE.match(line)
         if match and match[1] not in result["metrics"]:
-            outcomes[match[1]] = {"value": float(match[2]), "unit": match[3]}
-    return {"meta": meta, "result": result, "outcomes": outcomes}
+            done["outcomes"][match[1]] = {"value": float(match[2]), "unit": match[3]}
+    return done
 
 
-def summarize(values: list[float]) -> dict:
-    values = [round(v, 4) for v in values]  # run.py's report prints four decimals
-    if len(values) > 1:
-        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+def summarize(values: list[float | None]) -> dict:
+    """Median and quartiles of the runs that gave a value; ``values`` keeps
+    one entry per run, None where a run gave none."""
+    values = [None if v is None else round(v, 4) for v in values]  # run.py's report prints four decimals
+    given = [v for v in values if v is not None]
+    if len(given) > 1:
+        q1, median, q3 = statistics.quantiles(given, n=4, method="inclusive")
     else:
-        q1 = median = q3 = values[0]
+        q1 = median = q3 = given[0] if given else None
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
 def block(samples: list[dict]) -> dict:
-    """``samples``: one ``{name: {"value", "unit"}}`` per run."""
+    """``samples``: one ``{name: {"value", "unit"}}`` per run, empty for a run
+    that gave no result."""
+    units = {name: metric["unit"] for sample in samples for name, metric in sample.items()}
     return {
-        name: {"unit": metric["unit"], **summarize([s[name]["value"] for s in samples if name in s])}
-        for name, metric in samples[0].items()
+        name: {"unit": unit, **summarize([s[name]["value"] if name in s else None for s in samples])}
+        for name, unit in units.items()
     }
+
+
+def describe(done: dict) -> str:
+    """One run's outcome for the progress lines."""
+    if done["result"] is None:
+        last = (done["stderr"].strip().splitlines() or [""])[-1]
+        return f"no result (exit {done['exit']}): {last}"
+    text = json.dumps({k: done["result"][k] for k in ("correct", "failed", "metrics")})
+    if done["failed_checks"]:
+        late = {k: v["value"] for k, v in done["outcomes"].items() if "_late_ms_" in k}
+        text += f" exit {done['exit']}; failed checks: {', '.join(done['failed_checks'])}; lateness ms: {late}"
+    return text
 
 
 def dirty(checkout: str) -> bool | None:
@@ -79,23 +108,29 @@ def dirty(checkout: str) -> bool | None:
     return bool(proc.stdout.strip()) if proc.returncode == 0 else None
 
 
+def run_record(seed: int, done: dict) -> dict:
+    record = {"seed": seed, "exit": done["exit"], "failed_checks": done["failed_checks"]}
+    if done["result"] is None:
+        return {**record, "stderr": done["stderr"]}
+    return {**record, **{k: done["result"][k] for k in ("correct", "attempted", "failed")}}
+
+
 def entry(checkout: str, role: str, seeds: list[int], runs: dict[str, list[dict]], note: str) -> dict:
-    meta = runs[WORKLOADS[0]][0]["meta"]
+    meta = next((r["meta"] for done in runs.values() for r in done if r["meta"]), None) or {}
     workloads = {}
     for workload, done in runs.items():
         workloads[workload] = {
-            "runs": [{"seed": s, **{k: r["result"][k] for k in ("correct", "attempted", "failed")}}
-                     for s, r in zip(seeds, done)],
-            "gated": block([r["result"]["metrics"] for r in done]),
+            "runs": [run_record(s, r) for s, r in zip(seeds, done)],
+            "gated": block([r["result"]["metrics"] if r["result"] else {} for r in done]),
             "outcomes": block([r["outcomes"] for r in done]),
         }
     return {
-        "commit": meta["commit"],
+        "commit": meta.get("commit"),
         "dirty": dirty(checkout),
         "role": role,
         "note": note,
         "recorded": datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
-        "machine": {k: meta[k] for k in ("nproc", "python", "cryptography")},
+        "machine": {k: meta.get(k) for k in ("nproc", "python", "cryptography")},
         "seeds": seeds,
         "workloads": workloads,
     }
@@ -104,10 +139,14 @@ def entry(checkout: str, role: str, seeds: list[int], runs: dict[str, list[dict]
 def print_pairs(parent: dict, change: dict) -> None:
     for workload, side in change["workloads"].items():
         for name, metric in side["gated"].items():
-            base = parent["workloads"][workload]["gated"][name]
-            wins = sum(c < p for p, c in zip(base["values"], metric["values"]))
+            base = parent["workloads"][workload]["gated"].get(name)
+            if base is None or base["median"] is None or metric["median"] is None:
+                print(f"{workload:10s} {name:16s} no value on one side")
+                continue
+            pairs = [(p, c) for p, c in zip(base["values"], metric["values"]) if p is not None and c is not None]
+            wins = sum(c < p for p, c in pairs)
             print(f"{workload:10s} {name:16s} parent {base['median']:9.3f} (IQR {base['q3'] - base['q1']:.3f})"
-                  f"  change {metric['median']:9.3f}  change lower in {wins} of {len(metric['values'])} pairs")
+                  f"  change {metric['median']:9.3f}  change lower in {wins} of {len(pairs)} pairs")
 
 
 def main(argv=None) -> int:
@@ -126,8 +165,7 @@ def main(argv=None) -> int:
             for checkout in checkouts[::-1] if i % 2 else checkouts:
                 done = run_once(checkout, workload, seed)
                 runs[checkout][workload].append(done)
-                print(f"seed {seed} {workload} {checkout}: "
-                      + json.dumps({k: done["result"][k] for k in ("correct", "failed", "metrics")}), flush=True)
+                print(f"seed {seed} {workload} {checkout}: {describe(done)}", flush=True)
     entries = [entry(c, roles[c], args.seeds, runs[c], args.note) for c in checkouts]
     history = []
     if os.path.exists(args.out):

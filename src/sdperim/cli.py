@@ -163,14 +163,13 @@ async def _serve_local(host: RealHost, node, service_id: str, reader, writer):
     if not tunnel.established:
         writer.close()
         return
-    read_offset = len(tunnel.rx)
+    tunnel.rx.clear()  # bytes an earlier local connection left unread
 
     async def pump_out():
-        nonlocal read_offset
         while not tunnel.closed:
-            if len(tunnel.rx) > read_offset:
-                writer.write(bytes(tunnel.rx[read_offset:]))
-                read_offset = len(tunnel.rx)
+            if tunnel.rx:
+                writer.write(bytes(tunnel.rx))
+                tunnel.rx.clear()  # written bytes are not kept
                 await writer.drain()
             await asyncio.sleep(0.01)
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from . import spa
 from .credentials import CredentialError, HandshakeInitiator, Identity, PeerRole, sign_validation
 from .transport.base import FRAMED, RAW, CancelTimer, Close, Log, Node, OpenStream, Send, SendDatagram, SetTimer
-from .wire import F, Fields, Kind, WireError, decode_frame, encode_fields, encode_frame, parse_service_entry, text, u32
+from .wire import encode_frame  # noqa: F401 -- unused, but perimbench/tracer.py wraps it in every node module
+from .wire import F, Kind, WireError, decode_frame, parse_service_entry, text, u32
 
 SPA_TIMEOUT = 5.0
 MAX_SPA_ATTEMPTS = 3
@@ -138,7 +139,7 @@ class ClientNode(Node):
 
     def on_connected(self, flow, now):
         if flow == self._relay_flow:
-            return [Send(flow, encode_frame(Kind.CHANNEL_HELLO, [(F.SUBJECT_ID, self.session.client_id)]))]
+            return [Send(flow, self._initiator.hello(self.session.client_id))]
         tunnel = self._flow_tunnel.get(flow)
         if tunnel is not None:
             tunnel.established = True
@@ -197,20 +198,18 @@ class ClientNode(Node):
             return []
         if kind == Kind.CHANNEL_ACCEPT and self.channel is None:
             try:
-                _, confirm, channel = self._initiator.process_accept(fields, PeerRole.CONTROLLER)
+                login, self.channel = self._initiator.confirm(fields, PeerRole.CONTROLLER, Kind.LOGIN_REQUEST)
             except CredentialError:
                 # an imposter controller: go dark and let the timeout handle it
                 return [Log({"event": "channel", "verdict": "rejected-accept"})]
-            self.channel = channel
             self.session.advance(Phase.CHANNEL_UP)
-            body = channel.seal(Kind.LOGIN_REQUEST, encode_fields([(F.SUBJECT_ID, self.session.client_id)]))
-            return [Send(self._relay_flow, encode_frame(Kind.LOGIN_REQUEST, confirm + [(F.BODY, body)]))]
+            return [Send(self._relay_flow, login)]
         if kind == Kind.SECURE and self.channel is not None:
             try:
-                inner_kind, payload = self.channel.open_blob(fields.need(F.DATA))
+                inner_kind, inner = self.channel.open_frame(fields)
             except CredentialError:
                 return []
-            return self._on_controller_message(inner_kind, Fields.decode(payload), now)
+            return self._on_controller_message(inner_kind, inner, now)
         if kind == Kind.GATEWAY_READY:
             self.ready = True
             return [CancelTimer("spa-timeout"), Log({"event": "connect", "verdict": "ok"})]
@@ -253,8 +252,7 @@ class ClientNode(Node):
             sig = bytes(64)
         else:
             sig = sign_validation(self.identity, nonce)
-        blob = self.channel.seal(Kind.DEVICE_VALIDATE_ACK, encode_fields([(F.NONCE, nonce), (F.SIG, sig)]))
-        return [Send(self._relay_flow, encode_frame(Kind.SECURE, [(F.DATA, blob)]))]
+        return [Send(self._relay_flow, self.channel.frame(Kind.DEVICE_VALIDATE_ACK, [(F.NONCE, nonce), (F.SIG, sig)]))]
 
     def on_closed(self, flow, now):
         if flow == self._relay_flow:
@@ -288,13 +286,12 @@ class ClientNode(Node):
         request_id = self._next_request
         self._next_request += 1
         self.requests[request_id] = ServiceRequest(request_id, service_id)
-        blob = self.channel.seal(
-            Kind.CONNECTION_REQUEST,
-            encode_fields([(F.SERVICE_ID, text(service_id)), (F.REQUEST_ID, u32(request_id))]),
+        request = self.channel.frame(
+            Kind.CONNECTION_REQUEST, [(F.SERVICE_ID, text(service_id)), (F.REQUEST_ID, u32(request_id))]
         )
         return [
             SendDatagram((self.gateway_host, self.spa_port), packet.encode()),
-            Send(self._relay_flow, encode_frame(Kind.SECURE, [(F.DATA, blob)])),
+            Send(self._relay_flow, request),
             SetTimer(f"svc-timeout:{request_id}", self.request_timeout),
         ]
 

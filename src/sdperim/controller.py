@@ -26,11 +26,9 @@ from .credentials import (
 from .transport.base import AcceptStream, CancelTimer, Close, Log, Node, Send, SetTimer
 from .wire import (
     F,
-    Fields,
     Kind,
     WireError,
     decode_frame,
-    encode_fields,
     encode_frame,
     service_entry,
     text,
@@ -160,13 +158,29 @@ class ControllerNode(Node):
         return Log(record)
 
     def _gw_send(self, link: _GatewayLink, kind: int, fields) -> Send:
-        blob = link.channel.seal(kind, fields if isinstance(fields, bytes) else encode_fields(fields))
-        return Send(link.flow, encode_frame(Kind.SECURE, [(F.DATA, blob)]))
+        return Send(link.flow, link.channel.frame(kind, fields))
 
     def _client_send(self, ctx: _ClientCtx, kind: int, fields) -> Send:
-        inner = ctx.channel.seal(kind, fields if isinstance(fields, bytes) else encode_fields(fields))
-        frame = encode_frame(Kind.SECURE, [(F.DATA, inner)])
+        frame = ctx.channel.frame(kind, fields)
         return self._gw_send(ctx.gw, Kind.RELAY_DATA, [(F.FLOW, u32(ctx.relay_flow)), (F.DATA, frame)])
+
+    def _respond(self, initiator_nonce: bytes) -> tuple[HandshakeResponder, bytes]:
+        """A fresh responder half for one handshake and its CHANNEL_ACCEPT frame."""
+        responder = HandshakeResponder(self.identity, initiator_nonce, self.rng.randbytes(32), self.rng.randbytes(16))
+        return responder, encode_frame(Kind.CHANNEL_ACCEPT, responder.accept_fields())
+
+    def _login_response(self, ctx: _ClientCtx) -> Send:
+        interval_ms = u32(int(ctx.record.validation_interval * 1000))
+        return self._client_send(ctx, Kind.LOGIN_RESPONSE, [(F.SESSION, ctx.session_id), (F.INTERVAL_MS, interval_ms)])
+
+    def _connection_response(self, ctx: _ClientCtx, request_id: int, svc=None, reason: bytes = b"") -> Send:
+        """Grant a request ``svc``'s public endpoint or, without ``svc``, deny it for ``reason``."""
+        if svc is None:
+            verdict = [(F.OK, u8(0)), (F.REASON, reason)]
+        else:
+            host = self.gateway_records[svc.gateway_id].host or ""
+            verdict = [(F.OK, u8(1)), (F.HOST, text(host)), (F.PORT, u16(svc.public_port))]
+        return self._client_send(ctx, Kind.CONNECTION_RESPONSE, [(F.REQUEST_ID, u32(request_id))] + verdict)
 
     def session_count(self) -> int:
         return len(self.sessions)
@@ -231,8 +245,8 @@ class ControllerNode(Node):
             if kind == Kind.AH_REGISTER:
                 return self._on_register(link, fields, now)
             if kind == Kind.SECURE and link.registered:
-                inner_kind, payload = link.channel.open_blob(fields.need(F.DATA))
-                return self._on_gateway_message(link, inner_kind, Fields.decode(payload), now)
+                inner_kind, inner = link.channel.open_frame(fields)
+                return self._on_gateway_message(link, inner_kind, inner, now)
         except (CredentialError, WireError, KeyError) as exc:
             self.links.pop(flow, None)
             return [self._log(event="channel", verdict="closed", reason=str(exc)), Close(flow)]
@@ -245,21 +259,15 @@ class ControllerNode(Node):
             self.links.pop(link.flow, None)
             return [self._log(event="hello", verdict="drop", reason="gate-mismatch"), Close(link.flow)]
         link.subject_id = subject
-        link.responder = HandshakeResponder(
-            self.identity, gate.nonce, self.rng.randbytes(32), self.rng.randbytes(16)
-        )
-        return [Send(link.flow, encode_frame(Kind.CHANNEL_ACCEPT, link.responder.accept_fields()))]
+        link.responder, accept = self._respond(gate.nonce)
+        return [Send(link.flow, accept)]
 
     def _on_register(self, link, fields, now):
         if link.responder is None or link.subject_id is None:
             raise CredentialError("register before hello")
-        cert = verify_certificate(fields.need(F.CERT), self.ca_public, PeerRole.GATEWAY)
+        cert, channel = link.responder.open_confirm(fields, self.ca_public, PeerRole.GATEWAY, Kind.AH_REGISTER)
         if cert.subject_id != link.subject_id or cert.subject_id not in self.gateway_records:
             raise CredentialError("gateway certificate subject mismatch")
-        channel = link.responder.finish(cert, fields.need(F.EPH_PUB), fields.need(F.SIG))
-        inner_kind, payload = channel.open_blob(fields.need(F.BODY))
-        if inner_kind != Kind.AH_REGISTER:
-            raise CredentialError("unexpected register body")
         link.channel = channel
         link.gateway_id = cert.subject_id
         self.by_gateway[cert.subject_id] = link
@@ -326,10 +334,9 @@ class ControllerNode(Node):
             out.append(self._gw_send(link, Kind.RELAY_CLOSE, [(F.FLOW, u32(relay_flow))]))
             return out
         ctx.record = record
-        ctx.responder = HandshakeResponder(self.identity, pkt.nonce, self.rng.randbytes(32), self.rng.randbytes(16))
-        accept_frame = encode_frame(Kind.CHANNEL_ACCEPT, ctx.responder.accept_fields())
+        ctx.responder, accept = self._respond(pkt.nonce)
         out.append(self._log(event="client-spa", verdict="accept", client=ctx.client_id.hex()))
-        out.append(self._gw_send(link, Kind.RELAY_DATA, [(F.FLOW, u32(relay_flow)), (F.DATA, accept_frame)]))
+        out.append(self._gw_send(link, Kind.RELAY_DATA, [(F.FLOW, u32(relay_flow)), (F.DATA, accept)]))
         return out
 
     def _on_client_frame(self, ctx, frame, now):
@@ -341,32 +348,22 @@ class ControllerNode(Node):
             return self._on_login(ctx, fields, now)
         if kind == Kind.SECURE and ctx.channel is not None:
             try:
-                inner_kind, payload = ctx.channel.open_blob(fields.need(F.DATA))
+                inner_kind, inner = ctx.channel.open_frame(fields)
             except CredentialError as exc:
                 return [self._log(event="client-frame", verdict="drop", reason=str(exc))]
-            return self._on_client_message(ctx, inner_kind, Fields.decode(payload), now)
+            return self._on_client_message(ctx, inner_kind, inner, now)
         return [self._log(event="client-frame", verdict="ignored", kind=kind)]
 
     def _on_login(self, ctx, fields, now):
         if ctx.session_id is not None and ctx.channel is not None:
             # replayed login on an authenticated conversation: idempotent
-            return [
-                self._client_send(
-                    ctx,
-                    Kind.LOGIN_RESPONSE,
-                    [(F.SESSION, ctx.session_id), (F.INTERVAL_MS, u32(int(ctx.record.validation_interval * 1000)))],
-                )
-            ]
+            return [self._login_response(ctx)]
         if ctx.responder is None or ctx.record is None:
             return []
         try:
-            cert = verify_certificate(fields.need(F.CERT), self.ca_public, PeerRole.CLIENT)
+            cert, channel = ctx.responder.open_confirm(fields, self.ca_public, PeerRole.CLIENT, Kind.LOGIN_REQUEST)
             if cert.subject_id != ctx.client_id:
                 raise CredentialError("certificate/client mismatch")
-            channel = ctx.responder.finish(cert, fields.need(F.EPH_PUB), fields.need(F.SIG))
-            inner_kind, payload = channel.open_blob(fields.need(F.BODY))
-            if inner_kind != Kind.LOGIN_REQUEST or Fields.decode(payload).need(F.SUBJECT_ID) != ctx.client_id:
-                raise CredentialError("login body mismatch")
         except (CredentialError, WireError) as exc:
             # certificate mismatch: the conversation is torn down
             key = (ctx.gw.flow, ctx.relay_flow)
@@ -380,11 +377,7 @@ class ControllerNode(Node):
         self.sessions[ctx.session_id] = Session(ctx.session_id, ctx.client_id)
         actions = [
             self._log(event="login", verdict="ok", client=ctx.client_id.hex(), session=ctx.session_id.hex()),
-            self._client_send(
-                ctx,
-                Kind.LOGIN_RESPONSE,
-                [(F.SESSION, ctx.session_id), (F.INTERVAL_MS, u32(int(ctx.record.validation_interval * 1000)))],
-            ),
+            self._login_response(ctx),
         ]
         actions.extend(self._push_services(ctx))
         return actions
@@ -406,9 +399,9 @@ class ControllerNode(Node):
 
     def _push_services(self, ctx):
         entries = self.client_service_list(ctx.client_id)
-        ih_fields = [(F.ENTRY, service_entry(sid, host, port)) for sid, host, port in entries]
-        ih_inner = ctx.channel.seal(Kind.IH_SERVICES, encode_fields(ih_fields))
-        ih_frame = encode_frame(Kind.SECURE, [(F.DATA, ih_inner)])
+        ih_frame = ctx.channel.frame(
+            Kind.IH_SERVICES, [(F.ENTRY, service_entry(sid, host, port)) for sid, host, port in entries]
+        )
         gw_entries = []
         for sid in ctx.record.authorized_services:
             svc = self.services.get(sid)
@@ -440,21 +433,13 @@ class ControllerNode(Node):
         if session is None or svc is None or service_id not in ctx.record.authorized_services:
             return [
                 self._log(event="authorize", verdict="denied", reason="unauthorized", service=service_id),
-                self._client_send(
-                    ctx,
-                    Kind.CONNECTION_RESPONSE,
-                    [(F.REQUEST_ID, u32(request_id)), (F.OK, u8(0)), (F.REASON, text("unauthorized"))],
-                ),
+                self._connection_response(ctx, request_id, reason=b"unauthorized"),
             ]
         gw_link = self.by_gateway.get(svc.gateway_id)
         if gw_link is None:
             return [
                 self._log(event="authorize", verdict="denied", reason="gateway-unavailable", service=service_id),
-                self._client_send(
-                    ctx,
-                    Kind.CONNECTION_RESPONSE,
-                    [(F.REQUEST_ID, u32(request_id)), (F.OK, u8(0)), (F.REASON, text("GatewayUnavailable"))],
-                ),
+                self._connection_response(ctx, request_id, reason=b"GatewayUnavailable"),
             ]
         token = self._next_request
         self._next_request += 1
@@ -482,34 +467,12 @@ class ControllerNode(Node):
         pending = self._pending_auth.pop(token, None)
         if pending is None:
             return []
-        ctx = pending["ctx"]
-        ok = fields.need(F.OK)[0]
-        actions = [CancelTimer(f"ahack:{token}")]
-        if ok:
-            svc = pending["svc"]
-            host = self.gateway_records[svc.gateway_id].host or ""
-            actions.append(
-                self._client_send(
-                    ctx,
-                    Kind.CONNECTION_RESPONSE,
-                    [
-                        (F.REQUEST_ID, u32(pending["request_id"])),
-                        (F.OK, u8(1)),
-                        (F.HOST, text(host)),
-                        (F.PORT, u16(svc.public_port)),
-                    ],
-                )
-            )
+        if fields.need(F.OK)[0]:
+            response = self._connection_response(pending["ctx"], pending["request_id"], svc=pending["svc"])
         else:
             reason = fields.get(F.REASON) or b"rejected"
-            actions.append(
-                self._client_send(
-                    ctx,
-                    Kind.CONNECTION_RESPONSE,
-                    [(F.REQUEST_ID, u32(pending["request_id"])), (F.OK, u8(0)), (F.REASON, reason)],
-                )
-            )
-        return actions
+            response = self._connection_response(pending["ctx"], pending["request_id"], reason=reason)
+        return [CancelTimer(f"ahack:{token}"), response]
 
     # -- device validation -------------------------------------------------------
 
@@ -544,18 +507,9 @@ class ControllerNode(Node):
             pending = self._pending_auth.pop(token, None)
             if pending is None:
                 return []
-            ctx = pending["ctx"]
             return [
                 self._log(event="authorize", verdict="denied", reason="GatewayUnavailable"),
-                self._client_send(
-                    ctx,
-                    Kind.CONNECTION_RESPONSE,
-                    [
-                        (F.REQUEST_ID, u32(pending["request_id"])),
-                        (F.OK, u8(0)),
-                        (F.REASON, text("GatewayUnavailable")),
-                    ],
-                ),
+                self._connection_response(pending["ctx"], pending["request_id"], reason=b"GatewayUnavailable"),
             ]
         return []
 

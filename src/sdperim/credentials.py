@@ -16,6 +16,8 @@ encrypted channel with a condensed handshake:
 K = HKDF-SHA256(X25519(Ei, Er), salt=Nc|Nr). Successful AEAD opens in both
 directions give mutual key confirmation. Per-direction nonces are a direction
 flag plus a message counter, so a channel never reuses a nonce.
+The hello, the confirm frame with its sealed body and the SECURE envelope are
+built and checked in this module only.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.hashes import SHA256
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
-from .wire import F, Fields, WireError, encode_fields, u8, u64
+from . import wire
+from .wire import F, Fields, Kind, WireError, encode_fields, u8, u64
 
 _ACCEPT_CONTEXT = b"sdperim-channel-accept"
 _CONFIRM_CONTEXT = b"sdperim-channel-confirm"
@@ -171,7 +174,8 @@ class SecureChannel:
 
     ``initiator`` picks the nonce direction flags; both sides keep independent
     send counters. ``seal``/``open_blob`` work on (kind, payload) pairs encoded
-    as one inner byte string: u8 kind || payload.
+    as one inner byte string: u8 kind || payload; ``frame``/``open_frame``
+    wrap that blob in a SECURE frame.
     """
 
     def __init__(self, key: bytes, initiator: bool):
@@ -199,6 +203,15 @@ class SecureChannel:
         if not inner:
             raise CredentialError("empty channel frame")
         return inner[0], inner[1:]
+
+    def frame(self, kind: int, fields: list[tuple[int, bytes]]) -> bytes:
+        """The SECURE frame carrying ``kind`` and ``fields`` sealed."""
+        return wire.encode_frame(Kind.SECURE, [(F.DATA, self.seal(kind, encode_fields(fields)))])
+
+    def open_frame(self, fields: Fields) -> tuple[int, Fields]:
+        """Open a received SECURE frame's fields: (inner kind, inner fields)."""
+        kind, payload = self.open_blob(fields.need(F.DATA))
+        return kind, Fields.decode(payload)
 
 
 def accept_transcript(initiator_nonce: bytes, responder_nonce: bytes, responder_eph: bytes) -> bytes:
@@ -240,9 +253,19 @@ class HandshakeResponder:
         shared = self._eph.exchange(X25519PublicKey.from_public_bytes(initiator_eph))
         return SecureChannel(_derive_key(shared, self.initiator_nonce, self.nonce), initiator=False)
 
+    def open_confirm(self, fields: Fields, ca_public: bytes, role: PeerRole, kind: int) -> tuple[Certificate, SecureChannel]:
+        """Check a ``kind`` confirm frame: certificate and role, signature, and a sealed
+        body of the same kind naming the certificate's subject. Returns (cert, channel)."""
+        cert = verify_certificate(fields.need(F.CERT), ca_public, role)
+        channel = self.finish(cert, fields.need(F.EPH_PUB), fields.need(F.SIG))
+        body_kind, body = channel.open_blob(fields.need(F.BODY))
+        if body_kind != kind or Fields.decode(body).need(F.SUBJECT_ID) != cert.subject_id:
+            raise CredentialError("handshake confirm body mismatch")
+        return cert, channel
+
 
 class HandshakeInitiator:
-    """Initiator side: consumes CHANNEL_ACCEPT, emits the confirm fields."""
+    """Initiator side: emits the hello, consumes CHANNEL_ACCEPT, emits the confirm."""
 
     def __init__(self, identity: Identity, ca_public: bytes, initiator_nonce: bytes, eph_seed: bytes):
         self.identity = identity
@@ -252,6 +275,10 @@ class HandshakeInitiator:
         self.eph_pub = self._eph.public_key().public_bytes(
             serialization.Encoding.Raw, serialization.PublicFormat.Raw
         )
+
+    def hello(self, subject_id: bytes) -> bytes:
+        """CHANNEL_HELLO naming the first-contact datagram's subject, which the gates match."""
+        return wire.encode_frame(Kind.CHANNEL_HELLO, [(F.SUBJECT_ID, subject_id)])
 
     def process_accept(self, fields: Fields, expected_role: PeerRole) -> tuple[Certificate, list[tuple[int, bytes]], SecureChannel]:
         """Validate the responder's accept; returns (responder cert, confirm
@@ -274,6 +301,13 @@ class HandshakeInitiator:
             (F.SIG, signature),
         ]
         return cert, confirm, channel
+
+    def confirm(self, accept: Fields, expected_role: PeerRole, kind: int) -> tuple[bytes, SecureChannel]:
+        """Validate the responder's accept; returns the ``kind`` frame confirming it,
+        its sealed body naming this initiator's subject, and the channel."""
+        _, confirm, channel = self.process_accept(accept, expected_role)
+        body = channel.seal(kind, encode_fields([(F.SUBJECT_ID, self.identity.cert.subject_id)]))
+        return wire.encode_frame(kind, confirm + [(F.BODY, body)]), channel
 
 
 def sign_validation(identity: Identity, challenge: bytes) -> bytes:

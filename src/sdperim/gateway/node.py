@@ -34,7 +34,7 @@ from ..transport.base import (
     SendDatagram,
     SetTimer,
 )
-from ..wire import F, Fields, Kind, WireError, decode_frame, encode_fields, encode_frame, parse_service_entry, u8, u16, u32
+from ..wire import F, Kind, WireError, decode_frame, encode_frame, parse_service_entry, u8, u16, u32
 from .filtering import FORWARD, FilterEngine
 
 GATE_WINDOW = 60.0
@@ -143,7 +143,7 @@ class GatewayNode(Node):
 
     def on_connected(self, flow, now):
         if flow == self.upstream_flow:
-            return [Send(flow, encode_frame(Kind.CHANNEL_HELLO, [(F.SUBJECT_ID, self.identity.cert.subject_id)]))]
+            return [Send(flow, self._initiator.hello(self.identity.cert.subject_id))]
         splice = self.splices.get(flow)
         if splice is not None and flow == splice.service_flow:
             splice.service_ready = True
@@ -162,8 +162,7 @@ class GatewayNode(Node):
         return []
 
     def _upstream(self, kind, fields) -> Send:
-        blob = self.channel.seal(kind, fields if isinstance(fields, bytes) else encode_fields(fields))
-        return Send(self.upstream_flow, encode_frame(Kind.SECURE, [(F.DATA, blob)]))
+        return Send(self.upstream_flow, self.channel.frame(kind, fields))
 
     # -- datagrams: the authorization gates --------------------------------------
 
@@ -283,18 +282,16 @@ class GatewayNode(Node):
             return []
         if kind == Kind.CHANNEL_ACCEPT and not self.registered:
             try:
-                _, confirm, channel = self._initiator.process_accept(fields, PeerRole.CONTROLLER)
+                register, self.channel = self._initiator.confirm(fields, PeerRole.CONTROLLER, Kind.AH_REGISTER)
             except CredentialError as exc:
                 return [Log({"event": "register", "verdict": "failed", "reason": str(exc)})]
-            self.channel = channel
-            body = channel.seal(Kind.AH_REGISTER, encode_fields([(F.SUBJECT_ID, self.identity.cert.subject_id)]))
-            return [Send(self.upstream_flow, encode_frame(Kind.AH_REGISTER, confirm + [(F.BODY, body)]))]
+            return [Send(self.upstream_flow, register)]
         if kind == Kind.SECURE and self.channel is not None:
             try:
-                inner_kind, payload = self.channel.open_blob(fields.need(F.DATA))
+                inner_kind, inner = self.channel.open_frame(fields)
             except CredentialError:
                 return []
-            return self._on_controller_message(inner_kind, Fields.decode(payload), now)
+            return self._on_controller_message(inner_kind, inner, now)
         return []
 
     def _on_controller_message(self, kind, fields, now):

@@ -142,8 +142,8 @@ class _Flow:
 
 class SimNet:
     """The virtual-clock driver. Nodes are added by name; harness code can
-    schedule callbacks with ``call_at``/``call_in`` and execute node API
-    results with ``act``."""
+    schedule callbacks with ``call_at`` and execute node API results with
+    ``act``."""
 
     def __init__(self, topology: Topology, seed: int = 0, handshake_timeout: float = 60.0):
         self.topology = topology
@@ -185,9 +185,6 @@ class SimNet:
 
     def call_at(self, when: float, fn) -> None:
         self._push(when, ("call", fn))
-
-    def call_in(self, delay: float, fn) -> None:
-        self.call_at(self.clock + delay, fn)
 
     # -- running -------------------------------------------------------------
 

@@ -4,6 +4,7 @@ Each binary runs as ``python -m sdperim <name>`` from the checkout under
 test, so no install or console script on ``PATH`` is needed.
 """
 
+import asyncio
 import importlib
 import json
 import os
@@ -18,6 +19,8 @@ import yaml
 
 import sdperim
 from sdperim.__main__ import BINARIES
+from sdperim.cli import _serve_local
+from sdperim.client import Tunnel
 
 # The directory holding the imported package goes first on the subprocesses'
 # path, so they run the code under test wherever pytest was started from.
@@ -57,6 +60,54 @@ def cmd(args):
 
 def run(args, **kw):
     return subprocess.run(cmd(args), capture_output=True, text=True, timeout=60, env=ENV, **kw)
+
+
+def test_local_forwarder_keeps_no_written_bytes():
+    """The client binary's local forwarder writes each echoed chunk once and
+    then drops it from the tunnel's receive buffer."""
+    chunks = [b"first chunk", b"second", b"third and last"]
+    tunnel = Tunnel("echo-cloud", ("gateway", 4444), rx=bytearray(b"left by an earlier connection"))
+
+    class Node:
+        tunnels = {"echo-cloud": tunnel}
+
+        def open_tunnel_stream(self, service_id):
+            tunnel.established = True
+            return []
+
+        def tunnel_send(self, service_id, data):
+            tunnel.rx.extend(data)  # the service echoes at once
+            return []
+
+    class Host:
+        async def call(self, fn):
+            return fn(0.0)
+
+    class Writer:
+        out = bytearray()
+
+        def write(self, data):
+            self.out.extend(data)
+
+        async def drain(self):
+            pass
+
+        def close(self):
+            pass
+
+    class Reader:
+        async def read(self, n):
+            if chunks:
+                return chunks.pop(0)
+            while len(writer.out) < expected:  # end of input once every echo is out
+                await asyncio.sleep(0.01)
+            return b""
+
+    expected = sum(map(len, chunks))
+    writer = Writer()
+    asyncio.run(asyncio.wait_for(_serve_local(Host(), Node(), "echo-cloud", Reader(), writer), 10))
+    assert bytes(writer.out) == b"first chunksecondthird and last"
+    assert tunnel.rx == bytearray()
 
 
 def test_provision_and_force(tmp_path):

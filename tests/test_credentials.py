@@ -12,7 +12,7 @@ from sdperim.credentials import (
     verify_certificate,
     verify_validation,
 )
-from sdperim.wire import F, Fields, encode_fields
+from sdperim.wire import F, Fields, Kind, decode_frame, encode_fields, encode_frame
 
 
 def test_certificate_round_trip(ca, client_identity):
@@ -95,6 +95,54 @@ def test_confirm_signature_checked(ca, client_identity, controller_identity):
     cert = verify_certificate(fields.need(F.CERT), ca.public_bytes)
     with pytest.raises(CredentialError):
         resp.finish(cert, fields.need(F.EPH_PUB), b"\x00" * 64)
+
+
+def _confirmed(ca, initiator_identity, responder_identity, kind=Kind.LOGIN_REQUEST):
+    """Run the handshake through the frame-level halves: returns the responder,
+    the decoded confirm frame and the initiator's channel."""
+    init = HandshakeInitiator(initiator_identity, ca.public_bytes, b"\x0f" * 16, b"\x31" * 32)
+    resp = HandshakeResponder(responder_identity, b"\x0f" * 16, b"\x32" * 32, b"\x33" * 16)
+    frame, chan_i = init.confirm(Fields.decode(encode_fields(resp.accept_fields())), PeerRole.CONTROLLER, kind)
+    frame_kind, fields = decode_frame(frame)
+    assert frame_kind == kind
+    return resp, fields, chan_i
+
+
+def test_hello_names_the_subject(client_identity, ca):
+    init = HandshakeInitiator(client_identity, ca.public_bytes, b"\x0f" * 16, b"\x31" * 32)
+    kind, fields = decode_frame(init.hello(b"\xaa" * 16))
+    assert kind == Kind.CHANNEL_HELLO
+    assert fields.need(F.SUBJECT_ID) == b"\xaa" * 16
+
+
+def test_confirm_frame_opens_and_secure_frames_round_trip(ca, client_identity, controller_identity):
+    resp, fields, chan_i = _confirmed(ca, client_identity, controller_identity)
+    cert, chan_r = resp.open_confirm(fields, ca.public_bytes, PeerRole.CLIENT, Kind.LOGIN_REQUEST)
+    assert cert.subject_id == client_identity.cert.subject_id
+    kind, secure = decode_frame(chan_r.frame(Kind.LOGIN_RESPONSE, [(F.SESSION, b"s" * 16)]))
+    assert kind == Kind.SECURE
+    inner_kind, inner = chan_i.open_frame(secure)
+    assert inner_kind == Kind.LOGIN_RESPONSE and inner.need(F.SESSION) == b"s" * 16
+
+
+def test_open_confirm_checks_role_and_body_kind(ca, client_identity, controller_identity):
+    resp, fields, _ = _confirmed(ca, client_identity, controller_identity)
+    with pytest.raises(CredentialError):
+        resp.open_confirm(fields, ca.public_bytes, PeerRole.GATEWAY, Kind.LOGIN_REQUEST)
+    resp, fields, _ = _confirmed(ca, client_identity, controller_identity)
+    with pytest.raises(CredentialError):
+        resp.open_confirm(fields, ca.public_bytes, PeerRole.CLIENT, Kind.AH_REGISTER)
+
+
+def test_open_confirm_checks_body_subject(ca, client_identity, controller_identity):
+    init = HandshakeInitiator(client_identity, ca.public_bytes, b"\x0f" * 16, b"\x31" * 32)
+    resp = HandshakeResponder(controller_identity, b"\x0f" * 16, b"\x32" * 32, b"\x33" * 16)
+    _, confirm, chan_i = init.process_accept(Fields.decode(encode_fields(resp.accept_fields())), PeerRole.CONTROLLER)
+    # a validly signed confirm whose sealed body names someone else
+    body = chan_i.seal(Kind.LOGIN_REQUEST, encode_fields([(F.SUBJECT_ID, b"\x99" * 16)]))
+    _, fields = decode_frame(encode_frame(Kind.LOGIN_REQUEST, confirm + [(F.BODY, body)]))
+    with pytest.raises(CredentialError):
+        resp.open_confirm(fields, ca.public_bytes, PeerRole.CLIENT, Kind.LOGIN_REQUEST)
 
 
 def test_validation_signature(ca, client_identity):

@@ -6,6 +6,7 @@ protocol logic: authentication, authorization, relaying, revocation, rule
 TTL semantics, and the darkness properties.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -179,14 +180,9 @@ class TestAuthorization:
         gw = dep.gateway()
         # forge a request for a service outside the authorized list, at the
         # protocol level (the client API would refuse locally)
-        blob = client.channel.seal(
-            Kind.CONNECTION_REQUEST,
-            __import__("sdperim.wire", fromlist=["encode_fields"]).encode_fields(
-                [(10, b"not-mine"), (20, (99).to_bytes(4, "big"))]
-            ),
-        )
+        request = client.channel.frame(Kind.CONNECTION_REQUEST, [(10, b"not-mine"), (20, (99).to_bytes(4, "big"))])
         client.requests[99] = __import__("sdperim.client", fromlist=["ServiceRequest"]).ServiceRequest(99, "not-mine")
-        dep.net.act(client, [Send(client._relay_flow, encode_frame(Kind.SECURE, [(15, blob)]))])
+        dep.net.act(client, [Send(client._relay_flow, request)])
         assert run_until(dep.net, lambda: client.requests[99].state != "pending")
         assert client.requests[99].state == "denied"
         assert client.requests[99].reason == "unauthorized"
@@ -507,3 +503,34 @@ class TestGatewayIntegrity:
         rec = verdicts[-1]
         assert rec["verdict"] == "drop"
         assert {"ts", "src", "src_port", "dst_port", "proto", "reason"} <= set(rec)
+
+
+class TestControlPlaneBytes:
+    def test_session_payload_bytes_pinned(self):
+        """Every byte the nodes put on the wire during one whole session
+        (registration, login, a grant, a tunnel echo and one device-validation
+        round), in order. Refactors of the message builders must keep it."""
+        dep = build_sim(default_config(seed=5), seed=5, start_clients=False)
+        net, client = dep.net, dep.client()
+        digest, count = hashlib.sha256(), 0
+        act = net.act
+
+        def spy(node, actions):
+            nonlocal count
+            actions = list(actions or ())
+            for action in actions:
+                if isinstance(action, (Send, SendDatagram)):
+                    digest.update(action.data)
+                    count += 1
+            act(node, actions)
+
+        net.act = spy
+        net.call_at(1.0, lambda: net.add_node(client))
+        net.call_at(3.0, lambda: net.act(client, client.open_service("echo-cloud", net.clock)))
+        net.call_at(4.0, lambda: net.act(client, client.open_tunnel_stream("echo-cloud")))
+        net.call_at(5.0, lambda: net.act(client, client.tunnel_send("echo-cloud", b"hello")))
+        net.run(until=70.0)
+        assert bytes(client.tunnels["echo-cloud"].rx) == b"hello"
+        assert dep.controller.session_count() == 1
+        assert count == 39
+        assert digest.hexdigest() == "9af920c88b4038ea147b7ffafde21f7ad095a7e63902d604039e295c8e95e935"
