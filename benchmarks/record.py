@@ -10,9 +10,12 @@ from it), the machine facts run.py reports (nproc, Python,
 ``cryptography``), every run's outcome, and per metric the values, their
 median and quartiles: the gated metrics of ``BENCHMARK.json`` in ``gated``
 and the ungated user-visible numbers in ``outcomes``. A run's outcome names
-its exit code and every check run.py reported failed; a run that printed no
-result line also keeps the tail of its standard error, and gives a null in
-each metric's values instead of ending the series.
+its exit code, every check run.py reported failed, and the share of the
+host's CPU time stolen by the hypervisor while it ran (from ``/proc/stat``;
+null where that cannot be read), so a run late on a starved host can be told
+from a slow program; a run that printed no result line also keeps the tail
+of its standard error, and gives a null in each metric's values instead of
+ending the series.
 
 ``--parent DIR`` names a checkout of the parent commit (for example a
 ``git clone`` checked out at it). Its runs alternate with this
@@ -40,14 +43,39 @@ WORKLOADS = ("auth_churn", "flood_mix")
 METRIC_LINE = re.compile(r"^  (\w+)\s+(-?\d+(?:\.\d+)?) (\S+)$")
 
 
+def cpu_times() -> list[int] | None:
+    """The host's aggregate CPU times in ticks (``/proc/stat``'s ``cpu`` line:
+    user, nice, system, idle, iowait, irq, softirq, steal), or None."""
+    try:
+        with open("/proc/stat", encoding="ascii") as fh:
+            fields = fh.readline().split()
+    except OSError:
+        return None
+    if len(fields) < 9 or fields[0] != "cpu":
+        return None
+    return [int(v) for v in fields[1:9]]
+
+
+def steal_share(before: list[int] | None, after: list[int] | None) -> float | None:
+    """Stolen ticks over all ticks between two ``cpu_times`` readings."""
+    if before is None or after is None:
+        return None
+    delta = [b - a for a, b in zip(before, after)]
+    total = sum(delta)
+    return round(delta[7] / total, 4) if total > 0 else None
+
+
 def run_once(checkout: str, workload: str, seed: int) -> dict:
-    """One run.py run: its exit code, failed checks, machine facts, result
-    line and ungated outcomes. ``result`` is None, and ``stderr`` holds the
-    tail of standard error, when the run printed no result line."""
+    """One run.py run: its exit code, failed checks, host steal share,
+    machine facts, result line and ungated outcomes. ``result`` is None, and
+    ``stderr`` holds the tail of standard error, when the run printed no
+    result line."""
     cmd = [sys.executable, "perimbench/run.py", "--workload", workload, "--seed", str(seed)]
+    before = cpu_times()
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    steal = steal_share(before, cpu_times())
     lines = proc.stdout.splitlines()
-    done = {"exit": proc.returncode, "failed_checks": [], "meta": None, "result": None, "outcomes": {}}
+    done = {"exit": proc.returncode, "failed_checks": [], "steal": steal, "meta": None, "result": None, "outcomes": {}}
     for line in lines:
         if line.startswith("run: "):
             done["meta"] = json.loads(line[len("run: "):])
@@ -89,14 +117,15 @@ def block(samples: list[dict]) -> dict:
 
 def describe(done: dict) -> str:
     """One run's outcome for the progress lines."""
+    steal = "unknown" if done["steal"] is None else f"{done['steal']:.2%}"
     if done["result"] is None:
         last = (done["stderr"].strip().splitlines() or [""])[-1]
-        return f"no result (exit {done['exit']}): {last}"
+        return f"no result (exit {done['exit']}, host steal {steal}): {last}"
     text = json.dumps({k: done["result"][k] for k in ("correct", "failed", "metrics")})
+    late = {k: v["value"] for k, v in done["outcomes"].items() if "_late_ms_" in k}
     if done["failed_checks"]:
-        late = {k: v["value"] for k, v in done["outcomes"].items() if "_late_ms_" in k}
-        text += f" exit {done['exit']}; failed checks: {', '.join(done['failed_checks'])}; lateness ms: {late}"
-    return text
+        text += f" exit {done['exit']}; failed checks: {', '.join(done['failed_checks'])}"
+    return text + f"; lateness ms: {late}; host steal {steal}"
 
 
 def dirty(checkout: str) -> bool | None:
@@ -109,7 +138,7 @@ def dirty(checkout: str) -> bool | None:
 
 
 def run_record(seed: int, done: dict) -> dict:
-    record = {"seed": seed, "exit": done["exit"], "failed_checks": done["failed_checks"]}
+    record = {"seed": seed, "exit": done["exit"], "failed_checks": done["failed_checks"], "steal": done["steal"]}
     if done["result"] is None:
         return {**record, "stderr": done["stderr"]}
     return {**record, **{k: done["result"][k] for k in ("correct", "attempted", "failed")}}

@@ -248,7 +248,7 @@ class ControllerNode(Node):
                 inner_kind, inner = link.channel.open_frame(fields)
                 return self._on_gateway_message(link, inner_kind, inner, now)
         except (CredentialError, WireError, KeyError) as exc:
-            self.links.pop(flow, None)
+            self.on_closed(flow, now)  # every conversation relayed over the link ends with it
             return [self._log(event="channel", verdict="closed", reason=str(exc)), Close(flow)]
         return [self._log(event="frame", verdict="ignored", kind=kind)]
 
@@ -297,7 +297,13 @@ class ControllerNode(Node):
             ctx = self.clients_ctx.get((link.flow, fields.u32(F.FLOW)))
             if ctx is None:
                 return []
-            return self._on_client_frame(ctx, fields.need(F.DATA), now)
+            frame = fields.need(F.DATA)
+            try:
+                return self._on_client_frame(ctx, frame, now)
+            except (CredentialError, WireError, KeyError) as exc:
+                # one client's bad message ends its own conversation, not the gateway's link
+                log = self._log(event="client-frame", verdict="closed", reason=str(exc), client=ctx.client_id.hex())
+                return self._end_conversation(ctx, log)
         if kind == Kind.SERVICES_ACK:
             ctx = self.clients_ctx.get((link.flow, fields.u32(F.FLOW)))
             if ctx is None or ctx.session_id is None:
@@ -329,10 +335,8 @@ class ControllerNode(Node):
         record = self.records.get(ctx.client_id)
         if verdict != "accept" or record is None:
             # dark toward the client: the gateway blackholes the flow
-            self.clients_ctx.pop((link.flow, relay_flow), None)
-            out.append(self._log(event="client-spa", verdict=verdict or "unknown-client", client=ctx.client_id.hex()))
-            out.append(self._gw_send(link, Kind.RELAY_CLOSE, [(F.FLOW, u32(relay_flow))]))
-            return out
+            log = self._log(event="client-spa", verdict=verdict or "unknown-client", client=ctx.client_id.hex())
+            return self._end_conversation(ctx, log)
         ctx.record = record
         ctx.responder, accept = self._respond(pkt.nonce)
         out.append(self._log(event="client-spa", verdict="accept", client=ctx.client_id.hex()))
@@ -354,6 +358,14 @@ class ControllerNode(Node):
             return self._on_client_message(ctx, inner_kind, inner, now)
         return [self._log(event="client-frame", verdict="ignored", kind=kind)]
 
+    def _end_conversation(self, ctx, log: Log) -> list:
+        """Ends one relayed client conversation: its context and session go,
+        ``log`` is recorded, and the gateway is told to close the relay flow."""
+        self.clients_ctx.pop((ctx.gw.flow, ctx.relay_flow), None)
+        if ctx.session_id is not None:
+            self.sessions.pop(ctx.session_id, None)
+        return [log, self._gw_send(ctx.gw, Kind.RELAY_CLOSE, [(F.FLOW, u32(ctx.relay_flow))])]
+
     def _on_login(self, ctx, fields, now):
         if ctx.session_id is not None and ctx.channel is not None:
             # replayed login on an authenticated conversation: idempotent
@@ -366,12 +378,8 @@ class ControllerNode(Node):
                 raise CredentialError("certificate/client mismatch")
         except (CredentialError, WireError) as exc:
             # certificate mismatch: the conversation is torn down
-            key = (ctx.gw.flow, ctx.relay_flow)
-            self.clients_ctx.pop(key, None)
-            return [
-                self._log(event="login", verdict="rejected", reason=str(exc), client=ctx.client_id.hex()),
-                self._gw_send(ctx.gw, Kind.RELAY_CLOSE, [(F.FLOW, u32(ctx.relay_flow))]),
-            ]
+            log = self._log(event="login", verdict="rejected", reason=str(exc), client=ctx.client_id.hex())
+            return self._end_conversation(ctx, log)
         ctx.channel = channel
         ctx.session_id = self.rng.randbytes(16)
         self.sessions[ctx.session_id] = Session(ctx.session_id, ctx.client_id)

@@ -108,24 +108,25 @@ class _Arm:
     legit_host: str  # the legitimate origin the echo service sees
     rx_bytes: Callable[[], int]  # legitimate bytes echoed back so far
     work_units: Callable[[], int]  # filter work done so far
-    forwarded: Callable[[list[float]], list[float]]  # attack SYN arrivals -> times forwarded to the service
+    forwarded: Callable[[list[int]], list[int]]  # attack SYNs seen per interval -> forwarded per interval
 
 
 class _TraceSink:
     """Takes each final trace record of an arm's net: writes its line to
-    ``out``, when given, and keeps only the arrival times of attack
-    initiations at the target."""
+    ``out``, when given, and counts the attack initiations arriving at the
+    target in each capture interval."""
 
-    def __init__(self, target: tuple[str, int], out=None):
+    def __init__(self, target: tuple[str, int], t0: float, interval: float, n: int, out=None):
         self.target = target
+        self.t0, self.interval = t0, interval
         self.write = out.write if out is not None else None
-        self.attack_arrivals: list[float] = []
+        self.attack_seen = [0] * n
 
     def append(self, rec) -> None:
         if self.write is not None:
             self.write(rec.to_line())
         if rec.delivered is not None and is_attack_segment(rec, *self.target):
-            self.attack_arrivals.append(rec.delivered)
+            _tally(self.attack_seen, rec.delivered, self.t0, self.interval)
 
 
 def run_experiment(spec: ExperimentSpec, cfg=None, trace_out=None) -> ExperimentResult:
@@ -134,12 +135,12 @@ def run_experiment(spec: ExperimentSpec, cfg=None, trace_out=None) -> Experiment
     cfg = cfg or default_config(seed=spec.seed)
     arm = _protected_arm(spec, cfg) if spec.with_sdp else _unprotected_arm(spec, cfg)
     net = arm.net
-    sink = _TraceSink(arm.target, trace_out)
+    t0 = SETUP_END
+    n = int(spec.window / spec.interval)
+    sink = _TraceSink(arm.target, t0, spec.interval, n, trace_out)
     for rec in net.trace:  # the arm's setup, in order
         sink.append(rec)
     net.trace = sink
-    t0 = SETUP_END
-    n = int(spec.window / spec.interval)
     flood_stats = None
     if spec.flood_enabled:
         flood_stats = sim_flood(
@@ -164,9 +165,8 @@ def run_experiment(spec: ExperimentSpec, cfg=None, trace_out=None) -> Experiment
 
     net.run(until=t0 + spec.window + 1.0)
 
-    arrivals = sink.attack_arrivals
-    seen = _bucket(arrivals, t0, spec.interval, n)
-    forwarded = _bucket(arm.forwarded(arrivals), t0, spec.interval, n)
+    seen = sink.attack_seen
+    forwarded = arm.forwarded(seen)
     capture = CaptureSeries(start=t0, interval=spec.interval)
     for i in range(n):
         capture.append(
@@ -205,12 +205,12 @@ def _protected_arm(spec: ExperimentSpec, cfg) -> _Arm:
     for k in range(int(spec.window * spec.echo_rate)):
         net.call_at(SETUP_END + k * period, lambda: net.act(client, client.tunnel_send(svc.service_id, ping)))
 
-    def forwarded(arrivals):
-        return [
-            rec["ts"]
-            for rec in net.logs[gw.name]
-            if rec.get("event") == "filter" and rec.get("verdict") == "forward" and rec["src"].startswith("10.66.")
-        ]
+    def forwarded(seen):
+        counts = [0] * len(seen)
+        for rec in net.logs[gw.name]:
+            if rec.get("event") == "filter" and rec.get("verdict") == "forward" and rec["src"].startswith("10.66."):
+                _tally(counts, rec["ts"], SETUP_END, spec.interval)
+        return counts
 
     return _Arm(
         net=net,
@@ -241,17 +241,15 @@ def _unprotected_arm(spec: ExperimentSpec, cfg) -> _Arm:
         legit_host="pinger",
         rx_bytes=lambda: pinger.rx_bytes,
         work_units=lambda: 0,
-        forwarded=lambda arrivals: arrivals,  # every attack initiation reaches the unprotected service
+        forwarded=lambda seen: seen,  # every attack initiation reaches the unprotected service
     )
 
 
-def _bucket(times, t0: float, interval: float, n: int) -> list[int]:
-    out = [0] * n
-    for t in times:
-        i = int((t - t0) / interval)
-        if 0 <= i < n:
-            out[i] += 1
-    return out
+def _tally(counts: list[int], t: float, t0: float, interval: float) -> None:
+    """Counts time ``t`` in its interval, if the window has one."""
+    i = int((t - t0) / interval)
+    if 0 <= i < len(counts):
+        counts[i] += 1
 
 
 def _throughput(capture: CaptureSeries, spec: ExperimentSpec) -> tuple[float, float]:

@@ -9,19 +9,30 @@ configured (used by experiments that want uniform per-hop packet sizes).
 Processing and queuing delays are not modeled; delivery on a link is
 in-order. Every send goes to the net's trace sink, once its record is final
 (dropped, or with its delivery time set); the sink is any object with
-``append`` and defaults to a list. Runs with identical seeds and configs
-produce byte-identical traces.
+``append`` and defaults to a list (the DoS experiments set one that writes
+each record out and keeps only per-interval counts of attack arrivals).
+Runs with identical seeds and configs produce byte-identical traces.
 
 Streams carry a minimal three-segment handshake (initiation, accept, ack) so
 half-open state is observable: an acceptor that answers an initiation whose
-source never acks keeps a pending entry until the handshake timeout. A node
-that declines an initiation emits nothing at all.
+source never acks keeps it pending until the handshake timeout. A node that
+declines an initiation emits nothing at all.
+
+Pending accepts time out oldest first. Each acceptor keeps its accepted
+flows in accept order and has at most one scheduled timeout event, for the
+oldest flow still pending; when it fires it schedules the next. Every flow
+still times out at its own (accept time + timeout, sequence number), the
+number it drew at accept, so expiries fall among other events, and trace
+sequence numbers run, exactly as with one timeout event per flow. A spoofed
+flow keeps only its source host (its port is the flow's initiator port) and
+is forgotten once declined or timed out.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+from collections import deque
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -128,16 +139,17 @@ def _json_opt(value: float | int | None) -> str:
 
 @dataclass(slots=True)
 class _Flow:
-    fid: int
     mode: str
     init_node: str
     init_local: int
-    init_port: int  # synthetic source port
+    init_port: int  # synthetic source port, or the spoofed source's port
     acc_addr: Address
     acc_node: str | None = None
     acc_local: int | None = None
     state: str = "syn-sent"  # syn-sent | pending-ack | established | closed
-    spoofed_src: Address | None = None
+    spoofed_host: str | None = None
+    since: float = 0.0  # when the acceptor answered
+    timeout_seq: int = 0  # sequence number of its handshake timeout while the ack is awaited, else 0
 
 
 class SimNet:
@@ -156,12 +168,11 @@ class SimNet:
         self.trace: list[TraceRecord] = []  # or any sink with append
         self.nodes: dict[str, Node] = {}
         self.logs: dict[str, list[dict]] = {}
-        self._flows: dict[int, _Flow] = {}
-        self._by_local: dict[tuple[str, int], int] = {}  # (node, local flow) -> fid
-        self._next_fid = 1
+        self._by_local: dict[str, dict[int, _Flow]] = {}  # node -> local flow id -> flow
         self._next_port = 33000  # synthetic ephemeral source ports
         self._timer_version: dict[tuple[str, str], int] = {}
-        self._pending_accepts: dict[str, dict[int, float]] = {}  # node -> fid -> since
+        self._pending_accepts: dict[str, deque[_Flow]] = {}  # node -> flows it accepted, oldest first
+        self._half_open: dict[str, int] = {}  # node -> accepted flows still awaiting the ack
         self._last_delivery: dict[tuple[str, str], float] = {}
 
     # -- setup -------------------------------------------------------------
@@ -171,7 +182,9 @@ class SimNet:
             raise ValueError(f"duplicate node {node.name}")
         self.nodes[node.name] = node
         self.logs[node.name] = []
-        self._pending_accepts[node.name] = {}
+        self._by_local[node.name] = {}
+        self._pending_accepts[node.name] = deque()
+        self._half_open[node.name] = 0
         self._push(self.clock, ("start", node.name))
 
     def node_rng(self, name: str) -> random.Random:
@@ -239,16 +252,13 @@ class SimNet:
             self._transmit(CLS_DATAGRAM, name, host, 0, port, len(action.data), None,
                            ("datagram", host, port, (name, 0), action.data))
         elif isinstance(action, OpenStream):
-            fid = self._next_fid
-            self._next_fid += 1
             self._next_port += 1
-            flow = _Flow(fid=fid, mode=action.mode, init_node=name, init_local=action.flow,
+            flow = _Flow(mode=action.mode, init_node=name, init_local=action.flow,
                          init_port=self._next_port, acc_addr=action.dst)
-            self._flows[fid] = flow
-            self._by_local[(name, action.flow)] = fid
+            self._by_local[name][action.flow] = flow
             host, port = action.dst
             self._transmit(CLS_SYN, name, host, flow.init_port, port, SEGMENT_OVERHEAD_BYTES, None,
-                           ("syn", fid))
+                           ("syn", flow))
         elif isinstance(action, AcceptStream):
             self._accept(name, action.flow)
         elif isinstance(action, Send):
@@ -267,8 +277,7 @@ class SimNet:
             raise TypeError(f"unknown action {action!r}")
 
     def _flow_for(self, name: str, local: int) -> _Flow | None:
-        fid = self._by_local.get((name, local))
-        return self._flows.get(fid) if fid is not None else None
+        return self._by_local[name].get(local)
 
     def _peer(self, flow: _Flow, name: str) -> tuple[str, int, int] | None:
         """Returns (peer node, peer local id, dst port for tracing)."""
@@ -283,11 +292,42 @@ class SimNet:
         if flow is None or flow.state != "syn-sent":
             return
         flow.state = "pending-ack"
-        self._pending_accepts[name][flow.fid] = self.clock
-        self._push(self.clock + self.handshake_timeout, ("handshake-timeout", name, flow.fid))
-        src = flow.spoofed_src[0] if flow.spoofed_src else flow.init_node
+        self._seq += 1  # the handshake timeout's place in the event order, drawn now
+        flow.since, flow.timeout_seq = self.clock, self._seq
+        pending = self._pending_accepts[name]
+        if not pending:
+            self._schedule_timeout(name, flow)
+        pending.append(flow)
+        self._half_open[name] += 1
+        src = flow.spoofed_host if flow.spoofed_host is not None else flow.init_node
         self._transmit(CLS_ACCEPT, name, src, flow.acc_addr[1], flow.init_port, SEGMENT_OVERHEAD_BYTES, None,
-                       ("accept", flow.fid))
+                       ("accept", flow))
+
+    def _schedule_timeout(self, name: str, flow: _Flow) -> None:
+        """The acceptor's one timeout event, at ``flow``'s own (time, seq)."""
+        when = flow.since + self.handshake_timeout
+        heapq.heappush(self._heap, (when, flow.timeout_seq, ("handshake-timeout", name)))
+
+    def _settle(self, flow: _Flow) -> None:
+        """The acceptor stops awaiting ``flow``'s ack; its queue entry goes stale."""
+        if flow.timeout_seq:
+            flow.timeout_seq = 0
+            self._half_open[flow.acc_node] -= 1
+
+    def _on_handshake_timeout(self, name: str) -> None:
+        """The oldest accept of ``name`` reached its timeout: expire it if it is
+        still pending, then schedule the next pending one."""
+        pending = self._pending_accepts[name]
+        flow = pending.popleft()
+        if flow.timeout_seq:
+            self._settle(flow)
+            flow.state = "closed"
+            if flow.spoofed_host is not None:
+                self._forget(flow)
+        while pending and not pending[0].timeout_seq:
+            pending.popleft()
+        if pending:
+            self._schedule_timeout(name, pending[0])
 
     def _send_data(self, name: str, local: int, data: bytes) -> None:
         flow = self._flow_for(name, local)
@@ -300,7 +340,7 @@ class SimNet:
         src_port = flow.init_port if name == flow.init_node else flow.acc_addr[1]
         kind = data[4] if flow.mode == FRAMED and len(data) >= 5 else None
         self._transmit(CLS_DATA, name, peer_node, src_port, dst_port, len(data), kind,
-                       ("data", flow.fid, name, data))
+                       ("data", flow, name, data))
 
     def _close(self, name: str, local: int) -> None:
         flow = self._flow_for(name, local)
@@ -308,13 +348,14 @@ class SimNet:
             return
         peer = self._peer(flow, name)
         flow.state = "closed"
-        self._pending_accepts.get(name, {}).pop(flow.fid, None)
+        if name == flow.acc_node:
+            self._settle(flow)
         if peer is None:
             return
         peer_node, _, dst_port = peer
         src_port = flow.init_port if name == flow.init_node else flow.acc_addr[1]
         self._transmit(CLS_CLOSE, name, peer_node, src_port, dst_port, SEGMENT_OVERHEAD_BYTES, None,
-                       ("close", flow.fid, name))
+                       ("close", flow, name))
 
     # -- attack injection ---------------------------------------------------
 
@@ -322,16 +363,13 @@ class SimNet:
         """A connection-initiation segment with an arbitrary (possibly spoofed)
         source address. ``attacker`` names the link the segment physically
         traverses; defaults to the spoofed source host."""
-        fid = self._next_fid
-        self._next_fid += 1
-        flow = _Flow(fid=fid, mode=RAW, init_node=attacker or src[0], init_local=-1,
-                     init_port=src[1], acc_addr=dst, spoofed_src=src)
-        self._flows[fid] = flow
-        origin = attacker or src[0]
-        self._transmit(CLS_SYN, origin, dst[0], src[1], dst[1], size, None, ("syn", fid))
+        host, port = src
+        flow = _Flow(mode=RAW, init_node=attacker or host, init_local=-1, init_port=port, acc_addr=dst,
+                     spoofed_host=host)
+        self._transmit(CLS_SYN, flow.init_node, dst[0], port, dst[1], size, None, ("syn", flow))
 
     def half_open_count(self, node: str) -> int:
-        return len(self._pending_accepts.get(node, {}))
+        return self._half_open.get(node, 0)
 
     # -- event dispatch --------------------------------------------------------
 
@@ -349,17 +387,15 @@ class SimNet:
                 src_addr = (src[0], src[1])
                 self.act(node, node.on_datagram(port, src_addr, data, self.clock))
         elif op == "syn":
-            self._on_syn(self._flows[item[1]])
+            self._on_syn(item[1])
         elif op == "accept":
-            flow = self._flows.get(item[1])
-            if flow is not None:  # a timed-out spoofed flow is forgotten
-                self._on_accept(flow)
+            self._on_accept(item[1])
         elif op == "ack":
-            self._on_ack(self._flows[item[1]])
+            self._on_ack(item[1])
         elif op == "data":
-            self._on_data(self._flows[item[1]], item[2], item[3])
+            self._on_data(item[1], item[2], item[3])
         elif op == "close":
-            self._on_close(self._flows[item[1]], item[2])
+            self._on_close(item[1], item[2])
         elif op == "timer":
             _, name, key, version = item
             if self._timer_version.get((name, key)) == version:
@@ -367,16 +403,9 @@ class SimNet:
                 if node is not None:
                     self.act(node, node.on_timer(key, self.clock))
         elif op == "handshake-timeout":
-            _, name, fid = item
-            pending = self._pending_accepts.get(name, {})
-            if fid in pending:
-                del pending[fid]
-                flow = self._flows[fid]
-                flow.state = "closed"
-                if flow.spoofed_src is not None:
-                    self._forget(flow)
+            self._on_handshake_timeout(item[1])
         elif op == "connect-failed":
-            flow = self._flows[item[1]]
+            flow = item[1]
             node = self.nodes.get(flow.init_node)
             if node is not None and flow.state == "syn-sent":
                 flow.state = "closed"
@@ -386,42 +415,40 @@ class SimNet:
         host, port = flow.acc_addr
         node = self.nodes.get(host)
         if node is None or port not in node.tcp_ports:
-            if flow.spoofed_src is not None:
-                del self._flows[flow.fid]  # nobody will ever answer or close it
-            elif node is not None:
+            # a spoofed flow is dropped here: nobody will ever answer or close it
+            if flow.spoofed_host is None and node is not None:
                 # nothing bound: refuse (the dark case is a bound port whose node declines)
                 self._transmit(CLS_CLOSE, host, flow.init_node, port, flow.init_port, SEGMENT_OVERHEAD_BYTES, None,
-                               ("connect-failed", flow.fid))
+                               ("connect-failed", flow))
             return
         flow.acc_node = host
         flow.acc_local = node.new_flow()
-        self._by_local[(host, flow.acc_local)] = flow.fid
-        src = flow.spoofed_src or (flow.init_node, flow.init_port)
+        self._by_local[host][flow.acc_local] = flow
+        src = (flow.spoofed_host if flow.spoofed_host is not None else flow.init_node, flow.init_port)
         self.act(node, node.on_stream_request(flow.acc_local, port, src, self.clock))
-        if flow.spoofed_src is not None and flow.state == "syn-sent":
+        if flow.spoofed_host is not None and flow.state == "syn-sent":
             self._forget(flow)  # declined, and no real initiator can close it
 
     def _forget(self, flow: _Flow) -> None:
         """Drop a dead spoofed flow: only the acceptor ever knew it."""
-        del self._flows[flow.fid]
-        del self._by_local[(flow.acc_node, flow.acc_local)]
+        del self._by_local[flow.acc_node][flow.acc_local]
 
     def _on_accept(self, flow: _Flow) -> None:
         # accept segment arrives at the initiator
-        if flow.spoofed_src is not None:
+        if flow.spoofed_host is not None:
             return  # no real endpoint: the handshake never completes
         node = self.nodes.get(flow.init_node)
         if node is None or flow.state != "pending-ack":
             return
         flow.state = "established"
         self._transmit(CLS_ACK, flow.init_node, flow.acc_node, flow.init_port, flow.acc_addr[1],
-                       SEGMENT_OVERHEAD_BYTES, None, ("ack", flow.fid))
+                       SEGMENT_OVERHEAD_BYTES, None, ("ack", flow))
         self.act(node, node.on_connected(flow.init_local, self.clock))
 
     def _on_ack(self, flow: _Flow) -> None:
         if flow.acc_node is None:
             return
-        self._pending_accepts[flow.acc_node].pop(flow.fid, None)
+        self._settle(flow)
         node = self.nodes[flow.acc_node]
         self.act(node, node.on_connected(flow.acc_local, self.clock))
 

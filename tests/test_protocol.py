@@ -20,6 +20,17 @@ from sdperim.transport.sim import PROTOCOL_CLASSES, two_way
 from sdperim.wire import F, Kind, encode_frame
 
 AUTH_DEADLINE = 20.0
+TWO_CLIENT_TOPOLOGY = {
+    "links": [
+        dict(src=s, dst=d, rate_bps=1e9, speed_mps=2e8, beta_m=1.0)
+        for s, d in [
+            ("client", "gateway"), ("gateway", "client"),
+            ("client2", "gateway"), ("gateway", "client2"),
+            ("gateway", "controller"), ("controller", "gateway"),
+            ("gateway", "cloud"), ("cloud", "gateway"),
+        ]
+    ]
+}
 
 
 def run_until(net, cond, deadline=AUTH_DEADLINE, step=0.25):
@@ -141,17 +152,7 @@ class TestServiceVisibility:
                 {"id": "dd" * 16, "host": "client2", "services": b_set},
             ],
             services=services,
-            topology={
-                "links": [
-                    dict(src=s, dst=d, rate_bps=1e9, speed_mps=2e8, beta_m=1.0)
-                    for s, d in [
-                        ("client", "gateway"), ("gateway", "client"),
-                        ("client2", "gateway"), ("gateway", "client2"),
-                        ("gateway", "controller"), ("controller", "gateway"),
-                        ("gateway", "cloud"), ("cloud", "gateway"),
-                    ]
-                ]
-            },
+            topology=TWO_CLIENT_TOPOLOGY,
         )
         a = connect_client(dep, dep.clients["aa" * 16])
         b = connect_client(dep, dep.clients["dd" * 16])
@@ -302,17 +303,7 @@ class TestSpliceIsolation:
                 {"id": "aa" * 16, "host": "client", "services": ["echo-cloud"]},
                 {"id": "dd" * 16, "host": "client2", "services": ["echo-cloud"]},
             ],
-            topology={
-                "links": [
-                    dict(src=s, dst=d, rate_bps=1e9, speed_mps=2e8, beta_m=1.0)
-                    for s, d in [
-                        ("client", "gateway"), ("gateway", "client"),
-                        ("client2", "gateway"), ("gateway", "client2"),
-                        ("gateway", "controller"), ("controller", "gateway"),
-                        ("gateway", "cloud"), ("cloud", "gateway"),
-                    ]
-                ]
-            },
+            topology=TWO_CLIENT_TOPOLOGY,
         )
         a = connect_client(dep, dep.clients["aa" * 16])
         b = connect_client(dep, dep.clients["dd" * 16])
@@ -333,6 +324,56 @@ class TestSpliceIsolation:
         assert run_until(dep.net, lambda: len(a.tunnels["echo-cloud"].rx) == len(sent_a) and len(b.tunnels["echo-cloud"].rx) == len(sent_b))
         assert bytes(a.tunnels["echo-cloud"].rx) == bytes(sent_a)
         assert bytes(b.tunnels["echo-cloud"].rx) == bytes(sent_b)
+
+
+class TestConversationIsolation:
+    @pytest.mark.parametrize(
+        "kind, fields",
+        [
+            (Kind.CONNECTION_REQUEST, []),
+            (Kind.CONNECTION_REQUEST, [(F.SERVICE_ID, b"echo-cloud")]),
+            (Kind.DEVICE_VALIDATE_ACK, []),
+        ],
+        ids=["request-without-fields", "request-without-id", "validate-ack-without-fields"],
+    )
+    def test_malformed_message_ends_only_its_conversation(self, kind, fields):
+        dep = authed_deployment(
+            clients=[
+                {"id": "aa" * 16, "host": "client", "services": ["echo-cloud"]},
+                {"id": "dd" * 16, "host": "client2", "services": ["echo-cloud"]},
+            ],
+            topology=TWO_CLIENT_TOPOLOGY,
+        )
+        ctl, gw = dep.controller, dep.gateway()
+        links = dict(ctl.links)
+        bad = connect_client(dep, dep.clients["aa" * 16])
+        assert bad.ready and ctl.session_count() == 1
+        # sealed with the live session key, but without the fields the message needs
+        dep.net.act(bad, [Send(bad._relay_flow, bad.channel.frame(kind, fields))])
+        dep.net.run(until=dep.net.clock + 1.0)
+        assert ctl.links == links and gw.registered
+        assert ctl.session_count() == 0 and ctl.clients_ctx == {}
+        assert any(r.get("event") == "client-frame" and r.get("verdict") == "closed" for r in dep.net.logs[ctl.name])
+
+        good = connect_client(dep, dep.clients["dd" * 16])
+        assert good.ready
+        dep.net.act(good, good.open_service("echo-cloud", dep.net.clock))
+        assert run_until(dep.net, lambda: good.requests[1].state == "granted", deadline=dep.net.clock + 5.0)
+        dep.net.act(good, good.open_tunnel_stream("echo-cloud"))
+        tunnel = good.tunnels["echo-cloud"]
+        assert run_until(dep.net, lambda: tunnel.established, deadline=dep.net.clock + 5.0)
+        dep.net.act(good, good.tunnel_send("echo-cloud", b"ping"))
+        assert run_until(dep.net, lambda: bytes(tunnel.rx) == b"ping", deadline=dep.net.clock + 5.0)
+        assert ctl.links == links and gw.registered
+
+    def test_broken_gateway_link_ends_the_conversations_it_relayed(self):
+        dep = authed_deployment()
+        ctl, gw = dep.controller, dep.gateway()
+        connect_client(dep)
+        assert ctl.session_count() == 1 and len(ctl.clients_ctx) == 1
+        dep.net.act(gw, [gw._upstream(Kind.RELAY_OPEN, [])])  # no flow id: the link itself is broken
+        dep.net.run(until=dep.net.clock + 0.5)
+        assert ctl.session_count() == 0 and ctl.clients_ctx == {} and ctl.by_gateway == {}
 
 
 class TestDeviceValidation:

@@ -1,14 +1,17 @@
 """Simulated backend: delivery arithmetic, ordering, loss, streams, traces."""
 
 import dataclasses
+import gc
 import json
+import tracemalloc
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdperim.transport.base import RAW, AcceptStream, Close, Node, OpenStream, Send, SendDatagram
-from sdperim.transport.sim import LinkSpec, SimNet, Topology, TraceRecord, two_way
+from sdperim.transport.sim import LinkSpec, SimNet, Topology, TraceRecord, _Flow, two_way
 
 
 class Sink(Node):
@@ -64,6 +67,13 @@ class Dark(Node):
 def make_net(**link_kw):
     links = two_way("a", "b", **link_kw)
     return SimNet(Topology(links), seed=1)
+
+
+def live_flows() -> int:
+    """Stream flows still held anywhere in this process: a forgotten flow is
+    freed, so no node's map, queue or event keeps it."""
+    gc.collect()
+    return sum(isinstance(obj, _Flow) for obj in gc.get_objects())
 
 
 class TestDelayArithmetic:
@@ -192,12 +202,11 @@ class TestStreams:
         net.add_node(Dark())
         net.add_node(Node("a"))
         net.run()
-        before = len(net._flows)
+        before = live_flows()
         for i in range(25):
             net.inject_syn((f"10.0.0.{i}", 555), ("b", 9), attacker="a")
         net.run()
-        assert len(net._flows) == before
-        assert net._by_local == {}
+        assert live_flows() == before
 
     @pytest.mark.parametrize("bound", [True, False], ids=["unbound-port", "no-node"])
     def test_unanswered_spoofed_flows_are_forgotten(self, bound):
@@ -206,27 +215,72 @@ class TestStreams:
             net.add_node(Sink("b"))  # listens on 9 only
         net.add_node(Node("a"))
         net.run()
-        before = len(net._flows)
+        before = live_flows()
         for i in range(1000):
             net.inject_syn((f"10.0.{i // 256}.{i % 256}", 555), ("b", 1234), attacker="a")
         net.run(until=200.0)
-        assert len(net._flows) == before
-        assert net._by_local == {}
+        assert live_flows() == before
 
     def test_timed_out_spoofed_flows_are_forgotten(self):
         net = SimNet(Topology(two_way("a", "b")), seed=1, handshake_timeout=5.0)
         net.add_node(Sink("b"))
         net.add_node(Node("a"))
         net.run()
-        before = len(net._flows)
+        before = live_flows()
         for i in range(25):
             net.inject_syn((f"10.0.0.{i}", 555), ("b", 9), attacker="a")
         net.run(until=4.0)
-        assert len(net._flows) == before + 25
+        assert live_flows() == before + 25
         assert net.half_open_count("b") == 25
         net.run(until=6.0)
-        assert len(net._flows) == before
+        assert live_flows() == before
         assert net.half_open_count("b") == 0
+
+    def test_timeouts_keep_their_place_among_ties(self):
+        # a flow times out at exactly (accept time + timeout, the sequence
+        # number drawn at accept): a callback scheduled for that instant
+        # before the accept runs first, one scheduled after it runs after.
+        # The second flow's timeout is scheduled when the first one's fires.
+        net = SimNet(Topology(two_way("a", "b")), seed=1, handshake_timeout=5.0)
+        net.add_node(Sink("b"))
+        net.add_node(Node("a"))
+        seen = []
+
+        def read():
+            seen.append(net.half_open_count("b"))
+
+        for i, start in enumerate((0.0, 1.0)):
+            net.run(until=start)
+            net.inject_syn((f"10.0.0.{i}", 555), ("b", 9), attacker="a")
+            accepted_at = net.trace[-1].delivered  # the Sink accepts as the SYN arrives
+            deadline = accepted_at + net.handshake_timeout
+            net.call_at(deadline, read)
+            net.call_at(accepted_at, lambda deadline=deadline: net.call_at(deadline, read))
+        net.run()
+        assert seen == [2, 1, 1, 0]
+
+    def test_half_open_flow_memory(self):
+        # what the net keeps for each half-open spoofed flow of a SYN flood
+        n = 20_000
+        net = SimNet(Topology(two_way("a", "b")), seed=1)
+        net.trace = deque(maxlen=0)  # keep no trace records
+        sink = Sink("b")
+        net.add_node(sink)
+        net.add_node(Node("a"))
+        net.run()
+        syns = [(f"10.66.{i // 250 % 250}.{i % 250 + 1}", 1024 + i) for i in range(n)]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for src in syns:
+                net.inject_syn(src, ("b", 9), attacker="a")
+            net.run(until=1.0)
+            sink.accepted.clear()  # the node's own record of each accept, not the net's
+            grown = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert net.half_open_count("b") == n
+        assert grown / n <= 360
 
     def test_declined_real_flow_is_kept_for_its_close(self):
         net = make_net()
