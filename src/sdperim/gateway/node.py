@@ -12,6 +12,11 @@ Default posture is drop-everything. Three kinds of traffic get through:
   byte-for-byte onto a gateway-originated connection to the protected
   service and tracked until closed or idle.
 
+The relay gate is structural, so any sender can write one. At most
+``RELAY_GATE_CAP`` gates are kept, in deadline order: a full table evicts
+its oldest gate, the sweep stops at the first live one, and the hello a
+gate admits spends it.
+
 Rules expire after their TTL; tracked connections survive rule expiry.
 Every verdict is logged as one structured record.
 """
@@ -19,6 +24,7 @@ Every verdict is logged as one structured record.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import takewhile
 
 from .. import spa
 from ..credentials import CredentialError, HandshakeInitiator, Identity, PeerRole
@@ -38,6 +44,7 @@ from ..wire import F, Kind, WireError, decode_frame, encode_frame, parse_service
 from .filtering import FORWARD, FilterEngine
 
 GATE_WINDOW = 60.0
+RELAY_GATE_CAP = 1024  # relay gates kept at once; a keyless sender can write one per datagram
 REGISTER_RETRY = 2.0
 
 
@@ -54,7 +61,6 @@ class _RelayGate:
     client_id: bytes
     spa_bytes: bytes
     deadline: float
-    consumed: bool = False
 
 
 @dataclass
@@ -172,7 +178,11 @@ class GatewayNode(Node):
             return [Log({"event": "spa", "verdict": "drop", "reason": "malformed", "src": src[0]})]
         if pkt.target == spa.TargetRole.CONTROLLER:
             # structural gate only; the controller is the verifier of record
-            self.relay_gate[src[0]] = _RelayGate(pkt.client_id, data, now + GATE_WINDOW)
+            gates = self.relay_gate
+            gates.pop(src[0], None)  # a re-sent SPA moves to the back, so the table stays in deadline order
+            if len(gates) >= RELAY_GATE_CAP:
+                del gates[next(iter(gates))]  # the oldest gate goes first
+            gates[src[0]] = _RelayGate(pkt.client_id, data, now + GATE_WINDOW)
             return [Log({"event": "spa", "verdict": "gate-relay", "src": src[0], "client": pkt.client_id.hex()})]
         verdict = self.client_store.verify(pkt, now)
         if verdict is not spa.SpaVerdict.ACCEPT:
@@ -185,7 +195,7 @@ class GatewayNode(Node):
     def on_stream_request(self, flow, port, src, now):
         if port == self.relay_port:
             gate = self.relay_gate.get(src[0])
-            if not self.registered or gate is None or gate.consumed or gate.deadline < now:
+            if not self.registered or gate is None or gate.deadline < now:
                 return [Log({"event": "stream", "verdict": "drop", "reason": "ungated", "src": src[0], "port": port})]
             self._flow_src[flow] = (src, gate.deadline)
             return [AcceptStream(flow)]
@@ -246,9 +256,9 @@ class GatewayNode(Node):
         except WireError:
             return self._drop_relay(flow, src, "malformed")
         gate = self.relay_gate.get(src[0])
-        if gate is None or gate.consumed or gate.client_id != subject or gate.deadline < now:
+        if gate is None or gate.client_id != subject or gate.deadline < now:
             return self._drop_relay(flow, src, "gate-mismatch")
-        gate.consumed = True
+        del self.relay_gate[src[0]]  # spent: a second stream from this source is ungated
         relay = _RelayFlow(flow=flow, relay_id=self._next_relay_id, client_id=subject, src=src)
         self._next_relay_id += 1
         self.relay_flows[flow] = relay
@@ -446,7 +456,8 @@ class GatewayNode(Node):
         if key == "sweep":
             expired = self.engine.expire_rules(now)
             idled = self.engine.expire_idle(now, self.conntrack_idle)
-            for host in [h for h, g in self.relay_gate.items() if g.deadline < now]:
+            # deadline order: expired gates are at the front
+            for host in list(takewhile(lambda h: self.relay_gate[h].deadline < now, self.relay_gate)):
                 del self.relay_gate[host]
             actions = [SetTimer("sweep", self.sweep_tick)]
             for flow in [f for f, (_, deadline) in self._flow_src.items() if deadline < now]:

@@ -28,7 +28,7 @@ asyncio transport, whose ``connection_made`` reports ``on_connected``;
 writes the node issues before then wait on the stream. The kernel still
 completes the handshake and sends the SYN-ACK for every source, so a SYN
 scan sees the port open; withholding it with ``SO_ATTACH_FILTER`` is
-ROADMAP Direction 5.
+ROADMAP Direction 7.
 """
 
 from __future__ import annotations

@@ -25,7 +25,8 @@ still times out at its own (accept time + timeout, sequence number), the
 number it drew at accept, so expiries fall among other events, and trace
 sequence numbers run, exactly as with one timeout event per flow. A spoofed
 flow keeps only its source host (its port is the flow's initiator port) and
-is forgotten once declined or timed out.
+is forgotten once declined or timed out. Both endpoints forget a real flow
+once it is closed: by either side, by a refused or timed-out handshake.
 """
 
 from __future__ import annotations
@@ -322,8 +323,7 @@ class SimNet:
         if flow.timeout_seq:
             self._settle(flow)
             flow.state = "closed"
-            if flow.spoofed_host is not None:
-                self._forget(flow)
+            self._forget(flow)
         while pending and not pending[0].timeout_seq:
             pending.popleft()
         if pending:
@@ -348,6 +348,7 @@ class SimNet:
             return
         peer = self._peer(flow, name)
         flow.state = "closed"
+        self._forget(flow)  # the close segment in flight carries the flow itself
         if name == flow.acc_node:
             self._settle(flow)
         if peer is None:
@@ -409,6 +410,7 @@ class SimNet:
             node = self.nodes.get(flow.init_node)
             if node is not None and flow.state == "syn-sent":
                 flow.state = "closed"
+                self._forget(flow)
                 self.act(node, node.on_connect_failed(flow.init_local, "refused", self.clock))
 
     def _on_syn(self, flow: _Flow) -> None:
@@ -426,12 +428,18 @@ class SimNet:
         self._by_local[host][flow.acc_local] = flow
         src = (flow.spoofed_host if flow.spoofed_host is not None else flow.init_node, flow.init_port)
         self.act(node, node.on_stream_request(flow.acc_local, port, src, self.clock))
-        if flow.spoofed_host is not None and flow.state == "syn-sent":
-            self._forget(flow)  # declined, and no real initiator can close it
+        if flow.state == "closed" or (flow.spoofed_host is not None and flow.state == "syn-sent"):
+            # closed by its initiator before the syn arrived, or a spoofed
+            # flow declined, which no real initiator can close
+            self._forget(flow)
 
     def _forget(self, flow: _Flow) -> None:
-        """Drop a dead spoofed flow: only the acceptor ever knew it."""
-        del self._by_local[flow.acc_node][flow.acc_local]
+        """Drop a closed or dead flow from both endpoints' maps; either entry
+        may be gone already. A spoofed initiator has none."""
+        if flow.spoofed_host is None:
+            self._by_local[flow.init_node].pop(flow.init_local, None)
+        if flow.acc_node is not None:
+            self._by_local[flow.acc_node].pop(flow.acc_local, None)
 
     def _on_accept(self, flow: _Flow) -> None:
         # accept segment arrives at the initiator

@@ -10,11 +10,13 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdperim import spa
 from sdperim.client import ClientNode, Phase
 from sdperim.deploy import build_sim, default_config
-from sdperim.gateway.node import GATE_WINDOW
+from sdperim.gateway.node import GATE_WINDOW, RELAY_GATE_CAP
 from sdperim.transport.base import Node, OpenStream, Send, SendDatagram
 from sdperim.transport.sim import PROTOCOL_CLASSES, two_way
 from sdperim.wire import F, Kind, encode_frame
@@ -406,6 +408,17 @@ class TestDeviceValidation:
         assert dep.controller.session_count() == 0
 
 
+def forged_spa(now, client_id=b"\x99" * 16):
+    """A controller-target SPA under a made-up key: it passes the gateway's
+    structural gate, so it writes a relay gate for its source."""
+    key = spa.SpaKey(client_id, b"\x98" * 32)
+    return spa.build_spa(key, 1, spa.TargetRole.CONTROLLER, now, b"\x00" * spa.NONCE_LEN).encode()
+
+
+def forged_src(i):
+    return (f"10.{i >> 16 & 255}.{i >> 8 & 255}.{i & 255}", 40000)
+
+
 class TestDarkness:
     def test_fuzz_unknown_host_never_gets_a_byte(self):
         # every port the perimeter guards: first-contact, relay, service
@@ -468,9 +481,7 @@ class TestDarkness:
         forger = Forger("client")
         dep.net.add_node(forger)
         before = len(dep.net.trace)
-        packet = spa.build_spa(spa.SpaKey(b"\x99" * 16, b"\x98" * 32), 1, spa.TargetRole.CONTROLLER,
-                               dep.net.clock, b"\x00" * spa.NONCE_LEN)
-        dep.net.act(forger, [SendDatagram(("gateway", 62201), packet.encode())])
+        dep.net.act(forger, [SendDatagram(("gateway", 62201), forged_spa(dep.net.clock))])
         dep.net.run(until=dep.net.clock + 0.5)
         flow = forger.new_flow()
         dep.net.act(forger, [OpenStream(flow, ("gateway", 5000))])
@@ -496,9 +507,7 @@ class TestDarkness:
 
         forger = Silent("client")
         dep.net.add_node(forger)
-        packet = spa.build_spa(spa.SpaKey(b"\x99" * 16, b"\x98" * 32), 1, spa.TargetRole.CONTROLLER,
-                               dep.net.clock, b"\x00" * spa.NONCE_LEN)
-        dep.net.act(forger, [SendDatagram(("gateway", 62201), packet.encode())])
+        dep.net.act(forger, [SendDatagram(("gateway", 62201), forged_spa(dep.net.clock))])
         dep.net.run(until=dep.net.clock + 0.5)
         flows = [forger.new_flow() for _ in range(50)]
         dep.net.act(forger, [OpenStream(flow, ("gateway", 5000)) for flow in flows])
@@ -518,6 +527,83 @@ class TestDarkness:
         allowed = dep.controller.authorized_pairs()
         assert (client.session.client_id, "echo-cloud") in allowed
         assert dep.gateway().engine.rule_count() == 1
+
+
+class TestRelayGate:
+    def test_forged_gates_are_capped_oldest_first(self):
+        dep = authed_deployment()
+        gw = dep.gateway()
+        packet, now = forged_spa(dep.net.clock), dep.net.clock
+        for i in range(RELAY_GATE_CAP + 500):
+            gw.on_datagram(gw.spa_port, forged_src(i), packet, now + i * 1e-3)
+        assert list(gw.relay_gate) == [forged_src(i)[0] for i in range(500, RELAY_GATE_CAP + 500)]
+
+    def test_resent_spa_survives_the_sweep_at_its_first_deadline(self):
+        dep = authed_deployment()
+        gw = dep.gateway()
+        t0 = dep.net.clock
+        packet = forged_spa(t0)
+        gw.on_datagram(gw.spa_port, forged_src(1), packet, t0)
+        gw.on_datagram(gw.spa_port, forged_src(2), packet, t0 + 10.0)
+        gw.on_datagram(gw.spa_port, forged_src(1), packet, t0 + 30.0)  # re-sent: now the newest gate
+        gw.on_timer("sweep", t0 + GATE_WINDOW + 15.0)
+        assert list(gw.relay_gate) == [forged_src(1)[0]]
+
+    def test_hello_spends_the_gate(self):
+        dep = authed_deployment()
+        client = connect_client(dep)
+        assert client.ready
+        assert "client" not in dep.gateway().relay_gate
+        dep.net.act(client, [OpenStream(client.new_flow(), ("gateway", 5000))])
+        dep.net.run(until=dep.net.clock + 1.0)
+        streams = [r for r in dep.net.logs["gateway"] if r.get("event") == "stream"]
+        assert [(r["reason"], r["src"]) for r in streams] == [("ungated", "client")]
+
+    def test_client_authenticates_right_after_a_cap_sized_flood(self):
+        dep = authed_deployment()
+        gw = dep.gateway()
+        packet = forged_spa(dep.net.clock)
+        for i in range(RELAY_GATE_CAP):
+            gw.on_datagram(gw.spa_port, forged_src(i), packet, dep.net.clock)
+        assert len(gw.relay_gate) == RELAY_GATE_CAP
+        client = connect_client(dep)
+        assert client.ready and not client.failed
+        assert client.session.phase is Phase.AUTHENTICATED
+
+    def test_table_stays_bounded_ordered_and_swept(self):
+        # keyless input only: bursts of forged controller-target SPAs from a
+        # pool of sources (so sources repeat), clock advances and sweeps
+        gw = build_sim(default_config(seed=7), start_clients=False).gateway()
+        packets = [forged_spa(0.0, bytes([i]) * 16) for i in range(8)]
+        step = st.one_of(
+            st.tuples(st.just("spa"), st.integers(1, 2000), st.integers(1, 4000), st.integers(0, 2**16)),
+            st.tuples(st.just("advance"), st.floats(0.0, 1.5 * GATE_WINDOW)),
+            st.tuples(st.just("sweep")),
+        )
+
+        @settings(max_examples=100, derandomize=True, deadline=None)
+        @given(st.lists(step, max_size=12))
+        def check(steps):
+            gw.relay_gate.clear()
+            now = 0.0
+            for op, *args in steps:
+                if op == "spa":
+                    count, pool, seed = args
+                    rng = random.Random(seed)
+                    for _ in range(count):
+                        src = forged_src(rng.randrange(pool))
+                        gw.on_datagram(gw.spa_port, src, rng.choice(packets), now)
+                    assert next(reversed(gw.relay_gate)) == src[0]  # the newest write is never evicted
+                elif op == "advance":
+                    now += args[0]
+                else:
+                    gw.on_timer("sweep", now)
+                    assert all(g.deadline >= now for g in gw.relay_gate.values())
+                deadlines = [g.deadline for g in gw.relay_gate.values()]
+                assert len(deadlines) <= RELAY_GATE_CAP
+                assert deadlines == sorted(deadlines)
+
+        check()
 
 
 class TestGatewayIntegrity:

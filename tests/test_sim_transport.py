@@ -292,6 +292,28 @@ class TestStreams:
         net.run()
         assert [r.cls for r in net.trace if r.src == "a"] == ["syn", "close"]
 
+    @pytest.mark.parametrize("ending", ["initiator-closes", "acceptor-closes", "closed-before-syn", "refused"])
+    def test_closed_streams_are_forgotten(self, ending):
+        class Hangup(Sink):
+            def on_connected(self, flow, now):
+                return [Close(flow)]
+
+        net = make_net()
+        net.add_node(Hangup("b") if ending == "acceptor-closes" else Sink("b"))
+        opener = Hangup("a") if ending == "initiator-closes" else Node("a")
+        net.add_node(opener)
+        net.run()
+        before = live_flows()
+        port = 1234 if ending == "refused" else 9
+        for _ in range(500):
+            flow = opener.new_flow()
+            net.act(opener, [OpenStream(flow, ("b", port), RAW)])
+            if ending == "closed-before-syn":
+                net.act(opener, [Close(flow)])
+        net.run()
+        assert live_flows() == before
+        assert net._by_local == {"a": {}, "b": {}}
+
 
 class TestTrace:
     def test_empty_run_empty_trace(self):
