@@ -15,7 +15,9 @@ Default posture is drop-everything. Three kinds of traffic get through:
 The relay gate is structural, so any sender can write one. At most
 ``RELAY_GATE_CAP`` gates are kept, in deadline order: a full table evicts
 its oldest gate, the sweep stops at the first live one, and the hello a
-gate admits spends it.
+gate admits spends it. The streams gates admit wait for their hello under
+the same cap, oldest closed first, and one per source: a newer stream from
+a source closes the older one, which a retrying client has abandoned.
 
 Rules expire after their TTL; tracked connections survive rule expiry.
 Every verdict is logged as one structured record.
@@ -130,6 +132,7 @@ class GatewayNode(Node):
         self._counter = spa.SpaCounterSource()
         self.splices: dict[int, _Splice] = {}  # both flow ids point at the same record
         self._flow_src: dict[int, tuple] = {}  # relay stream awaiting its hello -> (src, gate deadline)
+        self._hello_flow: dict[str, int] = {}  # source ip -> its one relay stream awaiting a hello
 
     # -- upstream channel -----------------------------------------------------
 
@@ -197,8 +200,17 @@ class GatewayNode(Node):
             gate = self.relay_gate.get(src[0])
             if not self.registered or gate is None or gate.deadline < now:
                 return [Log({"event": "stream", "verdict": "drop", "reason": "ungated", "src": src[0], "port": port})]
+            actions = []
+            older = self._hello_flow.get(src[0])
+            if older is not None:  # one stream per source awaits a hello; a retrying client abandoned the older
+                actions = self._drop_relay(older, self._end_hello_wait(older), "superseded")
+            elif len(self._flow_src) >= RELAY_GATE_CAP:
+                oldest = next(iter(self._flow_src))
+                actions = self._drop_relay(oldest, self._end_hello_wait(oldest), "evicted")
             self._flow_src[flow] = (src, gate.deadline)
-            return [AcceptStream(flow)]
+            self._hello_flow[src[0]] = flow
+            actions.append(AcceptStream(flow))
+            return actions
         binding = self.by_public_port.get(port)
         if binding is None:
             return []
@@ -246,8 +258,13 @@ class GatewayNode(Node):
             return self._on_splice_data(splice, flow, data, now)
         return []
 
-    def _on_first_relay_frame(self, flow, data, now):
+    def _end_hello_wait(self, flow):
         src, _ = self._flow_src.pop(flow)
+        del self._hello_flow[src[0]]
+        return src
+
+    def _on_first_relay_frame(self, flow, data, now):
+        src = self._end_hello_wait(flow)
         try:
             kind, fields = decode_frame(data)
             if kind != Kind.CHANNEL_HELLO:
@@ -447,7 +464,8 @@ class GatewayNode(Node):
         splice = self.splices.get(flow)
         if splice is not None:
             return self._teardown_splice(splice, "peer-closed")
-        self._flow_src.pop(flow, None)
+        if flow in self._flow_src:
+            self._end_hello_wait(flow)
         return []
 
     # -- timers --------------------------------------------------------------------
@@ -461,7 +479,7 @@ class GatewayNode(Node):
                 del self.relay_gate[host]
             actions = [SetTimer("sweep", self.sweep_tick)]
             for flow in [f for f, (_, deadline) in self._flow_src.items() if deadline < now]:
-                actions += self._drop_relay(flow, self._flow_src.pop(flow)[0], "hello-timeout")
+                actions += self._drop_relay(flow, self._end_hello_wait(flow), "hello-timeout")
             if expired or idled:
                 actions.append(Log({"event": "sweep", "rules_expired": expired, "conns_idled": idled}))
             return actions

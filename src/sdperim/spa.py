@@ -24,6 +24,7 @@ import os
 import struct
 import threading
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 MAGIC = b"SDP1"
 VERSION = 1
@@ -44,6 +45,9 @@ _COUNTER_MAX = 2**64 - 1
 class TargetRole(enum.IntEnum):
     CONTROLLER = 1
     GATEWAY = 2
+
+
+_ROLES = {role.value: role for role in TargetRole}  # a lookup, not an enum call, per parsed packet
 
 
 class SpaVerdict(enum.Enum):
@@ -75,8 +79,10 @@ class SpaKey:
         return f"SpaKey(client_id={self.client_id.hex()}, secret=<redacted>)"
 
 
-@dataclass(frozen=True)
-class SpaPacket:
+class SpaPacket(NamedTuple):
+    """A decoded packet. Immutable, and a tuple so that building one per
+    parsed datagram costs no dataclass ``__init__``."""
+
     client_id: bytes
     counter: int
     timestamp: int
@@ -120,22 +126,8 @@ def build_spa(key: SpaKey, counter: int, target: TargetRole, now: float, nonce: 
         nonce = os.urandom(NONCE_LEN)
     if len(nonce) != NONCE_LEN:
         raise ValueError(f"nonce must be {NONCE_LEN} bytes")
-    pkt = SpaPacket(
-        client_id=key.client_id,
-        counter=counter,
-        timestamp=int(now),
-        target=TargetRole(target),
-        nonce=nonce,
-        auth_tag=b"",
-    )
-    return SpaPacket(
-        client_id=pkt.client_id,
-        counter=pkt.counter,
-        timestamp=pkt.timestamp,
-        target=pkt.target,
-        nonce=pkt.nonce,
-        auth_tag=_tag(key.secret, pkt.signed_portion()),
-    )
+    pkt = SpaPacket(key.client_id, counter, int(now), TargetRole(target), nonce, b"")
+    return pkt._replace(auth_tag=_tag(key.secret, pkt.signed_portion()))
 
 
 def parse_spa(data: bytes) -> SpaPacket | None:
@@ -143,12 +135,11 @@ def parse_spa(data: bytes) -> SpaPacket | None:
     SPA packet (wrong length, magic, version, or role byte)."""
     if len(data) != PACKET_LEN:
         return None
-    magic, version, role, client_id, counter, timestamp, nonce, reserved = _LAYOUT.unpack(data[:_SIGNED_LEN])
+    magic, version, role, client_id, counter, timestamp, nonce, reserved = _LAYOUT.unpack_from(data)
     if magic != MAGIC or version != VERSION or reserved != b"\x00" * 4:
         return None
-    try:
-        target = TargetRole(role)
-    except ValueError:
+    target = _ROLES.get(role)
+    if target is None:
         return None
     return SpaPacket(client_id, counter, timestamp, target, nonce, data[_SIGNED_LEN:])
 

@@ -20,15 +20,23 @@ into a fresh 256 KiB ``bytes`` and shrinks it, and the result keeps a private
 gateway keeps each controller-target SPA datagram for its gate window, so
 under a keyless flood a page per datagram would be most of its memory.
 
-TCP listeners are watched the same way. Each wakeup accepts one socket and
-asks the node with the peer address ``accept`` returned. A declined stream
-(or one whose hook raised) is closed raw, before any payload byte, with no
-transport, task or selector registration. Only an accepted socket gets an
-asyncio transport, whose ``connection_made`` reports ``on_connected``;
+TCP listeners are watched the same way. Each wakeup accepts one
+connection as a bare descriptor (``socket._accept``, which
+``socket.accept`` wraps) and asks the node with the peer address it
+returned. A declined stream (or one whose hook raised) costs one
+``os.close``, before any payload byte, with no socket object, transport,
+task or selector registration. Only an accepted stream gets a socket and
+an asyncio transport, whose ``connection_made`` reports ``on_connected``;
 writes the node issues before then wait on the stream. The kernel still
 completes the handshake and sends the SYN-ACK for every source, so a SYN
 scan sees the port open; withholding it with ``SO_ATTACH_FILTER`` is
 ROADMAP Direction 7.
+
+Every ``Log`` record is kept in memory (the newest ``LOG_KEEP``) and, with a
+log file, written there as one JSON line: one encoder built per process,
+not one per record as ``json.dumps`` builds, gives the bytes of
+``json.dumps(record, sort_keys=True)``, and the line goes to the kernel in
+one ``os.write``, so it is in the file before the next event runs.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ from __future__ import annotations
 import asyncio
 import errno
 import json
+import os
 import socket
 import time
 from collections import deque
@@ -69,6 +78,20 @@ ACCEPT_RETRY_DELAY = 1.0
 ACCEPT_RESOURCE_ERRNOS = (errno.EMFILE, errno.ENFILE, errno.ENOBUFS, errno.ENOMEM)
 TCP_BACKLOG = 100
 
+# The one encoder of every log line (see the module docstring). Records are
+# flat, so the C encoder skips the circular-reference check.
+_JSON = json.JSONEncoder(sort_keys=True)
+if json.encoder.c_make_encoder is None:
+    _encode_record = _JSON.encode
+else:
+    _c_encode = json.encoder.c_make_encoder(
+        None, _JSON.default, json.encoder.encode_basestring_ascii, None,
+        _JSON.key_separator, _JSON.item_separator, _JSON.sort_keys, _JSON.skipkeys, _JSON.allow_nan,
+    )
+
+    def _encode_record(record: dict) -> str:
+        return "".join(_c_encode(record, 0))
+
 
 class _Stream(asyncio.Protocol):
     """One TCP stream of one flow: an inbound one is made when its socket is
@@ -77,10 +100,10 @@ class _Stream(asyncio.Protocol):
     before the transport exists wait in ``pending``; a close before then
     drops them with the socket."""
 
-    def __init__(self, host: "RealHost", mode: str, flow: int, sock: socket.socket | None = None):
+    def __init__(self, host: "RealHost", mode: str, flow: int):
         self.host = host
         self.flow = flow
-        self.sock = sock
+        self.sock: socket.socket | None = None
         self.transport = None
         self.pending: list[bytes] = []
         self.splitter = FrameSplitter() if mode == FRAMED else None
@@ -141,7 +164,7 @@ class RealHost:
         self.bind_host = bind_host
         self.logs: deque[dict] = deque(maxlen=LOG_KEEP)
         self._log_path = log_path
-        self._log_fh = None
+        self._log_fd: int | None = None
         self._flows: dict[int, _Stream] = {}
         self._timers: dict[str, asyncio.TimerHandle] = {}
         self._listeners: list[socket.socket] = []
@@ -156,7 +179,7 @@ class RealHost:
     async def start(self):
         loop = asyncio.get_running_loop()
         if self._log_path is not None:
-            self._log_fh = open(self._log_path, "a", encoding="utf-8")
+            self._log_fd = os.open(self._log_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o666)
         for port in self.node.udp_ports:
             sock = self._bind(port, socket.SOCK_DGRAM)
             loop.add_reader(sock, self._read_datagram, sock, port)
@@ -187,9 +210,9 @@ class RealHost:
             task.cancel()
         if self._tasks:
             await asyncio.gather(*self._tasks, return_exceptions=True)
-        if self._log_fh is not None:
-            self._log_fh.close()
-            self._log_fh = None
+        if self._log_fd is not None:
+            os.close(self._log_fd)
+            self._log_fd = None
 
     async def call(self, fn):
         """Run a node API call (e.g. ``lambda now: node.open_service(...)``)
@@ -234,7 +257,7 @@ class RealHost:
         # One socket per wakeup, like _read_datagram; the node decides before
         # asyncio builds anything for it.
         try:
-            sock, peer = lsock.accept()
+            fd, peer = lsock._accept()  # what socket.accept calls, less the socket object
         except (BlockingIOError, InterruptedError, ConnectionAbortedError):
             return  # nothing waiting, or the initiator gave up first
         except OSError as exc:
@@ -246,15 +269,19 @@ class RealHost:
             loop.call_later(ACCEPT_RETRY_DELAY, self._listen, lsock, port, mode)
             return
         flow = self.node.new_flow()
-        stream = _Stream(self, mode, flow, sock)
+        stream = _Stream(self, mode, flow)
         self._flows[flow] = stream
+        attach = False
         try:
             self._execute(self.node.on_stream_request(flow, port, peer, time.time()))
+            attach = stream.accepted and not stream.closed
         finally:
-            if not stream.accepted:
-                # declined (or the hook raised): sever before any payload byte
+            if not attach:
+                # declined, closed at once, or the hook raised: sever before any payload byte
                 stream.close()
-        if not stream.closed:
+                os.close(fd)
+        if attach:
+            stream.sock = socket.socket(lsock.family, lsock.type, lsock.proto, fileno=fd)
             self._spawn(self._attach(stream))
 
     async def _attach(self, stream: _Stream):
@@ -267,7 +294,12 @@ class RealHost:
 
     def _execute(self, actions):
         for action in actions or ():
-            if isinstance(action, SendDatagram):
+            if isinstance(action, Log):  # first: most events under a flood are a logged drop
+                record = {"ts": time.time(), **action.record}
+                self.logs.append(record)
+                if self._log_fd is not None:
+                    self._write_log(record)
+            elif isinstance(action, SendDatagram):
                 if self._udp_send is not None:
                     self._udp_send.sendto(action.data, action.dst)
             elif isinstance(action, OpenStream):
@@ -292,12 +324,15 @@ class RealHost:
                 handle = self._timers.pop(action.key, None)
                 if handle is not None:
                     handle.cancel()
-            elif isinstance(action, Log):
-                record = {"ts": time.time(), **action.record}
-                self.logs.append(record)
-                if self._log_fh is not None:
-                    self._log_fh.write(json.dumps(record, sort_keys=True) + "\n")
-                    self._log_fh.flush()
+
+    def _write_log(self, record: dict):
+        # one write per line, straight to the kernel, so the line is in the
+        # file before the next event runs
+        line = (_encode_record(record) + "\n").encode()
+        n = os.write(self._log_fd, line)
+        while n < len(line):  # a short write: hand over the rest
+            line = line[n:]
+            n = os.write(self._log_fd, line)
 
     def _spawn(self, coro):
         task = asyncio.ensure_future(coro)

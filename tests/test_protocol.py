@@ -17,7 +17,7 @@ from sdperim import spa
 from sdperim.client import ClientNode, Phase
 from sdperim.deploy import build_sim, default_config
 from sdperim.gateway.node import GATE_WINDOW, RELAY_GATE_CAP
-from sdperim.transport.base import Node, OpenStream, Send, SendDatagram
+from sdperim.transport.base import Close, Log, Node, OpenStream, Send, SendDatagram
 from sdperim.transport.sim import PROTOCOL_CLASSES, two_way
 from sdperim.wire import F, Kind, encode_frame
 
@@ -512,12 +512,14 @@ class TestDarkness:
         flows = [forger.new_flow() for _ in range(50)]
         dep.net.act(forger, [OpenStream(flow, ("gateway", 5000)) for flow in flows])
         dep.net.run(until=dep.net.clock + 1.0)
-        assert len(dep.gateway()._flow_src) == 50
+        # one stream per source awaits its hello: each newer one closed the older
+        assert len(dep.gateway()._flow_src) == 1
+        assert sorted(forger.closed) == flows[:-1]
         dep.net.run(until=dep.net.clock + GATE_WINDOW + 2 * dep.gateway().sweep_tick)
         assert sorted(forger.closed) == flows
-        assert dep.gateway()._flow_src == {}
+        assert dep.gateway()._flow_src == {} and dep.gateway()._hello_flow == {}
         relay = [r["reason"] for r in dep.net.logs["gateway"] if r.get("event") == "relay"]
-        assert relay == ["hello-timeout"] * 50
+        assert relay == ["superseded"] * 49 + ["hello-timeout"]
 
     def test_least_privilege_rule_table_subset_of_records(self):
         dep = authed_deployment()
@@ -604,6 +606,69 @@ class TestRelayGate:
                 assert deadlines == sorted(deadlines)
 
         check()
+
+
+class TestHelloWait:
+    """Relay streams a live gate admitted, awaiting their first frame: at
+    most one per source, at most ``RELAY_GATE_CAP`` in all."""
+
+    def test_silent_streams_from_one_source_keep_one_entry(self):
+        dep = authed_deployment()
+        gw = dep.gateway()
+        forger = Node("client")
+        dep.net.add_node(forger)
+        dep.net.act(forger, [SendDatagram(("gateway", gw.spa_port), forged_spa(dep.net.clock))])
+        dep.net.run(until=dep.net.clock + 0.5)
+        dep.net.act(forger, [OpenStream(forger.new_flow(), ("gateway", gw.relay_port)) for _ in range(5000)])
+        dep.net.run(until=dep.net.clock + 5.0)
+        assert len(gw._flow_src) == 1 and len(gw.relay_gate) == 1
+        open_relay = [
+            f for f in dep.net._by_local["gateway"].values()
+            if f.acc_node == "gateway" and f.acc_addr[1] == gw.relay_port
+        ]
+        assert len(open_relay) == 1
+
+    def test_streams_awaiting_a_hello_are_capped_oldest_first(self):
+        dep = authed_deployment()
+        gw = dep.gateway()
+        packet, now = forged_spa(dep.net.clock), dep.net.clock
+        flows = []
+        for i in range(RELAY_GATE_CAP + 100):
+            gw.on_datagram(gw.spa_port, forged_src(i), packet, now)
+            flows.append(gw.new_flow())
+            actions = gw.on_stream_request(flows[-1], gw.relay_port, forged_src(i), now)
+            closed = [a.flow for a in actions if isinstance(a, Close)]
+            reasons = [a.record["reason"] for a in actions if isinstance(a, Log)]
+            if i < RELAY_GATE_CAP:
+                assert closed == [] and reasons == []
+            else:  # the oldest waiting stream goes
+                assert closed == [flows[i - RELAY_GATE_CAP]] and reasons == ["evicted"]
+        assert list(gw._flow_src) == flows[100:]
+        assert sorted(gw._hello_flow.values()) == flows[100:]
+
+    def test_client_whose_first_stream_sent_no_hello_authenticates_on_retry(self):
+        dep = authed_deployment()
+        client = dep.client()
+        muted = []
+        connected, retry = client.on_connected, client._retry_or_fail
+
+        def on_connected(flow, now):
+            if not muted:  # the first relay stream never sends its hello
+                muted.append(flow)
+                return []
+            return connected(flow, now)
+
+        def retry_or_fail(now, reason):
+            if client._relay_flow in muted:
+                client._relay_flow = None  # abandoned, not closed: the gateway must end it
+            return retry(now, reason)
+
+        client.on_connected, client._retry_or_fail = on_connected, retry_or_fail
+        connect_client(dep, client)
+        assert client.ready and client.session.phase is Phase.AUTHENTICATED
+        relay = [(r["verdict"], r.get("reason")) for r in dep.net.logs["gateway"] if r.get("event") == "relay"]
+        assert relay == [("drop", "superseded"), ("open", None)]
+        assert dep.gateway()._flow_src == {}
 
 
 class TestGatewayIntegrity:

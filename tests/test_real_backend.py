@@ -351,6 +351,52 @@ def test_logs_keep_newest_records_while_file_gets_all(tmp_path):
     assert [json.loads(line)["i"] for line in path.read_text().splitlines()] == list(range(LOG_KEEP + 5))
 
 
+# what perimbench reads: the gateway's log file, live and after the run
+LOG_CONTRACT_RECORDS = [
+    {"event": "register", "verdict": "ok"},
+    {"src": "10.0.0.1", "name": "g\u00e4tew\u00e4y \u2713 \u2028 \U0001f512", "esc": 'a"b\\c\n\t\x00'},
+    {"int": 7, "big": 2**70, "neg": -1, "float": 0.1, "tiny": 1e-300, "inf": float("inf"), "nan": float("nan")},
+    {"true": True, "false": False, "none": None},
+    {"list": [1, "two", 3.5, None, [False]], "empty": [], "nested": {"b": 1, "a": [2]}, "z": 1, "a": 2},
+]
+
+
+def test_log_lines_are_the_bytes_of_json_dumps(tmp_path):
+    path = tmp_path / "host.jsonl"
+    host = RealHost(ContractNode(), "127.0.0.40", log_path=str(path))
+    seen = []
+
+    async def main():
+        await host.start()
+        try:
+            for record in LOG_CONTRACT_RECORDS:
+                await host.call(lambda now: [Log(record)])
+                seen.append(path.read_bytes())  # each line is in the file once it is logged
+        finally:
+            await host.stop()
+
+    asyncio.run(main())
+    lines = [json.dumps(r, sort_keys=True) + "\n" for r in host.logs]
+    assert seen == ["".join(lines[: i + 1]).encode() for i in range(len(LOG_CONTRACT_RECORDS))]
+    records = [{k: v for k, v in r.items() if k != "ts"} for r in host.logs]  # NaN != NaN, so compare as JSON
+    assert [json.dumps(r, sort_keys=True) for r in records] == [json.dumps(r, sort_keys=True) for r in LOG_CONTRACT_RECORDS]
+
+
+def test_log_line_survives_short_writes(tmp_path, monkeypatch):
+    path = tmp_path / "host.jsonl"
+    host = RealHost(ContractNode(), log_path=str(path))
+    host._log_fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, bytes(data[:7])))
+    try:
+        for record in LOG_CONTRACT_RECORDS:
+            host._write_log(record)
+    finally:
+        monkeypatch.undo()
+        os.close(host._log_fd)
+    assert path.read_text() == "".join(json.dumps(r, sort_keys=True) + "\n" for r in LOG_CONTRACT_RECORDS)
+
+
 def test_datagrams_arrive_exactly():
     node = ContractNode(udp_ports=[21801])
     sizes = [0, spa.PACKET_LEN + 1, 65507]  # 65,507: the largest IPv4 UDP payload
@@ -471,7 +517,7 @@ class EmfileListener(socket.socket):
         super().__init__(socket.AF_INET, socket.SOCK_STREAM)
         self.accepts = []
 
-    def accept(self):
+    def _accept(self):
         self.accepts.append(time.monotonic())
         raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
 

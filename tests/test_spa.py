@@ -204,6 +204,78 @@ def test_any_delivery_order_accepts_only_increasing_counters(order):
     assert accepted
 
 
+# header fields of a 90-byte datagram, each drawn mostly valid and sometimes not
+spa_headers = st.fixed_dictionaries(
+    {
+        "magic": st.just(spa.MAGIC) | st.binary(min_size=4, max_size=4),
+        "version": st.just(spa.VERSION) | st.integers(0, 255),
+        "role": st.sampled_from([int(r) for r in spa.TargetRole]) | st.integers(0, 255),
+        "reserved": st.just(b"\x00" * 4) | st.binary(min_size=4, max_size=4),
+    }
+)
+spa_bodies = st.tuples(
+    st.binary(min_size=spa.CLIENT_ID_LEN, max_size=spa.CLIENT_ID_LEN),
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 2**64 - 1),
+    st.binary(min_size=spa.NONCE_LEN, max_size=spa.NONCE_LEN),
+    st.binary(min_size=spa.TAG_LEN, max_size=spa.TAG_LEN),
+)
+
+
+def spa_wire(head, body):
+    client_id, counter, timestamp, nonce, tag = body
+    layout = spa._LAYOUT.pack(head["magic"], head["version"], head["role"], client_id, counter, timestamp, nonce, head["reserved"])
+    return layout + tag
+
+
+@given(data=st.binary(max_size=2 * spa.PACKET_LEN) | st.builds(spa_wire, spa_headers, spa_bodies))
+@settings(max_examples=300, derandomize=True)
+def test_parse_is_none_or_round_trips(data):
+    pkt = spa.parse_spa(data)
+    assert pkt is None or pkt.encode() == data
+
+
+@given(head=spa_headers, body=spa_bodies)
+@settings(max_examples=300, derandomize=True)
+def test_parse_rejects_exactly_a_bad_header(head, body):
+    pkt = spa.parse_spa(spa_wire(head, body))
+    well_formed = (
+        head["magic"] == spa.MAGIC
+        and head["version"] == spa.VERSION
+        and head["role"] in {int(r) for r in spa.TargetRole}
+        and head["reserved"] == b"\x00" * 4
+    )
+    assert (pkt is not None) == well_formed
+    if pkt is not None:
+        assert pkt.target is spa.TargetRole(head["role"])
+        assert (pkt.client_id, pkt.counter, pkt.timestamp, pkt.nonce, pkt.auth_tag) == body
+
+
+@given(
+    verdict=st.sampled_from(spa.SpaVerdict),
+    counter=st.integers(1, 2**63),
+    skew=st.integers(-30, 30),
+    stale_by=st.integers(31, 10**6) | st.integers(-(10**6), -31),
+    target=st.sampled_from(spa.TargetRole),
+    nonce=st.binary(min_size=spa.NONCE_LEN, max_size=spa.NONCE_LEN),
+)
+@settings(max_examples=200, derandomize=True)
+def test_verdicts_of_parsed_packets(verdict, counter, skew, stale_by, target, nonce):
+    key = spa.SpaKey(b"\xaa" * 16, b"\x01" * 32)
+    store = fresh_store(key)
+    signer, ts = key, NOW + skew
+    if verdict is spa.SpaVerdict.BAD_TAG:
+        signer = spa.SpaKey(key.client_id, b"\x02" * 32)
+    elif verdict is spa.SpaVerdict.UNKNOWN_CLIENT:
+        signer = spa.SpaKey(b"\xbb" * 16, key.secret)
+    elif verdict is spa.SpaVerdict.STALE_TIMESTAMP:
+        ts = NOW + stale_by
+    pkt = spa.parse_spa(spa.build_spa(signer, counter, target, ts, nonce).encode())
+    if verdict is spa.SpaVerdict.REPLAY_DETECTED:
+        assert store.verify(pkt, NOW) is spa.SpaVerdict.ACCEPT
+    assert store.verify(pkt, NOW) is verdict
+
+
 class TestCounterSource:
     def test_monotone_and_restart_safe(self):
         src = spa.SpaCounterSource()
