@@ -17,7 +17,7 @@ from sdperim import spa
 from sdperim.client import ClientNode, Phase
 from sdperim.deploy import build_sim, default_config
 from sdperim.gateway.node import GATE_WINDOW, RELAY_GATE_CAP
-from sdperim.transport.base import Close, Log, Node, OpenStream, Send, SendDatagram
+from sdperim.transport.base import AcceptStream, Close, Log, Node, OpenStream, Send, SendDatagram
 from sdperim.transport.sim import PROTOCOL_CLASSES, two_way
 from sdperim.wire import F, Kind, encode_frame
 
@@ -645,6 +645,17 @@ class TestHelloWait:
                 assert closed == [flows[i - RELAY_GATE_CAP]] and reasons == ["evicted"]
         assert list(gw._flow_src) == flows[100:]
         assert sorted(gw._hello_flow.values()) == flows[100:]
+
+    def test_a_waiting_stream_its_source_closed_is_forgotten(self):
+        dep = authed_deployment()
+        gw = dep.gateway()
+        src, now = forged_src(1), dep.net.clock
+        gw.on_datagram(gw.spa_port, src, forged_spa(now), now)
+        first, second = gw.new_flow(), gw.new_flow()
+        assert gw.on_stream_request(first, gw.relay_port, src, now) == [AcceptStream(first)]
+        gw.on_closed(first, now)
+        assert gw._flow_src == {} and gw._hello_flow == {}
+        assert gw.on_stream_request(second, gw.relay_port, src, now) == [AcceptStream(second)]
 
     def test_client_whose_first_stream_sent_no_hello_authenticates_on_retry(self):
         dep = authed_deployment()
