@@ -96,9 +96,6 @@ class ClientNode(Node):
         self.relay_port = relay_port
         self.rng = rng
         self.validation_mode = validation_mode
-        self.spa_timeout = SPA_TIMEOUT
-        self.max_spa_attempts = MAX_SPA_ATTEMPTS
-        self.request_timeout = REQUEST_TIMEOUT
         self.session = ClientSession(client_id=spa_key.client_id)
         self.ready = False  # gateway confirmed the authorization material
         self.failed = False
@@ -132,7 +129,7 @@ class ClientNode(Node):
             [
                 SendDatagram((self.gateway_host, self.spa_port), packet.encode()),
                 OpenStream(self._relay_flow, (self.gateway_host, self.relay_port), FRAMED),
-                SetTimer("spa-timeout", self.spa_timeout),
+                SetTimer("spa-timeout", SPA_TIMEOUT),
             ]
         )
         return actions
@@ -174,7 +171,7 @@ class ClientNode(Node):
     def _retry_or_fail(self, now, reason):
         if self.ready:
             return []
-        if self._attempts >= self.max_spa_attempts:
+        if self._attempts >= MAX_SPA_ATTEMPTS:
             self.failed = True
             self.failure = reason
             return [Log({"event": "connect", "verdict": "failed", "reason": reason})]
@@ -292,7 +289,7 @@ class ClientNode(Node):
         return [
             SendDatagram((self.gateway_host, self.spa_port), packet.encode()),
             Send(self._relay_flow, request),
-            SetTimer(f"svc-timeout:{request_id}", self.request_timeout),
+            SetTimer(f"svc-timeout:{request_id}", REQUEST_TIMEOUT),
         ]
 
     def open_tunnel_stream(self, service_id: str):

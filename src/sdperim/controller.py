@@ -100,17 +100,9 @@ class _ClientCtx:
     observed_port: int
     responder: HandshakeResponder | None = None
     channel: object = None
-    session_id: bytes | None = None
+    session_id: bytes | None = None  # set at login with ``channel``: the conversation's session
     record: ClientRecord | None = None
-    active: bool = False  # services delivered and acknowledged
-    pending_nonce: bytes | None = None
-    validated: bool = True
-
-
-@dataclass
-class Session:
-    session_id: bytes
-    client_id: bytes
+    pending_nonce: bytes | None = None  # the device-validation challenge awaiting its answer
 
 
 class ControllerNode(Node):
@@ -148,8 +140,7 @@ class ControllerNode(Node):
         self.links: dict[int, _GatewayLink] = {}
         self.by_gateway: dict[bytes, _GatewayLink] = {}
         self.clients_ctx: dict[tuple[int, int], _ClientCtx] = {}
-        self.sessions: dict[bytes, Session] = {}
-        self._pending_auth: dict[int, dict] = {}
+        self._pending_auth: dict[int, tuple] = {}  # token -> (ctx, request id, service)
         self._next_request = 1
 
     # -- helpers ------------------------------------------------------------
@@ -183,7 +174,7 @@ class ControllerNode(Node):
         return self._client_send(ctx, Kind.CONNECTION_RESPONSE, [(F.REQUEST_ID, u32(request_id))] + verdict)
 
     def session_count(self) -> int:
-        return len(self.sessions)
+        return sum(1 for ctx in self.clients_ctx.values() if ctx.session_id is not None)
 
     def authorized_pairs(self) -> set[tuple[bytes, str]]:
         """Every (client, service) pair the records allow; gateway rule tables
@@ -224,11 +215,9 @@ class ControllerNode(Node):
         if link.gateway_id is not None:
             self.by_gateway.pop(link.gateway_id, None)
         for key in [k for k in self.clients_ctx if k[0] == flow]:
-            ctx = self.clients_ctx.pop(key)
             # channel gone: the session ends, but established service flows
             # are the gateway's business (expiry semantics, not revocation)
-            if ctx.session_id is not None:
-                self.sessions.pop(ctx.session_id, None)
+            del self.clients_ctx[key]
         return []
 
     def on_data(self, flow, data, now):
@@ -254,7 +243,7 @@ class ControllerNode(Node):
 
     def _on_hello(self, link, fields, now):
         subject = fields.need(F.SUBJECT_ID)
-        gate = self.gated.get(link.src[0])
+        gate = self.gated.pop(link.src[0], None)  # spent: a second stream from this source is ungated
         if gate is None or gate.subject_id != subject or gate.deadline < now:
             self.links.pop(link.flow, None)
             return [self._log(event="hello", verdict="drop", reason="gate-mismatch"), Close(link.flow)]
@@ -308,15 +297,12 @@ class ControllerNode(Node):
             ctx = self.clients_ctx.get((link.flow, fields.u32(F.FLOW)))
             if ctx is None or ctx.session_id is None:
                 return []
-            ctx.active = True
             interval = ctx.record.validation_interval
             return [SetTimer(f"validate:{ctx.gw.flow}:{ctx.relay_flow}", interval)]
         if kind == Kind.AH_ACK:
             return self._on_ah_ack(fields, now)
         if kind == Kind.RELAY_CLOSE:
-            ctx = self.clients_ctx.pop((link.flow, fields.u32(F.FLOW)), None)
-            if ctx is not None and ctx.session_id is not None:
-                self.sessions.pop(ctx.session_id, None)
+            self.clients_ctx.pop((link.flow, fields.u32(F.FLOW)), None)
             return []
         return [self._log(event="gateway-frame", verdict="ignored", kind=kind)]
 
@@ -362,8 +348,6 @@ class ControllerNode(Node):
         """Ends one relayed client conversation: its context and session go,
         ``log`` is recorded, and the gateway is told to close the relay flow."""
         self.clients_ctx.pop((ctx.gw.flow, ctx.relay_flow), None)
-        if ctx.session_id is not None:
-            self.sessions.pop(ctx.session_id, None)
         return [log, self._gw_send(ctx.gw, Kind.RELAY_CLOSE, [(F.FLOW, u32(ctx.relay_flow))])]
 
     def _on_login(self, ctx, fields, now):
@@ -382,7 +366,6 @@ class ControllerNode(Node):
             return self._end_conversation(ctx, log)
         ctx.channel = channel
         ctx.session_id = self.rng.randbytes(16)
-        self.sessions[ctx.session_id] = Session(ctx.session_id, ctx.client_id)
         actions = [
             self._log(event="login", verdict="ok", client=ctx.client_id.hex(), session=ctx.session_id.hex()),
             self._login_response(ctx),
@@ -437,8 +420,7 @@ class ControllerNode(Node):
         service_id = fields.text(F.SERVICE_ID)
         request_id = fields.u32(F.REQUEST_ID)
         svc = self.services.get(service_id)
-        session = self.sessions.get(ctx.session_id) if ctx.session_id else None
-        if session is None or svc is None or service_id not in ctx.record.authorized_services:
+        if svc is None or service_id not in ctx.record.authorized_services:
             return [
                 self._log(event="authorize", verdict="denied", reason="unauthorized", service=service_id),
                 self._connection_response(ctx, request_id, reason=b"unauthorized"),
@@ -451,12 +433,7 @@ class ControllerNode(Node):
             ]
         token = self._next_request
         self._next_request += 1
-        self._pending_auth[token] = {
-            "ctx": ctx,
-            "request_id": request_id,
-            "service_id": service_id,
-            "svc": svc,
-        }
+        self._pending_auth[token] = (ctx, request_id, svc)
         directive = [
             (F.REQUEST_ID, u32(token)),
             (F.SUBJECT_ID, ctx.client_id),
@@ -475,11 +452,11 @@ class ControllerNode(Node):
         pending = self._pending_auth.pop(token, None)
         if pending is None:
             return []
+        ctx, request_id, svc = pending
         if fields.need(F.OK)[0]:
-            response = self._connection_response(pending["ctx"], pending["request_id"], svc=pending["svc"])
+            response = self._connection_response(ctx, request_id, svc=svc)
         else:
-            reason = fields.get(F.REASON) or b"rejected"
-            response = self._connection_response(pending["ctx"], pending["request_id"], reason=reason)
+            response = self._connection_response(ctx, request_id, reason=fields.get(F.REASON) or b"rejected")
         return [CancelTimer(f"ahack:{token}"), response]
 
     # -- device validation -------------------------------------------------------
@@ -493,7 +470,6 @@ class ControllerNode(Node):
         if not verify_validation(cert, nonce, sig):
             return self._revoke(ctx, "validation-signature", now)
         ctx.pending_nonce = None
-        ctx.validated = True
         return [self._log(event="validate", verdict="ok", client=ctx.client_id.hex())]
 
     def on_timer(self, key, now):
@@ -502,10 +478,9 @@ class ControllerNode(Node):
             ctx = self.clients_ctx.get((int(gw_flow), int(relay_flow)))
             if ctx is None or ctx.channel is None:
                 return []
-            if ctx.pending_nonce is not None and not ctx.validated:
+            if ctx.pending_nonce is not None:  # the last challenge went unanswered
                 return self._revoke(ctx, "validation-timeout", now)
             ctx.pending_nonce = self.rng.randbytes(16)
-            ctx.validated = False
             return [
                 self._client_send(ctx, Kind.DEVICE_VALIDATE, [(F.NONCE, ctx.pending_nonce)]),
                 SetTimer(key, ctx.record.validation_interval),
@@ -515,16 +490,15 @@ class ControllerNode(Node):
             pending = self._pending_auth.pop(token, None)
             if pending is None:
                 return []
+            ctx, request_id, _ = pending
             return [
                 self._log(event="authorize", verdict="denied", reason="GatewayUnavailable"),
-                self._connection_response(pending["ctx"], pending["request_id"], reason=b"GatewayUnavailable"),
+                self._connection_response(ctx, request_id, reason=b"GatewayUnavailable"),
             ]
         return []
 
     def _revoke(self, ctx, reason, now):
-        key = (ctx.gw.flow, ctx.relay_flow)
-        self.clients_ctx.pop(key, None)
-        self.sessions.pop(ctx.session_id, None)
+        self.clients_ctx.pop((ctx.gw.flow, ctx.relay_flow), None)
         actions = [self._log(event="revoke", client=ctx.client_id.hex(), reason=reason)]
         for link in self.by_gateway.values():
             actions.append(self._gw_send(link, Kind.AH_REVOKE, [(F.SUBJECT_ID, ctx.client_id)]))

@@ -15,9 +15,10 @@ Default posture is drop-everything. Three kinds of traffic get through:
 The relay gate is structural, so any sender can write one. At most
 ``RELAY_GATE_CAP`` gates are kept, in deadline order: a full table evicts
 its oldest gate, the sweep stops at the first live one, and the hello a
-gate admits spends it. The streams gates admit wait for their hello under
-the same cap, oldest closed first, and one per source: a newer stream from
-a source closes the older one, which a retrying client has abandoned.
+gate admits spends it. A gate also holds the one relay stream from its
+source that awaits a hello: a newer stream closes the older one, which a
+retrying client has abandoned, and the stream is closed when its gate is
+evicted or swept.
 
 Rules expire after their TTL; tracked connections survive rule expiry.
 Every verdict is logged as one structured record.
@@ -42,7 +43,7 @@ from ..transport.base import (
     SendDatagram,
     SetTimer,
 )
-from ..wire import F, Kind, WireError, decode_frame, encode_frame, parse_service_entry, u8, u16, u32
+from ..wire import F, Kind, WireError, decode_frame, encode_frame, u8, u16, u32
 from .filtering import FORWARD, FilterEngine
 
 GATE_WINDOW = 60.0
@@ -63,6 +64,7 @@ class _RelayGate:
     client_id: bytes
     spa_bytes: bytes
     deadline: float
+    flow: int | None = None  # the relay stream from this source awaiting its hello
 
 
 @dataclass
@@ -70,7 +72,6 @@ class _RelayFlow:
     flow: int
     relay_id: int
     client_id: bytes
-    src: tuple
     dead: bool = False  # blackholed: bytes are swallowed, nothing is sent
     ready_sent: bool = False  # the relay-confirmed frame waits for the controller's verdict
 
@@ -121,7 +122,6 @@ class GatewayNode(Node):
         self.client_store = spa.SpaKeyStore(skew_window)
         self.relay_gate: dict[str, _RelayGate] = {}
         self.data_gate: dict[bytes, str] = {}
-        self.client_infos: dict[bytes, dict] = {}
         self.relay_flows: dict[int, _RelayFlow] = {}
         self.by_relay_id: dict[int, _RelayFlow] = {}
         self._next_relay_id = 1
@@ -131,8 +131,7 @@ class GatewayNode(Node):
         self.channel = None
         self._counter = spa.SpaCounterSource()
         self.splices: dict[int, _Splice] = {}  # both flow ids point at the same record
-        self._flow_src: dict[int, tuple] = {}  # relay stream awaiting its hello -> (src, gate deadline)
-        self._hello_flow: dict[str, int] = {}  # source ip -> its one relay stream awaiting a hello
+        self._flow_src: dict[int, tuple] = {}  # relay stream awaiting its hello -> its source
 
     # -- upstream channel -----------------------------------------------------
 
@@ -182,11 +181,14 @@ class GatewayNode(Node):
         if pkt.target == spa.TargetRole.CONTROLLER:
             # structural gate only; the controller is the verifier of record
             gates = self.relay_gate
-            gates.pop(src[0], None)  # a re-sent SPA moves to the back, so the table stays in deadline order
+            gate = gates.pop(src[0], None)  # a re-sent SPA moves to the back, so the table stays in deadline order
+            actions = [Log({"event": "spa", "verdict": "gate-relay", "src": src[0], "client": pkt.client_id.hex()})]
             if len(gates) >= RELAY_GATE_CAP:
-                del gates[next(iter(gates))]  # the oldest gate goes first
-            gates[src[0]] = _RelayGate(pkt.client_id, data, now + GATE_WINDOW)
-            return [Log({"event": "spa", "verdict": "gate-relay", "src": src[0], "client": pkt.client_id.hex()})]
+                oldest = next(iter(gates))  # the oldest gate goes first, with the stream it holds
+                actions += self._end_hello_wait(oldest, gates.pop(oldest), "evicted")
+            # a re-sent SPA keeps the stream its gate holds
+            gates[src[0]] = _RelayGate(pkt.client_id, data, now + GATE_WINDOW, gate.flow if gate else None)
+            return actions
         verdict = self.client_store.verify(pkt, now)
         if verdict is not spa.SpaVerdict.ACCEPT:
             return [Log({"event": "spa", "verdict": verdict.value, "src": src[0]})]
@@ -200,15 +202,10 @@ class GatewayNode(Node):
             gate = self.relay_gate.get(src[0])
             if not self.registered or gate is None or gate.deadline < now:
                 return [Log({"event": "stream", "verdict": "drop", "reason": "ungated", "src": src[0], "port": port})]
-            actions = []
-            older = self._hello_flow.get(src[0])
-            if older is not None:  # one stream per source awaits a hello; a retrying client abandoned the older
-                actions = self._drop_relay(older, self._end_hello_wait(older), "superseded")
-            elif len(self._flow_src) >= RELAY_GATE_CAP:
-                oldest = next(iter(self._flow_src))
-                actions = self._drop_relay(oldest, self._end_hello_wait(oldest), "evicted")
-            self._flow_src[flow] = (src, gate.deadline)
-            self._hello_flow[src[0]] = flow
+            # one stream per source awaits a hello; a retrying client abandoned the older
+            actions = self._end_hello_wait(src[0], gate, "superseded")
+            gate.flow = flow
+            self._flow_src[flow] = src
             actions.append(AcceptStream(flow))
             return actions
         binding = self.by_public_port.get(port)
@@ -258,25 +255,29 @@ class GatewayNode(Node):
             return self._on_splice_data(splice, flow, data, now)
         return []
 
-    def _end_hello_wait(self, flow):
-        src, _ = self._flow_src.pop(flow)
-        del self._hello_flow[src[0]]
-        return src
+    def _end_hello_wait(self, host, gate, reason):
+        """Closes the stream ``gate`` holds for its hello, if any, logging ``reason``."""
+        if gate.flow is None:
+            return []
+        flow, gate.flow = gate.flow, None
+        del self._flow_src[flow]
+        return self._drop_relay(flow, host, reason)
 
     def _on_first_relay_frame(self, flow, data, now):
-        src = self._end_hello_wait(flow)
+        src = self._flow_src.pop(flow)
+        gate = self.relay_gate[src[0]]  # a gate outlives the stream it holds
+        gate.flow = None
         try:
             kind, fields = decode_frame(data)
             if kind != Kind.CHANNEL_HELLO:
-                return self._drop_relay(flow, src, "no-hello")
+                return self._drop_relay(flow, src[0], "no-hello")
             subject = fields.need(F.SUBJECT_ID)
         except WireError:
-            return self._drop_relay(flow, src, "malformed")
-        gate = self.relay_gate.get(src[0])
-        if gate is None or gate.client_id != subject or gate.deadline < now:
-            return self._drop_relay(flow, src, "gate-mismatch")
+            return self._drop_relay(flow, src[0], "malformed")
+        if gate.client_id != subject or gate.deadline < now:
+            return self._drop_relay(flow, src[0], "gate-mismatch")
         del self.relay_gate[src[0]]  # spent: a second stream from this source is ungated
-        relay = _RelayFlow(flow=flow, relay_id=self._next_relay_id, client_id=subject, src=src)
+        relay = _RelayFlow(flow=flow, relay_id=self._next_relay_id, client_id=subject)
         self._next_relay_id += 1
         self.relay_flows[flow] = relay
         self.by_relay_id[relay.relay_id] = relay
@@ -294,8 +295,8 @@ class GatewayNode(Node):
             self._upstream(Kind.SPA_FORWARD, [(F.FLOW, u32(relay.relay_id)), (F.DATA, gate.spa_bytes)]),
         ]
 
-    def _drop_relay(self, flow, src, reason):
-        return [Log({"event": "relay", "verdict": "drop", "reason": reason, "src": src[0]}), Close(flow)]
+    def _drop_relay(self, flow, host, reason):
+        return [Log({"event": "relay", "verdict": "drop", "reason": reason, "src": host}), Close(flow)]
 
     def _on_relay_frame(self, relay, data, now):
         if relay.dead or not self.registered:
@@ -354,11 +355,6 @@ class GatewayNode(Node):
         client_id = fields.need(F.SUBJECT_ID)
         key = spa.SpaKey(client_id, fields.need(F.SECRET))
         self.client_store.register(key, last_counter=fields.u64(F.COUNTER))
-        entries = [parse_service_entry(e) for e in fields.all(F.ENTRY)]
-        self.client_infos[client_id] = {
-            "cert": fields.need(F.CERT),
-            "services": {sid: (host, port) for sid, host, port in entries},
-        }
         if relay is None or relay.dead:
             return []
         return [
@@ -421,7 +417,6 @@ class GatewayNode(Node):
                 relay.dead = True
                 actions.append(Close(relay.flow))
         self.data_gate.pop(client_id, None)
-        self.client_infos.pop(client_id, None)
         self.client_store.remove(client_id)
         return actions
 
@@ -464,8 +459,9 @@ class GatewayNode(Node):
         splice = self.splices.get(flow)
         if splice is not None:
             return self._teardown_splice(splice, "peer-closed")
-        if flow in self._flow_src:
-            self._end_hello_wait(flow)
+        src = self._flow_src.pop(flow, None)
+        if src is not None:
+            self.relay_gate[src[0]].flow = None
         return []
 
     # -- timers --------------------------------------------------------------------
@@ -474,12 +470,10 @@ class GatewayNode(Node):
         if key == "sweep":
             expired = self.engine.expire_rules(now)
             idled = self.engine.expire_idle(now, self.conntrack_idle)
+            actions = [SetTimer("sweep", self.sweep_tick)]
             # deadline order: expired gates are at the front
             for host in list(takewhile(lambda h: self.relay_gate[h].deadline < now, self.relay_gate)):
-                del self.relay_gate[host]
-            actions = [SetTimer("sweep", self.sweep_tick)]
-            for flow in [f for f, (_, deadline) in self._flow_src.items() if deadline < now]:
-                actions += self._drop_relay(flow, self._end_hello_wait(flow), "hello-timeout")
+                actions += self._end_hello_wait(host, self.relay_gate.pop(host), "hello-timeout")
             if expired or idled:
                 actions.append(Log({"event": "sweep", "rules_expired": expired, "conns_idled": idled}))
             return actions

@@ -74,6 +74,17 @@ class Node:
 
     ``udp_ports`` and ``tcp_ports`` declare listeners; drivers bind them.
     ``tcp_ports`` maps port -> stream mode.
+
+    A hook that raises returns no actions, so none of its event's actions
+    run, and the drivers differ in what follows:
+
+    - ``SimNet``: the exception leaves ``SimNet.run`` (or ``act``), which
+      ends the run. The event is already consumed; a later ``run`` goes on
+      with the next one.
+    - ``RealHost``: it is contained per event. asyncio's exception handler
+      reports it and the host keeps serving. A raising ``on_stream_request``
+      severs that stream before any byte; a raising ``on_data`` closes its
+      stream, and ``on_closed`` then runs for it.
     """
 
     def __init__(self, name: str):

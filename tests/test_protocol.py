@@ -513,11 +513,12 @@ class TestDarkness:
         dep.net.act(forger, [OpenStream(flow, ("gateway", 5000)) for flow in flows])
         dep.net.run(until=dep.net.clock + 1.0)
         # one stream per source awaits its hello: each newer one closed the older
-        assert len(dep.gateway()._flow_src) == 1
+        gw = dep.gateway()
+        assert len(gw._flow_src) == 1 and gw.relay_gate["client"].flow in gw._flow_src
         assert sorted(forger.closed) == flows[:-1]
-        dep.net.run(until=dep.net.clock + GATE_WINDOW + 2 * dep.gateway().sweep_tick)
+        dep.net.run(until=dep.net.clock + GATE_WINDOW + 2 * gw.sweep_tick)
         assert sorted(forger.closed) == flows
-        assert dep.gateway()._flow_src == {} and dep.gateway()._hello_flow == {}
+        assert gw._flow_src == {} and "client" not in gw.relay_gate
         relay = [r["reason"] for r in dep.net.logs["gateway"] if r.get("event") == "relay"]
         assert relay == ["superseded"] * 49 + ["hello-timeout"]
 
@@ -573,20 +574,24 @@ class TestRelayGate:
         assert client.session.phase is Phase.AUTHENTICATED
 
     def test_table_stays_bounded_ordered_and_swept(self):
-        # keyless input only: bursts of forged controller-target SPAs from a
-        # pool of sources (so sources repeat), clock advances and sweeps
-        gw = build_sim(default_config(seed=7), start_clients=False).gateway()
+        # keyless input only: bursts of forged controller-target SPAs and of
+        # relay streams (some closed by their source) from a pool of sources
+        # (so sources repeat; the streams' pool is the first sources, which a
+        # burst of SPAs most likely gated), clock advances and sweeps
+        gw = authed_deployment().gateway()
         packets = [forged_spa(0.0, bytes([i]) * 16) for i in range(8)]
         step = st.one_of(
             st.tuples(st.just("spa"), st.integers(1, 2000), st.integers(1, 4000), st.integers(0, 2**16)),
+            st.tuples(st.just("streams"), st.integers(1, 200), st.integers(1, 64), st.integers(0, 2**16)),
             st.tuples(st.just("advance"), st.floats(0.0, 1.5 * GATE_WINDOW)),
             st.tuples(st.just("sweep")),
         )
 
-        @settings(max_examples=100, derandomize=True, deadline=None)
+        @settings(max_examples=300, derandomize=True, deadline=None)
         @given(st.lists(step, max_size=12))
         def check(steps):
             gw.relay_gate.clear()
+            gw._flow_src.clear()
             now = 0.0
             for op, *args in steps:
                 if op == "spa":
@@ -596,14 +601,32 @@ class TestRelayGate:
                         src = forged_src(rng.randrange(pool))
                         gw.on_datagram(gw.spa_port, src, rng.choice(packets), now)
                     assert next(reversed(gw.relay_gate)) == src[0]  # the newest write is never evicted
+                elif op == "streams":
+                    count, pool, seed = args
+                    rng = random.Random(seed)
+                    for _ in range(count):
+                        src, flow = forged_src(rng.randrange(pool)), gw.new_flow()
+                        gate = gw.relay_gate.get(src[0])
+                        older = gate.flow if gate is not None else None
+                        actions = gw.on_stream_request(flow, gw.relay_port, src, now)
+                        if gate is None or gate.deadline < now:
+                            assert AcceptStream(flow) not in actions and flow not in gw._flow_src
+                        else:  # admitted, and the older stream from its source is closed
+                            assert actions[-1] == AcceptStream(flow) and gate.flow == flow
+                            assert [a.flow for a in actions if isinstance(a, Close)] == [older] * (older is not None)
+                        if gw._flow_src and rng.random() < 0.3:  # a source gives up on a waiting stream
+                            gw.on_closed(rng.choice(list(gw._flow_src)), now)
                 elif op == "advance":
                     now += args[0]
                 else:
                     gw.on_timer("sweep", now)
                     assert all(g.deadline >= now for g in gw.relay_gate.values())
                 deadlines = [g.deadline for g in gw.relay_gate.values()]
-                assert len(deadlines) <= RELAY_GATE_CAP
+                assert len(gw._flow_src) <= len(deadlines) <= RELAY_GATE_CAP
                 assert deadlines == sorted(deadlines)
+                # each waiting stream's gate exists and names it, and each named stream waits
+                assert all(gw.relay_gate[src[0]].flow == flow for flow, src in gw._flow_src.items())
+                assert all(gw._flow_src[g.flow][0] == host for host, g in gw.relay_gate.items() if g.flow is not None)
 
         check()
 
@@ -634,17 +657,38 @@ class TestHelloWait:
         packet, now = forged_spa(dep.net.clock), dep.net.clock
         flows = []
         for i in range(RELAY_GATE_CAP + 100):
-            gw.on_datagram(gw.spa_port, forged_src(i), packet, now)
-            flows.append(gw.new_flow())
-            actions = gw.on_stream_request(flows[-1], gw.relay_port, forged_src(i), now)
+            # a gate evicted at the cap takes the stream it holds with it
+            actions = gw.on_datagram(gw.spa_port, forged_src(i), packet, now)
             closed = [a.flow for a in actions if isinstance(a, Close)]
-            reasons = [a.record["reason"] for a in actions if isinstance(a, Log)]
+            reasons = [a.record["reason"] for a in actions if isinstance(a, Log) and a.record["event"] == "relay"]
             if i < RELAY_GATE_CAP:
                 assert closed == [] and reasons == []
             else:  # the oldest waiting stream goes
                 assert closed == [flows[i - RELAY_GATE_CAP]] and reasons == ["evicted"]
+            flows.append(gw.new_flow())
+            assert gw.on_stream_request(flows[-1], gw.relay_port, forged_src(i), now) == [AcceptStream(flows[-1])]
         assert list(gw._flow_src) == flows[100:]
-        assert sorted(gw._hello_flow.values()) == flows[100:]
+        assert [g.flow for g in gw.relay_gate.values()] == flows[100:]
+
+    def test_resent_spa_keeps_the_waiting_stream_and_its_hello_opens_the_relay(self):
+        dep = authed_deployment()
+        gw, key = dep.gateway(), dep.client().spa_key
+        src, now = ("client", 40000), dep.net.clock
+        first = spa.build_spa(key, 1, spa.TargetRole.CONTROLLER, now, b"\x01" * spa.NONCE_LEN).encode()
+        resent = spa.build_spa(key, 2, spa.TargetRole.CONTROLLER, now + 1.0, b"\x02" * spa.NONCE_LEN).encode()
+        flow = gw.new_flow()
+        gw.on_datagram(gw.spa_port, src, first, now)
+        assert gw.on_stream_request(flow, gw.relay_port, src, now) == [AcceptStream(flow)]
+        actions = gw.on_datagram(gw.spa_port, src, resent, now + 1.0)
+        assert [a.record["verdict"] for a in actions] == ["gate-relay"]  # logged, nothing closed
+        gate = gw.relay_gate["client"]
+        assert gate.flow == flow and gate.spa_bytes == resent and gw._flow_src == {flow: src}
+        actions = gw.on_data(flow, encode_frame(Kind.CHANNEL_HELLO, [(F.SUBJECT_ID, key.client_id)]), now + 2.0)
+        assert [a.record for a in actions if isinstance(a, Log)] == [
+            {"event": "relay", "verdict": "open", "src": "client", "client": key.client_id.hex()}
+        ]
+        assert [a.flow for a in actions if isinstance(a, Send)] == [gw.upstream_flow] * 2  # RELAY_OPEN, SPA_FORWARD
+        assert flow in gw.relay_flows and gw._flow_src == {} and "client" not in gw.relay_gate
 
     def test_a_waiting_stream_its_source_closed_is_forgotten(self):
         dep = authed_deployment()
@@ -654,7 +698,7 @@ class TestHelloWait:
         first, second = gw.new_flow(), gw.new_flow()
         assert gw.on_stream_request(first, gw.relay_port, src, now) == [AcceptStream(first)]
         gw.on_closed(first, now)
-        assert gw._flow_src == {} and gw._hello_flow == {}
+        assert gw._flow_src == {} and gw.relay_gate[src[0]].flow is None
         assert gw.on_stream_request(second, gw.relay_port, src, now) == [AcceptStream(second)]
 
     def test_client_whose_first_stream_sent_no_hello_authenticates_on_retry(self):
@@ -683,6 +727,18 @@ class TestHelloWait:
 
 
 class TestGatewayIntegrity:
+    def test_registration_spends_the_controller_gate(self):
+        dep = authed_deployment()
+        ctl, gw = dep.controller, dep.gateway()
+        assert ctl.gated == {}
+        mark, flow = len(dep.net.trace), gw.new_flow()
+        dep.net.act(gw, [OpenStream(flow, gw.controller_addr)])
+        dep.net.run(until=dep.net.clock + 1.0)
+        streams = [(r["verdict"], r["reason"]) for r in dep.net.logs[ctl.name] if r.get("event") == "stream"]
+        assert streams == [("drop", "ungated")]
+        assert [r for r in dep.net.trace[mark:] if r.src == "controller"] == []  # declined silently
+        assert gw.registered and len(ctl.links) == 1
+
     def test_forged_directive_from_client_flow_ignored(self):
         dep = authed_deployment()
         client = connect_client(dep)

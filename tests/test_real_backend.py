@@ -17,6 +17,7 @@ import time
 
 import pytest
 
+import sdperim.client
 from sdperim import spa
 from sdperim.client import Phase
 from sdperim.config import generate_material
@@ -136,12 +137,13 @@ def test_full_session_and_echo_round_trip():
     asyncio.run(main())
 
 
-def test_wrong_key_times_out_dark():
+def test_wrong_key_times_out_dark(monkeypatch):
+    monkeypatch.setattr(sdperim.client, "SPA_TIMEOUT", 0.4)
+
     async def main():
         async with Stack(21100) as stack:
             bad = build_client(stack.cfg, stack.material, "aa" * 16, random.Random(5), gateway_host=GW_IP)
             bad.spa_key = spa.SpaKey(bad.spa_key.client_id, b"\xee" * 32)
-            bad.spa_timeout = 0.4
             received = []
             frame_tap(bad, received)
             bad_host = RealHost(bad, CLIENT_IP)
