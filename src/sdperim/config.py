@@ -235,10 +235,7 @@ class Material:
             ServiceDescriptor(s.service_id, bytes.fromhex(s.gateway), s.protected_host, s.protected_port, s.public_port)
             for s in cfg.services
         ]
-        gateways = [
-            GatewayRecord(g.id_bytes, self.spa_keys[g.id], self.identities[g.id].cert.encode())
-            for g in cfg.gateways
-        ]
+        gateways = [GatewayRecord(g.id_bytes, self.spa_keys[g.id]) for g in cfg.gateways]
         return clients, services, gateways
 
 

@@ -64,7 +64,6 @@ class ClientRecord:
 class GatewayRecord:
     gateway_id: bytes
     spa_key: spa.SpaKey
-    certificate: bytes
     host: str = ""
 
 
@@ -97,7 +96,6 @@ class _ClientCtx:
     relay_flow: int
     client_id: bytes
     observed_host: str
-    observed_port: int
     responder: HandshakeResponder | None = None
     channel: object = None
     session_id: bytes | None = None  # set at login with ``channel``: the conversation's session
@@ -124,7 +122,6 @@ class ControllerNode(Node):
         self.identity = identity
         self.ca_public = ca_public
         self.rng = rng
-        self.control_port = control_port
         self.rule_ttl = rule_ttl
         self.records = {c.client_id: c for c in clients}
         self.services = {s.service_id: s for s in services}
@@ -175,15 +172,6 @@ class ControllerNode(Node):
 
     def session_count(self) -> int:
         return sum(1 for ctx in self.clients_ctx.values() if ctx.session_id is not None)
-
-    def authorized_pairs(self) -> set[tuple[bytes, str]]:
-        """Every (client, service) pair the records allow; gateway rule tables
-        must always be a subset of this (least privilege)."""
-        out = set()
-        for record in self.records.values():
-            for sid in record.authorized_services:
-                out.add((record.client_id, sid))
-        return out
 
     # -- datagrams: first contact --------------------------------------------
 
@@ -276,7 +264,6 @@ class ControllerNode(Node):
                 relay_flow=relay_flow,
                 client_id=fields.need(F.SUBJECT_ID),
                 observed_host=fields.text(F.HOST),
-                observed_port=fields.u16(F.PORT),
             )
             self.clients_ctx[(link.flow, relay_flow)] = ctx
             return []
@@ -393,20 +380,13 @@ class ControllerNode(Node):
         ih_frame = ctx.channel.frame(
             Kind.IH_SERVICES, [(F.ENTRY, service_entry(sid, host, port)) for sid, host, port in entries]
         )
-        gw_entries = []
-        for sid in ctx.record.authorized_services:
-            svc = self.services.get(sid)
-            if svc is None or svc.gateway_id != ctx.gw.gateway_id:
-                continue
-            gw_entries.append((F.ENTRY, service_entry(sid, svc.protected_host, svc.protected_port)))
         payload = [
             (F.FLOW, u32(ctx.relay_flow)),
             (F.SUBJECT_ID, ctx.client_id),
-            (F.CERT, ctx.record.certificate),
             (F.SECRET, ctx.record.spa_key.secret),
             (F.COUNTER, u64(self.store.last_counter(ctx.client_id))),
             (F.DATA, ih_frame),
-        ] + gw_entries
+        ]
         return [self._gw_send(ctx.gw, Kind.CLIENT_SERVICES, payload)]
 
     def _on_client_message(self, ctx, kind, fields, now):

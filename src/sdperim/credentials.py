@@ -149,12 +149,6 @@ class Identity:
     _signing_key: Ed25519PrivateKey
 
     @classmethod
-    def create(cls, ca: CertificateAuthority, subject_id: bytes, role: PeerRole, issued_at: int = 0) -> "Identity":
-        key = Ed25519PrivateKey.generate()
-        cert = ca.issue(subject_id, role, _raw_public(key.public_key()), issued_at)
-        return cls(cert, key)
-
-    @classmethod
     def from_material(cls, cert_blob: bytes, signing_seed: bytes) -> "Identity":
         return cls(Certificate.decode(cert_blob), Ed25519PrivateKey.from_private_bytes(signing_seed))
 

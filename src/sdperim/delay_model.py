@@ -16,16 +16,12 @@ with default counts (3, 4, 3, 5), matching the protocol's frame sequence.
 Hops 5 and 6 model the access-network attach (two pure delay stages); hops 7
 and 8 are the service round trip. ``init_delay`` is the authentication plus
 attach cost and ``e2e_delay`` adds the service round trip.
-
-The factored single-bracket forms (sum of alpha terms over R plus sum of
-beta terms over S) are implemented alongside the per-hop sums; they agree to
-floating-point reordering error, which the tests bound at 1e-12 relative.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 DEFAULT_HOP_COUNTS = (3, 4, 3, 5)
 
@@ -105,21 +101,6 @@ def init_delay(p: DelayParams) -> float:
     return sdp_overhead(p) + lte_delay(p)
 
 
-def init_delay_grouped(p: DelayParams) -> float:
-    """Single-bracket form of the initialization cost, reading the shared
-    factor per term: alpha terms divided by R, beta terms by S."""
-    n = p.hop_counts
-    alpha_sum = (
-        n[0] * p.alpha_bits[0] + n[1] * p.alpha_bits[1] + n[2] * p.alpha_bits[2] + n[3] * p.alpha_bits[3]
-        + p.alpha_bits[4] + p.alpha_bits[5]
-    )
-    beta_sum = (
-        n[0] * p.beta_m[0] + n[1] * p.beta_m[1] + n[2] * p.beta_m[2] + n[3] * p.beta_m[3]
-        + p.beta_m[4] + p.beta_m[5]
-    )
-    return alpha_sum / p.rate_bps + beta_sum / p.speed_mps
-
-
 def e2e_delay(p: DelayParams) -> float:
     """End-to-end cost: initialization plus the service round trip (hops 7, 8)."""
     return (
@@ -127,19 +108,6 @@ def e2e_delay(p: DelayParams) -> float:
         + total_delay(p.alpha_bits[6], p.rate_bps, p.beta_m[6], p.speed_mps)
         + total_delay(p.alpha_bits[7], p.rate_bps, p.beta_m[7], p.speed_mps)
     )
-
-
-def e2e_delay_grouped(p: DelayParams) -> float:
-    n = p.hop_counts
-    alpha_sum = (
-        n[0] * p.alpha_bits[0] + n[1] * p.alpha_bits[1] + n[2] * p.alpha_bits[2] + n[3] * p.alpha_bits[3]
-        + p.alpha_bits[4] + p.alpha_bits[5] + p.alpha_bits[6] + p.alpha_bits[7]
-    )
-    beta_sum = (
-        n[0] * p.beta_m[0] + n[1] * p.beta_m[1] + n[2] * p.beta_m[2] + n[3] * p.beta_m[3]
-        + p.beta_m[4] + p.beta_m[5] + p.beta_m[6] + p.beta_m[7]
-    )
-    return alpha_sum / p.rate_bps + beta_sum / p.speed_mps
 
 
 # -- reconciliation against simulated traces ---------------------------------
@@ -168,7 +136,6 @@ class ReconcileReport:
     predicted: float
     measured: float
     uniform_sizes: bool
-    reference_notes: dict = field(default_factory=dict)
 
     @property
     def delta(self) -> float:
@@ -196,7 +163,6 @@ class ReconcileReport:
                 }
                 for h in self.hops
             ],
-            "reference_notes": self.reference_notes,
         }
 
     def to_json(self) -> str:

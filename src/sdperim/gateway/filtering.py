@@ -98,13 +98,6 @@ class FilterEngine:
         with self._lock:
             return len(self._rules)
 
-    def rule_expiry(self, client_id, service_id):
-        with self._lock:
-            rid = self._by_owner.get((client_id, service_id))
-            if rid is None:
-                return None
-            return self._rules[rid][4]
-
     # -- verdicts --------------------------------------------------------
 
     def verdict_initiation(self, src_ip, src_port, dst_port, now):

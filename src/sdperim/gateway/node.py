@@ -48,7 +48,8 @@ from .filtering import FORWARD, FilterEngine
 
 GATE_WINDOW = 60.0
 RELAY_GATE_CAP = 1024  # relay gates kept at once; a keyless sender can write one per datagram
-REGISTER_RETRY = 2.0
+REGISTER_RETRY = 2.0  # wait before an unanswered registration is retried, doubled per retry
+REGISTER_RETRY_MAX = 32.0  # ... up to this; a registration that succeeds resets it
 
 
 @dataclass
@@ -128,10 +129,11 @@ class GatewayNode(Node):
         self.upstream_flow: int | None = None
         self.registered = False
         self._initiator: HandshakeInitiator | None = None
+        self._register_delay = REGISTER_RETRY
         self.channel = None
         self._counter = spa.SpaCounterSource()
         self.splices: dict[int, _Splice] = {}  # both flow ids point at the same record
-        self._flow_src: dict[int, tuple] = {}  # relay stream awaiting its hello -> its source
+        self._flow_src: dict[int, str] = {}  # relay stream awaiting its hello -> its source host
 
     # -- upstream channel -----------------------------------------------------
 
@@ -142,11 +144,14 @@ class GatewayNode(Node):
         nonce = self.rng.randbytes(spa.NONCE_LEN)
         packet = spa.build_spa(self.spa_key, self._counter.next(now), spa.TargetRole.CONTROLLER, now, nonce)
         self._initiator = HandshakeInitiator(self.identity, self.ca_public, nonce, self.rng.randbytes(32))
+        # the last attempt's stream goes, so a slow round trip cannot pile them up
+        actions = [] if self.upstream_flow is None else [Close(self.upstream_flow)]
         self.upstream_flow = self.new_flow()
-        return [
+        delay, self._register_delay = self._register_delay, min(2 * self._register_delay, REGISTER_RETRY_MAX)
+        return actions + [
             SendDatagram((self.controller_addr[0], self.spa_port), packet.encode()),
             OpenStream(self.upstream_flow, self.controller_addr, FRAMED),
-            SetTimer("register-retry", REGISTER_RETRY),
+            SetTimer("register-retry", delay),
         ]
 
     def on_connected(self, flow, now):
@@ -205,7 +210,7 @@ class GatewayNode(Node):
             # one stream per source awaits a hello; a retrying client abandoned the older
             actions = self._end_hello_wait(src[0], gate, "superseded")
             gate.flow = flow
-            self._flow_src[flow] = src
+            self._flow_src[flow] = src[0]
             actions.append(AcceptStream(flow))
             return actions
         binding = self.by_public_port.get(port)
@@ -264,33 +269,27 @@ class GatewayNode(Node):
         return self._drop_relay(flow, host, reason)
 
     def _on_first_relay_frame(self, flow, data, now):
-        src = self._flow_src.pop(flow)
-        gate = self.relay_gate[src[0]]  # a gate outlives the stream it holds
+        host = self._flow_src.pop(flow)
+        gate = self.relay_gate[host]  # a gate outlives the stream it holds
         gate.flow = None
         try:
             kind, fields = decode_frame(data)
             if kind != Kind.CHANNEL_HELLO:
-                return self._drop_relay(flow, src[0], "no-hello")
+                return self._drop_relay(flow, host, "no-hello")
             subject = fields.need(F.SUBJECT_ID)
         except WireError:
-            return self._drop_relay(flow, src[0], "malformed")
+            return self._drop_relay(flow, host, "malformed")
         if gate.client_id != subject or gate.deadline < now:
-            return self._drop_relay(flow, src[0], "gate-mismatch")
-        del self.relay_gate[src[0]]  # spent: a second stream from this source is ungated
+            return self._drop_relay(flow, host, "gate-mismatch")
+        del self.relay_gate[host]  # spent: a second stream from this source is ungated
         relay = _RelayFlow(flow=flow, relay_id=self._next_relay_id, client_id=subject)
         self._next_relay_id += 1
         self.relay_flows[flow] = relay
         self.by_relay_id[relay.relay_id] = relay
         return [
-            Log({"event": "relay", "verdict": "open", "src": src[0], "client": subject.hex()}),
+            Log({"event": "relay", "verdict": "open", "src": host, "client": subject.hex()}),
             self._upstream(
-                Kind.RELAY_OPEN,
-                [
-                    (F.FLOW, u32(relay.relay_id)),
-                    (F.SUBJECT_ID, subject),
-                    (F.HOST, src[0].encode()),
-                    (F.PORT, u16(src[1])),
-                ],
+                Kind.RELAY_OPEN, [(F.FLOW, u32(relay.relay_id)), (F.SUBJECT_ID, subject), (F.HOST, host.encode())]
             ),
             self._upstream(Kind.SPA_FORWARD, [(F.FLOW, u32(relay.relay_id)), (F.DATA, gate.spa_bytes)]),
         ]
@@ -325,6 +324,7 @@ class GatewayNode(Node):
     def _on_controller_message(self, kind, fields, now):
         if kind == Kind.AH_REGISTER_ACK:
             self.registered = True
+            self._register_delay = REGISTER_RETRY
             return [Log({"event": "register", "verdict": "ok"}), SetTimer("sweep", self.sweep_tick)]
         if kind == Kind.RELAY_DATA:
             relay = self.by_relay_id.get(fields.u32(F.FLOW))
@@ -459,9 +459,9 @@ class GatewayNode(Node):
         splice = self.splices.get(flow)
         if splice is not None:
             return self._teardown_splice(splice, "peer-closed")
-        src = self._flow_src.pop(flow, None)
-        if src is not None:
-            self.relay_gate[src[0]].flow = None
+        host = self._flow_src.pop(flow, None)
+        if host is not None:
+            self.relay_gate[host].flow = None
         return []
 
     # -- timers --------------------------------------------------------------------

@@ -22,14 +22,6 @@ class CaptureSeries:
     cpu_proxy: list[int] = field(default_factory=list)
     half_open: list[int] = field(default_factory=list)
 
-    def __post_init__(self):
-        self._check()
-
-    def _check(self):
-        for seen, fwd in zip(self.attack_segments_seen, self.attack_segments_forwarded):
-            if fwd > seen:
-                raise ValueError("forwarded attack segments cannot exceed those seen")
-
     def append(self, acked: int, attack_seen: int, attack_forwarded: int, cpu: int, half_open: int):
         if attack_forwarded > attack_seen:
             raise ValueError("forwarded attack segments cannot exceed those seen")
@@ -68,8 +60,3 @@ def is_attack_segment(rec, dst: str, dst_port: int) -> bool:
     """An initiation segment at the target whose frame length is under the
     attack-labeling threshold (reporting only)."""
     return rec.cls == "syn" and rec.dst == dst and rec.dst_port == dst_port and rec.size < ATTACK_FRAME_LIMIT
-
-
-def label_attack_segments(trace_records, dst: str, dst_port: int) -> list:
-    """The records of ``trace_records`` that ``is_attack_segment`` labels."""
-    return [rec for rec in trace_records if is_attack_segment(rec, dst, dst_port)]

@@ -10,7 +10,6 @@ from .transport.base import RAW, AcceptStream, Node, OpenStream, Send, SetTimer
 
 @dataclass
 class ServiceStats:
-    connections: int = 0
     bytes_in: int = 0
     origins: dict = field(default_factory=dict)  # src host -> connection count
 
@@ -28,7 +27,6 @@ class EchoNode(Node):
         self.stats = ServiceStats()
 
     def on_stream_request(self, flow, port, src, now):
-        self.stats.connections += 1
         self.stats.origins[src[0]] = self.stats.origins.get(src[0], 0) + 1
         return [AcceptStream(flow)]
 

@@ -29,8 +29,8 @@ task or selector registration. Only an accepted stream gets a socket and
 an asyncio transport, whose ``connection_made`` reports ``on_connected``;
 writes the node issues before then wait on the stream. The kernel still
 completes the handshake and sends the SYN-ACK for every source, so a SYN
-scan sees the port open; withholding it with ``SO_ATTACH_FILTER`` is
-ROADMAP Direction 7.
+scan sees the port open; a socket filter (``SO_ATTACH_FILTER``) could
+withhold it, and none is attached yet.
 
 Every ``Log`` record is kept in memory (the newest ``LOG_KEEP``) and, with a
 log file, written there as one JSON line: one encoder built per process,

@@ -9,7 +9,7 @@ A field id may repeat; decoders see values in wire order. Integers are
 unsigned big-endian. The same TLV codec is reused for nested structures
 (certificates, encrypted bodies, service entries).
 
-Frame kinds and their fields are documented in the README.
+The README lists the frame kinds.
 """
 
 from __future__ import annotations

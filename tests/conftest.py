@@ -2,6 +2,9 @@ import random
 
 import pytest
 
+from cryptography.hazmat.primitives import serialization
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+
 from sdperim import spa
 from sdperim.credentials import CertificateAuthority, Identity, PeerRole
 
@@ -25,11 +28,17 @@ def client_key():
     return spa.SpaKey(CLIENT_ID, b"\x01" * 32)
 
 
+def issue_identity(ca, subject_id, role):
+    key = Ed25519PrivateKey.generate()
+    public = key.public_key().public_bytes(serialization.Encoding.Raw, serialization.PublicFormat.Raw)
+    return Identity(ca.issue(subject_id, role, public), key)
+
+
 @pytest.fixture
 def client_identity(ca):
-    return Identity.create(ca, CLIENT_ID, PeerRole.CLIENT)
+    return issue_identity(ca, CLIENT_ID, PeerRole.CLIENT)
 
 
 @pytest.fixture
 def controller_identity(ca):
-    return Identity.create(ca, CONTROLLER_ID, PeerRole.CONTROLLER)
+    return issue_identity(ca, CONTROLLER_ID, PeerRole.CONTROLLER)

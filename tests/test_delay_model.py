@@ -11,9 +11,7 @@ from sdperim.delay_model import (
     DelayDomainError,
     DelayParams,
     e2e_delay,
-    e2e_delay_grouped,
     init_delay,
-    init_delay_grouped,
     lte_delay,
     reconcile,
     sdp_overhead,
@@ -121,13 +119,6 @@ class TestComposition:
     def test_zero_counts_leave_attach_only(self):
         p = params([100] * 8, [10] * 8, hops=(0, 0, 0, 0))
         assert rel_err(init_delay(p), mp_lte_delay(p)) <= TOL
-
-    def test_grouped_form_agrees(self):
-        rng = random.Random(43)
-        for _ in range(500):
-            p = random_params(rng)
-            assert rel_err(init_delay_grouped(p), mp_init_delay(p)) <= TOL
-            assert rel_err(e2e_delay_grouped(p), mp_e2e_delay(p)) <= TOL
 
     def test_e2e_reduces_to_init_without_service_hops(self):
         p = params([10, 20, 30, 40, 50, 60, 0, 0], [1, 2, 3, 4, 5, 6, 0, 0])

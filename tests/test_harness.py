@@ -4,7 +4,7 @@ import asyncio
 
 import pytest
 
-from sdperim.harness.capture import CaptureSeries, label_attack_segments
+from sdperim.harness.capture import CaptureSeries, is_attack_segment
 from sdperim.harness.experiment import ExperimentSpec, run_experiment
 from sdperim.harness.flood import FloodSpec, sim_flood
 from sdperim.harness.scan import CLOSED, OPEN, ScannerNode, ScanReport, real_port_scan
@@ -55,7 +55,7 @@ class TestCaptureSeries:
         net.add_node(legit)
         net.act(legit, [OpenStream(legit.new_flow(), ("gw", 4444), "raw")])  # 64-byte handshake segment
         net.run(until=1.0)
-        labeled = label_attack_segments(net.trace, "gw", 4444)
+        labeled = [rec for rec in net.trace if is_attack_segment(rec, "gw", 4444)]
         assert len(labeled) == 1
         assert labeled[0].size == 40
 

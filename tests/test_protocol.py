@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from sdperim import spa
 from sdperim.client import ClientNode, Phase
+from sdperim.credentials import SecureChannel
 from sdperim.deploy import build_sim, default_config
 from sdperim.gateway.node import GATE_WINDOW, RELAY_GATE_CAP
 from sdperim.transport.base import AcceptStream, Close, Log, Node, OpenStream, Send, SendDatagram
@@ -173,9 +174,12 @@ class TestAuthorization:
         dep.net.act(client, client.open_service("echo-cloud", dep.net.clock))
         assert run_until(dep.net, lambda: client.requests[1].state != "pending")
         assert client.requests[1].state == "granted"
-        expiry = gw.engine.rule_expiry(client.session.client_id, "echo-cloud")
-        assert expiry is not None and expiry > dep.net.clock
+        installed = [r for r in dep.net.logs["gateway"] if r.get("event") == "rule" and r["verdict"] == "installed"]
+        assert [(r["client"], r["service"]) for r in installed] == [(client.session.client_id.hex(), "echo-cloud")]
+        expiry = installed[0]["expires_at"]
+        assert expiry > dep.net.clock
         assert expiry - dep.net.clock <= 60.0
+        assert gw.engine.rule_count() == 1
 
     def test_unauthorized_service_denied_without_gateway_change(self):
         dep = authed_deployment()
@@ -527,8 +531,13 @@ class TestDarkness:
         client = connect_client(dep)
         dep.net.act(client, client.open_service("echo-cloud", dep.net.clock))
         run_until(dep.net, lambda: client.requests[1].state == "granted")
-        allowed = dep.controller.authorized_pairs()
-        assert (client.session.client_id, "echo-cloud") in allowed
+        allowed = {(c.id_bytes.hex(), sid) for c in dep.cfg.clients for sid in c.services}
+        installed = {
+            (r["client"], r["service"])
+            for r in dep.net.logs["gateway"]
+            if r.get("event") == "rule" and r["verdict"] == "installed"
+        }
+        assert installed == {(client.session.client_id.hex(), "echo-cloud")} and installed <= allowed
         assert dep.gateway().engine.rule_count() == 1
 
 
@@ -625,8 +634,8 @@ class TestRelayGate:
                 assert len(gw._flow_src) <= len(deadlines) <= RELAY_GATE_CAP
                 assert deadlines == sorted(deadlines)
                 # each waiting stream's gate exists and names it, and each named stream waits
-                assert all(gw.relay_gate[src[0]].flow == flow for flow, src in gw._flow_src.items())
-                assert all(gw._flow_src[g.flow][0] == host for host, g in gw.relay_gate.items() if g.flow is not None)
+                assert all(gw.relay_gate[host].flow == flow for flow, host in gw._flow_src.items())
+                assert all(gw._flow_src[g.flow] == host for host, g in gw.relay_gate.items() if g.flow is not None)
 
         check()
 
@@ -682,7 +691,7 @@ class TestHelloWait:
         actions = gw.on_datagram(gw.spa_port, src, resent, now + 1.0)
         assert [a.record["verdict"] for a in actions] == ["gate-relay"]  # logged, nothing closed
         gate = gw.relay_gate["client"]
-        assert gate.flow == flow and gate.spa_bytes == resent and gw._flow_src == {flow: src}
+        assert gate.flow == flow and gate.spa_bytes == resent and gw._flow_src == {flow: src[0]}
         actions = gw.on_data(flow, encode_frame(Kind.CHANNEL_HELLO, [(F.SUBJECT_ID, key.client_id)]), now + 2.0)
         assert [a.record for a in actions if isinstance(a, Log)] == [
             {"event": "relay", "verdict": "open", "src": "client", "client": key.client_id.hex()}
@@ -726,6 +735,25 @@ class TestHelloWait:
         assert dep.gateway()._flow_src == {}
 
 
+class TestRegistration:
+    def test_registration_converges_on_a_slow_link(self):
+        """With round trips longer than the first retry delay, each retry closes
+        the last attempt's stream and waits twice as long, so one attempt ends."""
+        links = [
+            dict(src=s, dst=d, rate_bps=1e9, speed_mps=2e8, beta_m=2.4e8 if {s, d} == {"gateway", "controller"} else 1.0)
+            for s, d in [
+                ("client", "gateway"), ("gateway", "client"),
+                ("gateway", "controller"), ("controller", "gateway"),  # 1.2 s one way
+                ("gateway", "cloud"), ("cloud", "gateway"),
+            ]
+        ]
+        dep = build_sim(default_config(seed=7, topology={"links": links}), start_clients=False)
+        assert run_until(dep.net, lambda: dep.gateway().registered, deadline=30.0)
+        dep.net.run(until=60.0)
+        assert dep.gateway().registered
+        assert len(dep.controller.links) == 1 and len(dep.controller.by_gateway) == 1
+
+
 class TestGatewayIntegrity:
     def test_registration_spends_the_controller_gate(self):
         dep = authed_deployment()
@@ -765,6 +793,22 @@ class TestGatewayIntegrity:
 
 
 class TestControlPlaneBytes:
+    def test_trimmed_frames_carry_only_what_their_reader_reads(self, monkeypatch):
+        """CLIENT_SERVICES carries what the gateway reads and RELAY_OPEN what
+        the controller reads, no more."""
+        sent = {}
+        frame = SecureChannel.frame
+
+        def spy(channel, kind, fields):
+            sent.setdefault(kind, set()).update(fid for fid, _ in fields)
+            return frame(channel, kind, fields)
+
+        monkeypatch.setattr(SecureChannel, "frame", spy)
+        dep = authed_deployment()
+        assert connect_client(dep).ready
+        assert sent[Kind.CLIENT_SERVICES] == {F.FLOW, F.SUBJECT_ID, F.SECRET, F.COUNTER, F.DATA}
+        assert sent[Kind.RELAY_OPEN] == {F.FLOW, F.SUBJECT_ID, F.HOST}
+
     def test_session_payload_bytes_pinned(self):
         """Every byte the nodes put on the wire during one whole session
         (registration, login, a grant, a tunnel echo and one device-validation
@@ -792,4 +836,4 @@ class TestControlPlaneBytes:
         assert bytes(client.tunnels["echo-cloud"].rx) == b"hello"
         assert dep.controller.session_count() == 1
         assert count == 39
-        assert digest.hexdigest() == "9af920c88b4038ea147b7ffafde21f7ad095a7e63902d604039e295c8e95e935"
+        assert digest.hexdigest() == "868b7b8f98b3169b71d15424efedbf50a6bd0afe359b0bbfb52f57646eaca41b"

@@ -76,7 +76,7 @@ PINNED = {
     True: (
         "a4074de79cb51da1235e1f19e2bdf0584213530f1cf45bfdf80202441e3b19e3",
         "7ea31baa40a03c2f4debeb82edf394126c991e7b6a35da5cba79c35294faab4a",
-        "aaf7c848fd69e2483788866b246c29589300311b42087ce07e712a13b29abee1",
+        "0fe3420a1b43756729abe412191b86205587c3e0616e06130343ed22d64cad44",
     ),
     False: (
         "b597bf7e7d299020f475bdd0f1a05df88ea5aafed102acb33914ecc24b87c993",
@@ -108,7 +108,7 @@ PINNED_LONG = {
     True: (
         "e7153e0ca9253c949885006e02fba538301df57be1fa913152a3062df1df1824",
         "a7b0e4ca0ef8641cb4ec194014f3588df06a0063b6206dae6a19b08b4512657a",
-        "b332d3320290d4a36a1bb3b84369443bff4968931d7ba457d0256144c9f0322c",
+        "e8b1bf1072311c2fcb0ba65188a01b34cc61532b1a19008fdd8e198a5eadddc4",
     ),
     False: (
         "faf1dd12cae655813bc4ef49f7adb8f6faa204f8e5d349eab0728c07fb92c6c9",
