@@ -67,7 +67,6 @@ class Tunnel:
 
 @dataclass
 class ServiceRequest:
-    request_id: int
     service_id: str
     state: str = "pending"  # pending | granted | denied | timeout
     reason: str = ""
@@ -282,7 +281,7 @@ class ClientNode(Node):
         )
         request_id = self._next_request
         self._next_request += 1
-        self.requests[request_id] = ServiceRequest(request_id, service_id)
+        self.requests[request_id] = ServiceRequest(service_id)
         request = self.channel.frame(
             Kind.CONNECTION_REQUEST, [(F.SERVICE_ID, text(service_id)), (F.REQUEST_ID, u32(request_id))]
         )

@@ -231,10 +231,7 @@ class Material:
             )
             for c in cfg.clients
         ]
-        services = [
-            ServiceDescriptor(s.service_id, bytes.fromhex(s.gateway), s.protected_host, s.protected_port, s.public_port)
-            for s in cfg.services
-        ]
+        services = [ServiceDescriptor(s.service_id, bytes.fromhex(s.gateway), s.public_port) for s in cfg.services]
         gateways = [GatewayRecord(g.id_bytes, self.spa_keys[g.id]) for g in cfg.gateways]
         return clients, services, gateways
 

@@ -46,8 +46,6 @@ GATEWAY_ACK_TIMEOUT = 2.0
 class ServiceDescriptor:
     service_id: str
     gateway_id: bytes
-    protected_host: str
-    protected_port: int
     public_port: int
 
 

@@ -188,7 +188,7 @@ class TestAuthorization:
         # forge a request for a service outside the authorized list, at the
         # protocol level (the client API would refuse locally)
         request = client.channel.frame(Kind.CONNECTION_REQUEST, [(10, b"not-mine"), (20, (99).to_bytes(4, "big"))])
-        client.requests[99] = __import__("sdperim.client", fromlist=["ServiceRequest"]).ServiceRequest(99, "not-mine")
+        client.requests[99] = __import__("sdperim.client", fromlist=["ServiceRequest"]).ServiceRequest("not-mine")
         dep.net.act(client, [Send(client._relay_flow, request)])
         assert run_until(dep.net, lambda: client.requests[99].state != "pending")
         assert client.requests[99].state == "denied"
