@@ -30,6 +30,7 @@ from .config import ConfigError, load_config, load_material, provision
 from .delay_model import DelayParams, e2e_delay, init_delay, lte_delay, reconcile, sdp_overhead
 from .deploy import build_client, build_controller, build_gateway
 from .transport.real import RealHost
+from .transport.sim import PROTOCOL_CLASSES, TraceRecord
 
 EXIT_OK = 0
 EXIT_AUTH = 2
@@ -328,13 +329,9 @@ def delaycalc_main(argv=None) -> int:
         if len(hop_nodes) != 4:
             print("error: trace reconciliation needs hop_nodes (4 pairs) in the params file", file=sys.stderr)
             return EXIT_AUTH
-        records = []
         with open(args.trace, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    records.append(json.loads(line))
-        frames = [r for r in records if r.get("cls") in ("datagram", "data") and not r.get("dropped")]
+            records = [TraceRecord(**json.loads(line)) for line in fh if line.strip()]
+        frames = [r for r in records if r.cls in PROTOCOL_CLASSES and not r.dropped]
         report["reconcile"] = reconcile(frames, params, hop_nodes).to_dict()
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK

@@ -20,7 +20,6 @@ attach cost and ``e2e_delay`` adds the service round trip.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 DEFAULT_HOP_COUNTS = (3, 4, 3, 5)
@@ -165,17 +164,14 @@ class ReconcileReport:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
 
 def reconcile(trace_records, p: DelayParams, hop_nodes: tuple[tuple[str, str], ...]) -> ReconcileReport:
     """Compare the model's predicted authentication cost against a simulated
     trace.
 
-    ``trace_records`` are protocol-frame records (dicts or TraceRecord-likes
-    with src, dst and the link-priced per-frame delay); ``hop_nodes`` maps
-    the four control hops to (src node, dst node) pairs. When hop counts
+    ``trace_records`` are protocol-frame ``TraceRecord``s, of which src, dst
+    and the link-priced per-frame delay are read; ``hop_nodes`` maps the
+    four control hops to (src node, dst node) pairs. When hop counts
     match and the simulation ran with uniform per-hop packet sizes equal to
     the model's, predicted and measured agree exactly, because the simulator
     prices each frame with the same expression the model uses.
@@ -184,16 +180,9 @@ def reconcile(trace_records, p: DelayParams, hop_nodes: tuple[tuple[str, str], .
     uniform = True
     for i, (src, dst) in enumerate(hop_nodes):
         per_frame = total_delay(p.alpha_bits[i], p.rate_bps, p.beta_m[i], p.speed_mps)
-        observed = []
-        for rec in trace_records:
-            r_src = rec["src"] if isinstance(rec, dict) else rec.src
-            r_dst = rec["dst"] if isinstance(rec, dict) else rec.dst
-            if (r_src, r_dst) != (src, dst):
-                continue
-            delay = rec.get("link_delay") if isinstance(rec, dict) else rec.link_delay
-            if delay is None:
-                continue
-            observed.append(delay)
+        observed = [
+            rec.link_delay for rec in trace_records if (rec.src, rec.dst) == (src, dst) and rec.link_delay is not None
+        ]
         if observed and any(d != observed[0] for d in observed):
             uniform = False
         # measured per hop: observed frame count times the uniform observed

@@ -70,7 +70,7 @@ def build_gateway(cfg: DeploymentConfig, material: Material, gw_id: str, rng, co
     )
 
 
-def build_client(cfg: DeploymentConfig, material: Material, client_id: str, rng, gateway_host: str | None = None, **kw) -> ClientNode:
+def build_client(cfg: DeploymentConfig, material: Material, client_id: str, rng, gateway_host: str | None = None) -> ClientNode:
     entry = next(c for c in cfg.clients if c.id == client_id)
     gw_host = gateway_host or (cfg.gateways[0].host if cfg.gateways else "gateway")
     return ClientNode(
@@ -82,7 +82,6 @@ def build_client(cfg: DeploymentConfig, material: Material, client_id: str, rng,
         rng=rng,
         spa_port=cfg.ports.spa,
         relay_port=cfg.ports.control,
-        **kw,
     )
 
 

@@ -412,10 +412,11 @@ class GatewayNode(Node):
                 continue
             if splice.five in severed or splice.client_id == client_id:
                 actions.extend(self._teardown_splice(splice, "revoked"))
-        for relay in list(self.relay_flows.values()):
-            if relay.client_id == client_id and not relay.dead:
-                relay.dead = True
-                actions.append(Close(relay.flow))
+        for relay in [r for r in self.relay_flows.values() if r.client_id == client_id and not r.dead]:
+            # no driver reports on_closed for a flow its node closed, so forget it here
+            del self.relay_flows[relay.flow]
+            del self.by_relay_id[relay.relay_id]
+            actions.append(Close(relay.flow))
         self.data_gate.pop(client_id, None)
         self.client_store.remove(client_id)
         return actions

@@ -34,6 +34,7 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -156,7 +157,9 @@ class _Flow:
 class SimNet:
     """The virtual-clock driver. Nodes are added by name; harness code can
     schedule callbacks with ``call_at`` and execute node API results with
-    ``act``."""
+    ``act``. A scheduled event is its handler plus its arguments: the heap
+    holds ``(when, seq, handler, args)`` and ``run`` calls ``handler(*args)``.
+    Each seq is unique, so the heap never compares two handlers."""
 
     def __init__(self, topology: Topology, seed: int = 0, handshake_timeout: float = 60.0):
         self.topology = topology
@@ -164,7 +167,7 @@ class SimNet:
         self.handshake_timeout = handshake_timeout
         self.clock = 0.0
         self.rng = random.Random(f"simnet:{seed}")
-        self._heap: list[tuple[float, int, tuple]] = []
+        self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._seq = 0
         self.trace: list[TraceRecord] = []  # or any sink with append
         self.nodes: dict[str, Node] = {}
@@ -186,31 +189,31 @@ class SimNet:
         self._by_local[node.name] = {}
         self._pending_accepts[node.name] = deque()
         self._half_open[node.name] = 0
-        self._push(self.clock, ("start", node.name))
+        self._push(self.clock, self._on_start, (node.name,))
 
     def node_rng(self, name: str) -> random.Random:
         return random.Random(f"simnet:{self.seed}:{name}")
 
     # -- scheduling ----------------------------------------------------------
 
-    def _push(self, when: float, item: tuple) -> None:
+    def _push(self, when: float, handler: Callable[..., None], args: tuple = ()) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, (when, self._seq, item))
+        heapq.heappush(self._heap, (when, self._seq, handler, args))
 
-    def call_at(self, when: float, fn) -> None:
-        self._push(when, ("call", fn))
+    def call_at(self, when: float, fn: Callable[[], None]) -> None:
+        self._push(when, fn)
 
     # -- running -------------------------------------------------------------
 
     def run(self, until: float | None = None, max_events: int = 5_000_000) -> None:
         events = 0
         while self._heap:
-            when, _, item = self._heap[0]
+            when, _, handler, args = self._heap[0]
             if until is not None and when > until:
                 break
             heapq.heappop(self._heap)
             self.clock = max(self.clock, when)
-            self._dispatch(item)
+            handler(*args)
             events += 1
             if events > max_events:
                 raise RuntimeError("event budget exhausted")
@@ -219,7 +222,7 @@ class SimNet:
 
     # -- link transmission ----------------------------------------------------
 
-    def _transmit(self, cls: str, src: str, dst: str, src_port: int, dst_port: int, size: int, kind: int | None, deliver_item: tuple | None) -> None:
+    def _transmit(self, cls: str, src: str, dst: str, src_port: int, dst_port: int, size: int, kind: int | None, deliver: Callable[..., None], args: tuple) -> None:
         link = self.topology.link(src, dst)
         rec = TraceRecord(
             seq=self._seq + 1, cls=cls, src=src, dst=dst, src_port=src_port, dst_port=dst_port,
@@ -236,22 +239,20 @@ class SimNet:
                 delivery = last  # in-order per link
             self._last_delivery[(src, dst)] = delivery
             rec.delivered = delivery
-            if deliver_item is not None:
-                self._push(delivery, deliver_item)
+            self._push(delivery, deliver, args)
         self.trace.append(rec)  # only once final: a sink may write it out at once
 
     # -- action execution -------------------------------------------------------
 
-    def act(self, node: Node | str, actions) -> None:
-        name = node if isinstance(node, str) else node.name
+    def act(self, node: Node, actions) -> None:
         for action in actions or ():
-            self._do(name, action)
+            self._do(node.name, action)
 
     def _do(self, name: str, action) -> None:
         if isinstance(action, SendDatagram):
             host, port = action.dst
             self._transmit(CLS_DATAGRAM, name, host, 0, port, len(action.data), None,
-                           ("datagram", host, port, (name, 0), action.data))
+                           self._on_datagram, (host, port, (name, 0), action.data))
         elif isinstance(action, OpenStream):
             self._next_port += 1
             flow = _Flow(mode=action.mode, init_node=name, init_local=action.flow,
@@ -259,7 +260,7 @@ class SimNet:
             self._by_local[name][action.flow] = flow
             host, port = action.dst
             self._transmit(CLS_SYN, name, host, flow.init_port, port, SEGMENT_OVERHEAD_BYTES, None,
-                           ("syn", flow))
+                           self._on_syn, (flow,))
         elif isinstance(action, AcceptStream):
             self._accept(name, action.flow)
         elif isinstance(action, Send):
@@ -269,16 +270,13 @@ class SimNet:
         elif isinstance(action, SetTimer):
             version = self._timer_version.get((name, action.key), 0) + 1
             self._timer_version[(name, action.key)] = version
-            self._push(self.clock + action.delay, ("timer", name, action.key, version))
+            self._push(self.clock + action.delay, self._on_timer, (name, action.key, version))
         elif isinstance(action, CancelTimer):
             self._timer_version[(name, action.key)] = self._timer_version.get((name, action.key), 0) + 1
         elif isinstance(action, Log):
             self.logs[name].append({"ts": self.clock, **action.record})
         else:
             raise TypeError(f"unknown action {action!r}")
-
-    def _flow_for(self, name: str, local: int) -> _Flow | None:
-        return self._by_local[name].get(local)
 
     def _peer(self, flow: _Flow, name: str) -> tuple[str, int, int] | None:
         """Returns (peer node, peer local id, dst port for tracing)."""
@@ -289,7 +287,7 @@ class SimNet:
         return flow.init_node, flow.init_local, flow.init_port
 
     def _accept(self, name: str, local: int) -> None:
-        flow = self._flow_for(name, local)
+        flow = self._by_local[name].get(local)
         if flow is None or flow.state != "syn-sent":
             return
         flow.state = "pending-ack"
@@ -302,12 +300,12 @@ class SimNet:
         self._half_open[name] += 1
         src = flow.spoofed_host if flow.spoofed_host is not None else flow.init_node
         self._transmit(CLS_ACCEPT, name, src, flow.acc_addr[1], flow.init_port, SEGMENT_OVERHEAD_BYTES, None,
-                       ("accept", flow))
+                       self._on_accept, (flow,))
 
     def _schedule_timeout(self, name: str, flow: _Flow) -> None:
         """The acceptor's one timeout event, at ``flow``'s own (time, seq)."""
         when = flow.since + self.handshake_timeout
-        heapq.heappush(self._heap, (when, flow.timeout_seq, ("handshake-timeout", name)))
+        heapq.heappush(self._heap, (when, flow.timeout_seq, self._on_handshake_timeout, (name,)))
 
     def _settle(self, flow: _Flow) -> None:
         """The acceptor stops awaiting ``flow``'s ack; its queue entry goes stale."""
@@ -330,7 +328,7 @@ class SimNet:
             self._schedule_timeout(name, pending[0])
 
     def _send_data(self, name: str, local: int, data: bytes) -> None:
-        flow = self._flow_for(name, local)
+        flow = self._by_local[name].get(local)
         if flow is None or flow.state == "closed":
             return
         peer = self._peer(flow, name)
@@ -340,10 +338,10 @@ class SimNet:
         src_port = flow.init_port if name == flow.init_node else flow.acc_addr[1]
         kind = data[4] if flow.mode == FRAMED and len(data) >= 5 else None
         self._transmit(CLS_DATA, name, peer_node, src_port, dst_port, len(data), kind,
-                       ("data", flow, name, data))
+                       self._on_data, (flow, name, data))
 
     def _close(self, name: str, local: int) -> None:
-        flow = self._flow_for(name, local)
+        flow = self._by_local[name].get(local)
         if flow is None or flow.state == "closed":
             return
         peer = self._peer(flow, name)
@@ -356,7 +354,7 @@ class SimNet:
         peer_node, _, dst_port = peer
         src_port = flow.init_port if name == flow.init_node else flow.acc_addr[1]
         self._transmit(CLS_CLOSE, name, peer_node, src_port, dst_port, SEGMENT_OVERHEAD_BYTES, None,
-                       ("close", flow, name))
+                       self._on_close, (flow, name))
 
     # -- attack injection ---------------------------------------------------
 
@@ -367,51 +365,27 @@ class SimNet:
         host, port = src
         flow = _Flow(mode=RAW, init_node=attacker or host, init_local=-1, init_port=port, acc_addr=dst,
                      spoofed_host=host)
-        self._transmit(CLS_SYN, flow.init_node, dst[0], port, dst[1], size, None, ("syn", flow))
+        self._transmit(CLS_SYN, flow.init_node, dst[0], port, dst[1], size, None, self._on_syn, (flow,))
 
     def half_open_count(self, node: str) -> int:
         return self._half_open.get(node, 0)
 
-    # -- event dispatch --------------------------------------------------------
+    # -- event handlers ----------------------------------------------------------
 
-    def _dispatch(self, item: tuple) -> None:
-        op = item[0]
-        if op == "start":
-            node = self.nodes[item[1]]
-            self.act(node, node.start(self.clock))
-        elif op == "call":
-            item[1]()
-        elif op == "datagram":
-            _, host, port, src, data = item
-            node = self.nodes.get(host)
-            if node is not None and port in node.udp_ports:
-                src_addr = (src[0], src[1])
-                self.act(node, node.on_datagram(port, src_addr, data, self.clock))
-        elif op == "syn":
-            self._on_syn(item[1])
-        elif op == "accept":
-            self._on_accept(item[1])
-        elif op == "ack":
-            self._on_ack(item[1])
-        elif op == "data":
-            self._on_data(item[1], item[2], item[3])
-        elif op == "close":
-            self._on_close(item[1], item[2])
-        elif op == "timer":
-            _, name, key, version = item
-            if self._timer_version.get((name, key)) == version:
-                node = self.nodes.get(name)  # the node may have been torn down
-                if node is not None:
-                    self.act(node, node.on_timer(key, self.clock))
-        elif op == "handshake-timeout":
-            self._on_handshake_timeout(item[1])
-        elif op == "connect-failed":
-            flow = item[1]
-            node = self.nodes.get(flow.init_node)
-            if node is not None and flow.state == "syn-sent":
-                flow.state = "closed"
-                self._forget(flow)
-                self.act(node, node.on_connect_failed(flow.init_local, "refused", self.clock))
+    def _on_start(self, name: str) -> None:
+        node = self.nodes[name]
+        self.act(node, node.start(self.clock))
+
+    def _on_datagram(self, host: str, port: int, src: Address, data: bytes) -> None:
+        node = self.nodes.get(host)
+        if node is not None and port in node.udp_ports:
+            self.act(node, node.on_datagram(port, src, data, self.clock))
+
+    def _on_timer(self, name: str, key: str, version: int) -> None:
+        if self._timer_version.get((name, key)) == version:
+            node = self.nodes.get(name)  # the node may have been torn down
+            if node is not None:
+                self.act(node, node.on_timer(key, self.clock))
 
     def _on_syn(self, flow: _Flow) -> None:
         host, port = flow.acc_addr
@@ -421,7 +395,7 @@ class SimNet:
             if flow.spoofed_host is None and node is not None:
                 # nothing bound: refuse (the dark case is a bound port whose node declines)
                 self._transmit(CLS_CLOSE, host, flow.init_node, port, flow.init_port, SEGMENT_OVERHEAD_BYTES, None,
-                               ("connect-failed", flow))
+                               self._on_connect_failed, (flow,))
             return
         flow.acc_node = host
         flow.acc_local = node.new_flow()
@@ -432,6 +406,13 @@ class SimNet:
             # closed by its initiator before the syn arrived, or a spoofed
             # flow declined, which no real initiator can close
             self._forget(flow)
+
+    def _on_connect_failed(self, flow: _Flow) -> None:
+        node = self.nodes.get(flow.init_node)
+        if node is not None and flow.state == "syn-sent":
+            flow.state = "closed"
+            self._forget(flow)
+            self.act(node, node.on_connect_failed(flow.init_local, "refused", self.clock))
 
     def _forget(self, flow: _Flow) -> None:
         """Drop a closed or dead flow from both endpoints' maps; either entry
@@ -450,7 +431,7 @@ class SimNet:
             return
         flow.state = "established"
         self._transmit(CLS_ACK, flow.init_node, flow.acc_node, flow.init_port, flow.acc_addr[1],
-                       SEGMENT_OVERHEAD_BYTES, None, ("ack", flow))
+                       SEGMENT_OVERHEAD_BYTES, None, self._on_ack, (flow,))
         self.act(node, node.on_connected(flow.init_local, self.clock))
 
     def _on_ack(self, flow: _Flow) -> None:

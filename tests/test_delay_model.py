@@ -17,6 +17,7 @@ from sdperim.delay_model import (
     sdp_overhead,
     total_delay,
 )
+from sdperim.transport.sim import TraceRecord
 
 TOL = 1e-12
 
@@ -198,7 +199,8 @@ class TestReconcile:
         for i, (src, dst) in enumerate(self.HOPS):
             d = p.alpha_bits[i] / p.rate_bps + p.beta_m[i] / p.speed_mps
             for _ in range(counts[i]):
-                recs.append({"src": src, "dst": dst, "sent": 0.0, "delivered": d, "link_delay": d})
+                recs.append(TraceRecord(seq=0, cls="data", src=src, dst=dst, src_port=0, dst_port=0, size=0,
+                                        kind=None, sent=0.0, delivered=d, link_delay=d))
         return recs
 
     def test_matching_trace_has_exactly_zero_delta(self):

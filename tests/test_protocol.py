@@ -404,6 +404,17 @@ class TestDeviceValidation:
         assert dep.gateway().engine.rule_count() == 0
         assert dep.gateway().engine.conntrack_count() == 0
 
+    def test_revoked_client_relay_is_forgotten(self):
+        # the gateway closes the relay itself, so no on_closed ever reports it
+        dep = authed_deployment(timing={"validation_interval": 2.0})
+        client = connect_client(dep)
+        client.validation_mode = "silent"
+        assert run_until(dep.net, lambda: client.session.phase is Phase.REVOKED, deadline=dep.net.clock + 10.0)
+        dep.net.run(until=dep.net.clock + 120.0)
+        gw = dep.gateway()
+        assert gw.relay_flows == {}
+        assert gw.by_relay_id == {}
+
     def test_tampered_ack_revokes(self):
         dep = authed_deployment(timing={"validation_interval": 2.0})
         client = connect_client(dep)

@@ -88,8 +88,8 @@ class Stack:
         for host in reversed(self.hosts):
             await host.stop()
 
-    async def join_client(self, seed=3, **kw):
-        client = build_client(self.cfg, self.material, "aa" * 16, random.Random(seed), gateway_host=GW_IP, **kw)
+    async def join_client(self, seed=3):
+        client = build_client(self.cfg, self.material, "aa" * 16, random.Random(seed), gateway_host=GW_IP)
         host = RealHost(client, CLIENT_IP)
         self.hosts.append(host)
         await host.start()

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdperim.transport.base import RAW, AcceptStream, Close, Node, OpenStream, Send, SendDatagram
+from sdperim.transport.base import RAW, AcceptStream, Close, Node, OpenStream, Send, SendDatagram, SetTimer
 from sdperim.transport.sim import LinkSpec, SimNet, Topology, TraceRecord, _Flow, two_way
 
 
@@ -313,6 +313,32 @@ class TestStreams:
         net.run()
         assert live_flows() == before
         assert net._by_local == {"a": {}, "b": {}}
+
+
+class TestRun:
+    def test_event_whose_hook_raises_is_consumed(self):
+        class Faulty(Node):
+            def __init__(self):
+                super().__init__("a")
+                self.fired = []
+
+            def start(self, now):
+                return [SetTimer("x", 1.0), SetTimer("y", 2.0)]
+
+            def on_timer(self, key, now):
+                self.fired.append(key)
+                if key == "x":
+                    raise RuntimeError("hook fault")
+                return []
+
+        net = make_net()
+        node = Faulty()
+        net.add_node(node)
+        with pytest.raises(RuntimeError, match="hook fault"):
+            net.run(until=5.0)
+        assert net.clock == 1.0
+        net.run(until=5.0)
+        assert node.fired == ["x", "y"]  # y fired once, x never again
 
 
 class TestTrace:
