@@ -62,7 +62,6 @@ class Tunnel:
     established: bool = False
     closed: bool = False
     rx: bytearray = field(default_factory=bytearray)
-    tx_backlog: list = field(default_factory=list)
 
 
 @dataclass
@@ -73,7 +72,6 @@ class ServiceRequest:
 
 
 class ClientNode(Node):
-    # validation_mode is a test hook: "answer" (normal), "silent", "tamper"
     def __init__(
         self,
         name: str,
@@ -84,7 +82,6 @@ class ClientNode(Node):
         rng,
         spa_port: int = 62201,
         relay_port: int = 5000,
-        validation_mode: str = "answer",
     ):
         super().__init__(name)
         self.identity = identity
@@ -94,7 +91,6 @@ class ClientNode(Node):
         self.spa_port = spa_port
         self.relay_port = relay_port
         self.rng = rng
-        self.validation_mode = validation_mode
         self.session = ClientSession(client_id=spa_key.client_id)
         self.ready = False  # gateway confirmed the authorization material
         self.failed = False
@@ -128,21 +124,17 @@ class ClientNode(Node):
             [
                 SendDatagram((self.gateway_host, self.spa_port), packet.encode()),
                 OpenStream(self._relay_flow, (self.gateway_host, self.relay_port), FRAMED),
+                Send(self._relay_flow, self._initiator.hello(self.session.client_id)),
                 SetTimer("spa-timeout", SPA_TIMEOUT),
             ]
         )
         return actions
 
     def on_connected(self, flow, now):
-        if flow == self._relay_flow:
-            return [Send(flow, self._initiator.hello(self.session.client_id))]
         tunnel = self._flow_tunnel.get(flow)
         if tunnel is not None:
             tunnel.established = True
             self.session.advance(Phase.SERVICE_CONNECTED)
-            out = [Send(flow, chunk) for chunk in tunnel.tx_backlog]
-            tunnel.tx_backlog.clear()
-            return out
         return []
 
     def on_connect_failed(self, flow, reason, now):
@@ -241,13 +233,8 @@ class ClientNode(Node):
         return [CancelTimer(f"svc-timeout:{request_id}"), Log({"event": "service", "verdict": "granted", "service": req.service_id})]
 
     def _on_validate(self, fields, now):
-        if self.validation_mode == "silent":
-            return []
         nonce = fields.need(F.NONCE)
-        if self.validation_mode == "tamper":
-            sig = bytes(64)
-        else:
-            sig = sign_validation(self.identity, nonce)
+        sig = sign_validation(self.identity, nonce)
         return [Send(self._relay_flow, self.channel.frame(Kind.DEVICE_VALIDATE_ACK, [(F.NONCE, nonce), (F.SIG, sig)]))]
 
     def on_closed(self, flow, now):
@@ -308,7 +295,4 @@ class ClientNode(Node):
         tunnel = self.tunnels.get(service_id)
         if tunnel is None or tunnel.flow is None or tunnel.closed:
             raise ValueError("tunnel not open")
-        if not tunnel.established:
-            tunnel.tx_backlog.append(data)
-            return []
-        return [Send(tunnel.flow, data)]
+        return [Send(tunnel.flow, data)]  # before the stream connects, the driver holds it

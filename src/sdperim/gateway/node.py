@@ -26,7 +26,7 @@ Every verdict is logged as one structured record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import takewhile
 
 from .. import spa
@@ -83,8 +83,6 @@ class _Splice:
     service_flow: int
     five: tuple  # (src ip, src port, public port)
     client_id: bytes
-    service_ready: bool = False
-    backlog: list = field(default_factory=list)
 
 
 class GatewayNode(Node):
@@ -151,19 +149,9 @@ class GatewayNode(Node):
         return actions + [
             SendDatagram((self.controller_addr[0], self.spa_port), packet.encode()),
             OpenStream(self.upstream_flow, self.controller_addr, FRAMED),
+            Send(self.upstream_flow, self._initiator.hello(self.identity.cert.subject_id)),
             SetTimer("register-retry", delay),
         ]
-
-    def on_connected(self, flow, now):
-        if flow == self.upstream_flow:
-            return [Send(flow, self._initiator.hello(self.identity.cert.subject_id))]
-        splice = self.splices.get(flow)
-        if splice is not None and flow == splice.service_flow:
-            splice.service_ready = True
-            out = [Send(splice.service_flow, chunk) for chunk in splice.backlog]
-            splice.backlog.clear()
-            return out
-        return []
 
     def on_connect_failed(self, flow, reason, now):
         if flow == self.upstream_flow:
@@ -428,10 +416,7 @@ class GatewayNode(Node):
             verdict, reason = self.engine.verdict_segment(*splice.five, now)
             if verdict != FORWARD:
                 return self._teardown_splice(splice, reason)
-            if not splice.service_ready:
-                splice.backlog.append(data)
-                return []
-            return [Send(splice.service_flow, data)]
+            return [Send(splice.service_flow, data)]  # the driver holds it until the service connects
         # return path from the protected service
         self.engine.touch(*splice.five, now)
         return [Send(splice.client_flow, data)]
@@ -450,7 +435,7 @@ class GatewayNode(Node):
         if flow == self.upstream_flow:
             self.registered = False
             self.channel = None
-            return [SetTimer("register-retry", REGISTER_RETRY)]
+            return [SetTimer("register-retry", self._register_delay)]  # backs off as an unanswered retry does
         relay = self.relay_flows.pop(flow, None)
         if relay is not None:
             self.by_relay_id.pop(relay.relay_id, None)

@@ -46,7 +46,6 @@ class PingerNode(Node):
         self.period = 1.0 / rate
         self.payload = b"\x55" * payload_size
         self.rx_bytes = 0
-        self.sent = 0
         self.connected = False
         self._flow = None
 
@@ -61,7 +60,6 @@ class PingerNode(Node):
     def on_timer(self, key, now):
         if key != "tick" or not self.connected:
             return []
-        self.sent += 1
         return [Send(self._flow, self.payload), SetTimer("tick", self.period)]
 
     def on_data(self, flow, data, now):

@@ -75,6 +75,13 @@ class Node:
     ``udp_ports`` and ``tcp_ports`` declare listeners; drivers bind them.
     ``tcp_ports`` maps port -> stream mode.
 
+    A ``Send`` on a stream the node opened, issued before its
+    ``on_connected`` (in the same action list as the ``OpenStream``, or
+    later), waits in the driver and is delivered in order once the stream
+    connects, before any later ``Send``; the peer sees its ``on_connected``
+    first. If the stream fails or is closed first, the writes are dropped
+    with it. A node therefore keeps no backlog of its own.
+
     A hook that raises returns no actions, so none of its event's actions
     run, and the drivers differ in what follows:
 

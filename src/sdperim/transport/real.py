@@ -26,8 +26,10 @@ connection as a bare descriptor (``socket._accept``, which
 returned. A declined stream (or one whose hook raised) costs one
 ``os.close``, before any payload byte, with no socket object, transport,
 task or selector registration. Only an accepted stream gets a socket and
-an asyncio transport, whose ``connection_made`` reports ``on_connected``;
-writes the node issues before then wait on the stream. The kernel still
+an asyncio transport, whose ``connection_made`` reports ``on_connected``.
+Writes the node issues on a stream before its transport exists, inbound or
+outbound, wait on the stream and go out before ``on_connected`` runs, as
+the contract in ``base.Node`` says. The kernel still
 completes the handshake and sends the SYN-ACK for every source, so a SYN
 scan sees the port open; a socket filter (``SO_ATTACH_FILTER``) could
 withhold it, and none is attached yet.

@@ -16,7 +16,11 @@ Runs with identical seeds and configs produce byte-identical traces.
 Streams carry a minimal three-segment handshake (initiation, accept, ack) so
 half-open state is observable: an acceptor that answers an initiation whose
 source never acks keeps it pending until the handshake timeout. A node that
-declines an initiation emits nothing at all.
+declines an initiation emits nothing at all. Data an initiator sends
+before its ``on_connected`` waits in one table keyed by (node, local flow),
+so a spoofed half-open flow carries no slot for it. It goes out right after
+the ack segment, before ``on_connected`` runs, and is forgotten with the
+flow if the flow dies first.
 
 Pending accepts time out oldest first. Each acceptor keeps its accepted
 flows in accept order and has at most one scheduled timeout event, for the
@@ -173,6 +177,7 @@ class SimNet:
         self.nodes: dict[str, Node] = {}
         self.logs: dict[str, list[dict]] = {}
         self._by_local: dict[str, dict[int, _Flow]] = {}  # node -> local flow id -> flow
+        self._early: dict[tuple[str, int], list[bytes]] = {}  # (initiator, local flow) -> data sent before connect
         self._next_port = 33000  # synthetic ephemeral source ports
         self._timer_version: dict[tuple[str, str], int] = {}
         self._pending_accepts: dict[str, deque[_Flow]] = {}  # node -> flows it accepted, oldest first
@@ -331,10 +336,10 @@ class SimNet:
         flow = self._by_local[name].get(local)
         if flow is None or flow.state == "closed":
             return
-        peer = self._peer(flow, name)
-        if peer is None:
+        if name == flow.init_node and flow.state != "established":
+            self._early.setdefault((name, local), []).append(data)  # sent once the stream connects
             return
-        peer_node, _, dst_port = peer
+        peer_node, _, dst_port = self._peer(flow, name)
         src_port = flow.init_port if name == flow.init_node else flow.acc_addr[1]
         kind = data[4] if flow.mode == FRAMED and len(data) >= 5 else None
         self._transmit(CLS_DATA, name, peer_node, src_port, dst_port, len(data), kind,
@@ -419,6 +424,7 @@ class SimNet:
         may be gone already. A spoofed initiator has none."""
         if flow.spoofed_host is None:
             self._by_local[flow.init_node].pop(flow.init_local, None)
+            self._early.pop((flow.init_node, flow.init_local), None)
         if flow.acc_node is not None:
             self._by_local[flow.acc_node].pop(flow.acc_local, None)
 
@@ -432,6 +438,8 @@ class SimNet:
         flow.state = "established"
         self._transmit(CLS_ACK, flow.init_node, flow.acc_node, flow.init_port, flow.acc_addr[1],
                        SEGMENT_OVERHEAD_BYTES, None, self._on_ack, (flow,))
+        for data in self._early.pop((flow.init_node, flow.init_local), ()):
+            self._send_data(flow.init_node, flow.init_local, data)
         self.act(node, node.on_connected(flow.init_local, self.clock))
 
     def _on_ack(self, flow: _Flow) -> None:

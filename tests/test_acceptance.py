@@ -39,9 +39,17 @@ def test_criterion_1_port_scan_darkness():
     report = asyncio.run(protected())
     assert report.open_ports() == [], f"open ports visible: {report.open_ports()}"
 
+    async def hold(reader, writer):
+        try:
+            await reader.read()  # a live service holds the connection until the scanner hangs up
+        except ConnectionError:
+            pass
+        finally:
+            writer.close()
+
     async def unprotected():
         # gateway removed: scan the protected service directly
-        server = await asyncio.start_server(lambda r, w: None, CLOUD_IP, 24102)
+        server = await asyncio.start_server(hold, CLOUD_IP, 24102)
         try:
             return await real_port_scan(CLOUD_IP, range(24100, 24105), timeout=0.5, bind_ip=OTHER_IP)
         finally:

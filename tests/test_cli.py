@@ -160,8 +160,7 @@ def test_full_binary_session(tmp_path):
         time.sleep(0.7)
         client = subprocess.Popen(
             cmd(["client", "--config", str(cfg), "--service", "echo-cloud", "--local-port", str(base + 9)]),
-            stdout=subprocess.PIPE,
-            text=True,
+            stdout=subprocess.DEVNULL,
             env=ENV,
         )
         procs.append(client)

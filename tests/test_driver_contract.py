@@ -1,0 +1,392 @@
+"""The node/driver contract of ``transport/base.py``, tested once against
+both drivers.
+
+Every case runs scripted toy nodes under ``SimNet`` (over ``two_way`` links,
+on the virtual clock) and under ``RealHost`` (one host per node, each on its
+own loopback alias). A node's name is its host address under both drivers,
+so a case addresses its peers the same way on either. Where the drivers
+differ by design, the case says so and asserts each side.
+"""
+
+import asyncio
+import time
+
+import pytest
+
+from sdperim.transport.base import (
+    FRAMED,
+    RAW,
+    AcceptStream,
+    CancelTimer,
+    Close,
+    Node,
+    OpenStream,
+    Send,
+    SendDatagram,
+    SetTimer,
+)
+from sdperim.transport.real import RealHost
+from sdperim.transport.sim import SimNet, Topology, two_way
+from sdperim.wire import F, Kind, encode_frame
+
+A, B = "127.0.0.60", "127.0.0.61"
+
+
+def frame(payload: bytes) -> bytes:
+    return encode_frame(Kind.RELAY_DATA, [(F.DATA, payload)])
+
+
+def accept(flow):
+    return [AcceptStream(flow)]
+
+
+class Toy(Node):
+    """Records every event in order, with the time it ran. Answers a stream
+    request with ``answer(flow)``; with ``echo``, sends each chunk back. A
+    datagram ``b"boom"`` or a timer named ``boom`` makes its hook raise."""
+
+    def __init__(self, name, udp=(), tcp=None, answer=accept, echo=False):
+        super().__init__(name)
+        self.udp_ports = list(udp)
+        self.tcp_ports = dict(tcp or {})
+        self.answer = answer
+        self.echo = echo
+        self.events = []
+        self.times = []
+
+    def _record(self, now, *event):
+        self.events.append(event)
+        self.times.append(now)
+
+    def on_datagram(self, port, src, data, now):
+        self._record(now, "datagram", src[0], data)
+        if data == b"boom":
+            raise RuntimeError("hook failure")
+        return []
+
+    def on_stream_request(self, flow, port, src, now):
+        self._record(now, "request", flow, src[0])
+        return self.answer(flow)
+
+    def on_connected(self, flow, now):
+        self._record(now, "connected", flow)
+        return []
+
+    def on_connect_failed(self, flow, reason, now):
+        self._record(now, "failed", flow, reason)
+        return []
+
+    def on_data(self, flow, data, now):
+        self._record(now, "data", flow, data)
+        return [Send(flow, data)] if self.echo else []
+
+    def on_closed(self, flow, now):
+        self._record(now, "closed", flow)
+        return []
+
+    def on_timer(self, key, now):
+        self._record(now, "timer", key)
+        if key == "boom":
+            raise RuntimeError("hook failure")
+        return []
+
+    def requests(self):
+        return [e[1] for e in self.events if e[0] == "request"]
+
+    def hooks(self, flow):
+        """The hooks that ran for ``flow``, in order."""
+        return [e[0] for e in self.events if e[0] not in ("datagram", "timer") and e[1] == flow]
+
+    def chunks(self, flow):
+        return [e[2] for e in self.events if e[0] == "data" and e[1] == flow]
+
+
+class Driver:
+    """What a case needs of a driver. ``errors`` collects each hook failure
+    the driver reports; a case takes the ones it expects, and any other
+    fails it."""
+
+    def __init__(self):
+        self.errors = []
+
+    def run(self, case):
+        async def main():
+            asyncio.get_running_loop().set_exception_handler(lambda loop, ctx: self.errors.append(ctx))
+            try:
+                await case()
+            finally:
+                await self.stop()
+
+        asyncio.run(main())
+        assert self.errors == []
+
+    def take_errors(self):
+        errors, self.errors = self.errors, []
+        return errors
+
+    async def stop(self):
+        pass
+
+
+class Sim(Driver):
+    kind = "sim"
+
+    def __init__(self):
+        super().__init__()
+        self.net = SimNet(Topology(two_way(A, B)), seed=1)
+
+    async def add(self, *nodes):
+        for node in nodes:
+            self.net.add_node(node)
+        self._run(self.net.clock)  # their start hooks
+
+    async def act(self, node, actions):
+        self.net.act(node, actions)
+
+    async def wait(self, cond, timeout=5.0):
+        """Runs the net one instant at a time until ``cond`` holds."""
+        deadline, heap = self.net.clock + timeout, self.net._heap
+        while not cond() and heap and heap[0][0] <= deadline:
+            self._run(heap[0][0])
+        return cond()
+
+    async def settle(self, seconds):
+        self._run(self.net.clock + seconds)
+
+    def _run(self, until):
+        # a raising hook's exception leaves run; the next run goes on after it
+        while True:
+            try:
+                return self.net.run(until=until)
+            except RuntimeError as exc:
+                self.errors.append({"exception": exc, "clock": self.net.clock})
+
+    def held(self, node):
+        return set(self.net._by_local[node.name])
+
+
+class Real(Driver):
+    kind = "real"
+
+    def __init__(self):
+        super().__init__()
+        self.hosts = {}
+
+    async def add(self, *nodes):
+        for node in nodes:
+            self.hosts[node.name] = RealHost(node, node.name)
+            await self.hosts[node.name].start()
+
+    async def act(self, node, actions):
+        await self.hosts[node.name].call(lambda now: actions)
+
+    async def wait(self, cond, timeout=5.0):
+        deadline = time.monotonic() + timeout
+        while not cond() and time.monotonic() < deadline:
+            await asyncio.sleep(0.005)
+        return cond()
+
+    async def settle(self, seconds):
+        await asyncio.sleep(seconds)
+
+    def held(self, node):
+        return set(self.hosts[node.name]._flows)
+
+    async def stop(self):
+        for host in self.hosts.values():
+            await host.stop()
+
+
+@pytest.fixture(params=[Sim, Real], ids=["sim", "real"])
+def driver(request):
+    return request.param()
+
+
+def test_declined_initiation_gets_no_byte_back(driver):
+    a, b = Toy(A), Toy(B, tcp={23101: RAW}, answer=lambda flow: [])
+
+    async def case():
+        await driver.add(a, b)
+        flow = a.new_flow()
+        await driver.act(a, [OpenStream(flow, (B, 23101), RAW), Send(flow, b"knock")])
+        assert await driver.wait(lambda: b.events)
+        await driver.settle(0.2)
+        assert b.events == [("request", b.requests()[0], A)]  # no on_connected, no byte
+        if driver.kind == "sim":
+            assert a.events == []  # dark: nothing at all comes back
+        else:
+            # the kernel completes every handshake before the node decides,
+            # and the decline closes the stream it completed
+            assert a.events == [("connected", flow), ("closed", flow)]
+
+    driver.run(case)
+
+
+def test_initiation_to_an_unbound_port_fails(driver):
+    a, b = Toy(A), Toy(B, tcp={23201: RAW})
+
+    async def case():
+        await driver.add(a, b)
+        flow = a.new_flow()
+        await driver.act(a, [OpenStream(flow, (B, 23202), RAW), Send(flow, b"lost")])
+        assert await driver.wait(lambda: a.events)
+        await driver.settle(0.1)
+        ((hook, failed, reason),) = a.events
+        assert (hook, failed) == ("failed", flow) and b.events == []
+        if driver.kind == "sim":
+            assert reason == "refused"
+        assert driver.held(a) == set()
+
+    driver.run(case)
+
+
+def test_writes_before_connect_arrive_in_order_after_it(driver):
+    a, b = Toy(A), Toy(B, tcp={23301: FRAMED})
+
+    async def case():
+        await driver.add(a, b)
+        flow = a.new_flow()
+        await driver.act(a, [OpenStream(flow, (B, 23301), FRAMED), Send(flow, frame(b"one"))])
+        # under SimNet the initiation has arrived and the handshake is not done
+        assert await driver.wait(lambda: b.events)
+        await driver.act(a, [Send(flow, frame(b"two"))])
+        (peer,) = b.requests()
+        assert await driver.wait(lambda: len(b.chunks(peer)) == 2)
+        assert b.hooks(peer) == ["request", "connected", "data", "data"]
+        assert b.chunks(peer) == [frame(b"one"), frame(b"two")]
+        assert a.hooks(flow) == ["connected"]
+
+    driver.run(case)
+
+
+@pytest.mark.parametrize("mode", [FRAMED, RAW])
+def test_data_flows_in_order_both_ways(driver, mode):
+    payloads = [frame(bytes([i]) * n) for i, n in enumerate((1, 3000, 60000))]
+    a, b = Toy(A), Toy(B, tcp={23401: mode}, echo=True)
+
+    async def case():
+        await driver.add(a, b)
+        flow = a.new_flow()
+        await driver.act(a, [OpenStream(flow, (B, 23401), mode)])
+        assert await driver.wait(lambda: a.events)
+        await driver.act(a, [Send(flow, p) for p in payloads])
+        whole = b"".join(payloads)
+        assert await driver.wait(lambda: b"".join(a.chunks(flow)) == whole)
+        (peer,) = b.requests()
+        assert b"".join(b.chunks(peer)) == whole
+        if mode == FRAMED:  # one Send is one on_data at the far end
+            assert a.chunks(flow) == payloads and b.chunks(peer) == payloads
+        assert a.hooks(flow)[0] == "connected" and b.hooks(peer)[:2] == ["request", "connected"]
+
+    driver.run(case)
+
+
+@pytest.mark.parametrize("closer", ["initiator", "acceptor"])
+def test_close_reaches_the_peer_once(driver, closer):
+    a, b = Toy(A), Toy(B, tcp={23501: RAW})
+
+    async def case():
+        await driver.add(a, b)
+        flow = a.new_flow()
+        await driver.act(a, [OpenStream(flow, (B, 23501), RAW)])
+        assert await driver.wait(lambda: a.events and len(b.events) == 2)
+        (peer,) = b.requests()
+        ends = [(a, flow), (b, peer)]
+        (node, own), (other, theirs) = ends if closer == "initiator" else ends[::-1]
+        await driver.act(node, [Close(own)])
+        assert await driver.wait(lambda: "closed" in other.hooks(theirs))
+        await driver.settle(0.2)
+        assert other.hooks(theirs).count("closed") == 1
+        assert "closed" not in node.hooks(own)  # a node hears of no close it made
+        assert driver.held(a) == driver.held(b) == set()
+
+    driver.run(case)
+
+
+def test_send_from_stream_request_reaches_the_initiator(driver):
+    a = Toy(A)
+    b = Toy(B, tcp={23601: RAW}, answer=lambda flow: [AcceptStream(flow), Send(flow, b"banner")], echo=True)
+
+    async def case():
+        await driver.add(a, b)
+        flow = a.new_flow()
+        await driver.act(a, [OpenStream(flow, (B, 23601), RAW)])
+        assert await driver.wait(lambda: b"".join(a.chunks(flow)) == b"banner")
+        await driver.act(a, [Send(flow, b"then-echo")])
+        assert await driver.wait(lambda: b"".join(a.chunks(flow)) == b"bannerthen-echo")
+        (peer,) = b.requests()
+        assert a.hooks(flow)[0] == "connected" and b.hooks(peer).count("connected") == 1
+
+    driver.run(case)
+
+
+def test_close_from_stream_request_reports_nothing_to_the_acceptor(driver):
+    a = Toy(A)
+    b = Toy(B, tcp={23701: RAW}, answer=lambda flow: [AcceptStream(flow), Close(flow)])
+
+    async def case():
+        await driver.add(a, b)
+        flow = a.new_flow()
+        await driver.act(a, [OpenStream(flow, (B, 23701), RAW), Send(flow, b"early")])
+        assert await driver.wait(lambda: "closed" in a.hooks(flow))
+        await driver.settle(0.2)
+        assert [e[0] for e in b.events] == ["request"]
+        assert a.chunks(flow) == [] and a.hooks(flow).count("closed") == 1
+        assert driver.held(a) == driver.held(b) == set()
+
+    driver.run(case)
+
+
+def test_timers_replace_and_cancel(driver):
+    a = Toy(A)
+
+    async def case():
+        await driver.add(a)
+        await driver.act(a, [
+            SetTimer("t", 0.6), SetTimer("t", 0.1),  # the second replaces the first
+            SetTimer("c", 0.05), CancelTimer("c"),
+            SetTimer("end", 0.4),
+        ])
+        assert await driver.wait(lambda: ("timer", "end") in a.events)
+        await driver.settle(0.4)  # past the replaced timer's time
+        assert a.events == [("timer", "t"), ("timer", "end")]
+
+    driver.run(case)
+
+
+def test_datagram_reaches_on_datagram_with_its_source(driver):
+    a, b = Toy(A), Toy(B, udp=[23801])
+    sent = [b"one", bytes(range(256)) * 8, b"three"]
+
+    async def case():
+        await driver.add(a, b)
+        await driver.act(a, [SendDatagram((B, 23802), b"unbound")])  # lost without a word
+        await driver.act(a, [SendDatagram((B, 23801), d) for d in sent])
+        assert await driver.wait(lambda: len(b.events) == len(sent))
+        await driver.settle(0.1)
+        assert b.events == [("datagram", A, d) for d in sent]
+
+    driver.run(case)
+
+
+def test_raising_hook_is_reported_and_the_node_keeps_serving(driver):
+    """A raising hook runs none of its actions. ``SimNet`` raises it out of
+    ``run`` at the event's time; ``RealHost`` reports it to the loop's
+    exception handler. Either way the event is consumed and the next runs."""
+    a, b = Toy(A), Toy(B, udp=[23901])
+
+    async def case():
+        await driver.add(a, b)
+        await driver.act(a, [SendDatagram((B, 23901), b"boom")])
+        assert await driver.wait(lambda: driver.errors)
+        await driver.act(a, [SendDatagram((B, 23901), b"after")])
+        await driver.act(b, [SetTimer("boom", 0.05), SetTimer("next", 0.1)])
+        assert await driver.wait(lambda: ("timer", "next") in b.events)
+        await driver.settle(0.1)
+        assert b.events == [("datagram", A, b"boom"), ("datagram", A, b"after"), ("timer", "boom"), ("timer", "next")]
+        errors = driver.take_errors()
+        assert [str(e["exception"]) for e in errors] == ["hook failure"] * 2
+        if driver.kind == "sim":  # the run stopped at each raising event
+            assert [e["clock"] for e in errors] == [b.times[0], b.times[2]]
+
+    driver.run(case)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sdperim.client
 from sdperim import spa
 from sdperim.client import ClientNode, Phase
 from sdperim.credentials import SecureChannel
@@ -390,10 +391,10 @@ class TestDeviceValidation:
         assert client.session.phase is Phase.AUTHENTICATED
         assert dep.controller.session_count() == 1
 
-    def test_silent_client_revoked_and_rules_removed(self):
+    def test_silent_client_revoked_and_rules_removed(self, monkeypatch):
         dep = authed_deployment(timing={"validation_interval": 2.0})
         client = connect_client(dep)
-        client.validation_mode = "silent"
+        monkeypatch.setattr(client, "_on_validate", lambda fields, now: [])
         dep.net.act(client, client.open_service("echo-cloud", dep.net.clock))
         run_until(dep.net, lambda: client.requests[1].state == "granted")
         dep.net.act(client, client.open_tunnel_stream("echo-cloud"))
@@ -404,21 +405,21 @@ class TestDeviceValidation:
         assert dep.gateway().engine.rule_count() == 0
         assert dep.gateway().engine.conntrack_count() == 0
 
-    def test_revoked_client_relay_is_forgotten(self):
+    def test_revoked_client_relay_is_forgotten(self, monkeypatch):
         # the gateway closes the relay itself, so no on_closed ever reports it
         dep = authed_deployment(timing={"validation_interval": 2.0})
         client = connect_client(dep)
-        client.validation_mode = "silent"
+        monkeypatch.setattr(client, "_on_validate", lambda fields, now: [])
         assert run_until(dep.net, lambda: client.session.phase is Phase.REVOKED, deadline=dep.net.clock + 10.0)
         dep.net.run(until=dep.net.clock + 120.0)
         gw = dep.gateway()
         assert gw.relay_flows == {}
         assert gw.by_relay_id == {}
 
-    def test_tampered_ack_revokes(self):
+    def test_tampered_ack_revokes(self, monkeypatch):
         dep = authed_deployment(timing={"validation_interval": 2.0})
         client = connect_client(dep)
-        client.validation_mode = "tamper"
+        monkeypatch.setattr(sdperim.client, "sign_validation", lambda identity, nonce: bytes(64))
         assert run_until(dep.net, lambda: client.session.phase is Phase.REVOKED, deadline=dep.net.clock + 10.0)
         assert dep.controller.session_count() == 0
 
@@ -725,20 +726,21 @@ class TestHelloWait:
         dep = authed_deployment()
         client = dep.client()
         muted = []
-        connected, retry = client.on_connected, client._retry_or_fail
+        attempt, retry = client._attempt_connect, client._retry_or_fail
 
-        def on_connected(flow, now):
+        def attempt_connect(now):
+            actions = attempt(now)
             if not muted:  # the first relay stream never sends its hello
-                muted.append(flow)
-                return []
-            return connected(flow, now)
+                muted.append(client._relay_flow)
+                actions = [a for a in actions if not isinstance(a, Send)]
+            return actions
 
         def retry_or_fail(now, reason):
             if client._relay_flow in muted:
                 client._relay_flow = None  # abandoned, not closed: the gateway must end it
             return retry(now, reason)
 
-        client.on_connected, client._retry_or_fail = on_connected, retry_or_fail
+        client._attempt_connect, client._retry_or_fail = attempt_connect, retry_or_fail
         connect_client(dep, client)
         assert client.ready and client.session.phase is Phase.AUTHENTICATED
         relay = [(r["verdict"], r.get("reason")) for r in dep.net.logs["gateway"] if r.get("event") == "relay"]
@@ -763,6 +765,30 @@ class TestRegistration:
         dep.net.run(until=60.0)
         assert dep.gateway().registered
         assert len(dep.controller.links) == 1 and len(dep.controller.by_gateway) == 1
+
+    @staticmethod
+    def link_closes(dep):
+        return [r for r in dep.net.logs["controller"] if r["event"] == "channel" and r["verdict"] == "closed"]
+
+    def test_a_controller_that_closes_the_link_is_retried_with_backoff(self):
+        """A controller that no longer knows the gateway closes each link at
+        its registration; the gateway's waits still double up to 32 s."""
+        dep = build_sim(default_config(seed=7), start_clients=False)
+        del dep.controller.gateway_records[dep.gateway().identity.cert.subject_id]  # its SPA key stays
+        dep.net.run(until=120.0)
+        assert 1 <= len(self.link_closes(dep)) <= 8  # 2, 4, 8, 16, 32, 32 ... s apart, not every 2 s
+        assert not dep.gateway().registered
+
+    def test_a_registered_link_that_closes_is_retried_after_two_seconds(self):
+        dep = authed_deployment()
+        gw, ctl = dep.gateway(), dep.controller
+        (link,) = ctl.links.values()
+        closed_at = dep.net.clock
+        ctl.on_closed(link.flow, closed_at)  # the controller ends the link as its error path does
+        dep.net.act(ctl, [Close(link.flow)])
+        dep.net.run(until=closed_at + 1.9)
+        assert not gw.registered
+        assert run_until(dep.net, lambda: gw.registered, deadline=closed_at + 2.5)
 
 
 class TestGatewayIntegrity:

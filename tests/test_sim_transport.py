@@ -147,25 +147,6 @@ class TestOrdering:
 
 
 class TestStreams:
-    def test_handshake_establishes_and_carries_data(self):
-        net = make_net()
-        sink = Sink("b")
-        opener = Opener("a", ("b", 9))
-        net.add_node(sink)
-        net.add_node(opener)
-        net.run()
-        assert opener.connected
-        assert sink.data[0][1] == b"hello"
-        assert net.half_open_count("b") == 0
-
-    def test_unbound_port_refuses(self):
-        net = make_net()
-        net.add_node(Sink("b"))
-        opener = Opener("a", ("b", 1234))
-        net.add_node(opener)
-        net.run()
-        assert opener.failed == ["refused"]
-
     def test_declined_stream_is_silent(self):
         net = make_net()
         net.add_node(Dark())
@@ -307,12 +288,13 @@ class TestStreams:
         port = 1234 if ending == "refused" else 9
         for _ in range(500):
             flow = opener.new_flow()
-            net.act(opener, [OpenStream(flow, ("b", port), RAW)])
+            net.act(opener, [OpenStream(flow, ("b", port), RAW), Send(flow, b"early")])
             if ending == "closed-before-syn":
                 net.act(opener, [Close(flow)])
         net.run()
         assert live_flows() == before
         assert net._by_local == {"a": {}, "b": {}}
+        assert net._early == {} and net.half_open_count("b") == 0
 
 
 class TestRun:
