@@ -13,9 +13,6 @@ Example::
     timing:
       rule_ttl: 60.0
       validation_interval: 30.0
-      skew_window: 30.0
-      conntrack_idle: 300.0
-      sweep_tick: 1.0
     material_dir: material
     controller: {id: <32 hex>, host: controller}
     gateways:
@@ -63,9 +60,6 @@ class PortConfig:
 class TimingConfig:
     rule_ttl: float = 60.0
     validation_interval: float = 30.0
-    skew_window: float = 30.0
-    conntrack_idle: float = 300.0
-    sweep_tick: float = 1.0
 
 
 @dataclass
@@ -192,8 +186,7 @@ def dump_config(cfg: DeploymentConfig) -> str:
 
 def build_topology(cfg: DeploymentConfig) -> Topology:
     if cfg.topology_links is not None:
-        links = [LinkSpec(**{**spec, "extra_stages": tuple(map(tuple, spec.get("extra_stages", ())))}) for spec in cfg.topology_links]
-        return Topology(links)
+        return Topology([LinkSpec(**spec) for spec in cfg.topology_links])
     links = []
     hosts = {cfg.controller.host} | {g.host for g in cfg.gateways}
     for g in cfg.gateways:

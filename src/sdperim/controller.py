@@ -114,7 +114,6 @@ class ControllerNode(Node):
         control_port: int = 5000,
         spa_port: int = 62201,
         rule_ttl: float = 60.0,
-        skew_window: float = spa.DEFAULT_SKEW_WINDOW,
     ):
         super().__init__(name)
         self.identity = identity
@@ -124,7 +123,7 @@ class ControllerNode(Node):
         self.records = {c.client_id: c for c in clients}
         self.services = {s.service_id: s for s in services}
         self.gateway_records = {g.gateway_id: g for g in gateways}
-        self.store = spa.SpaKeyStore(skew_window)
+        self.store = spa.SpaKeyStore()
         for c in clients:
             self.store.register(c.spa_key)
         for g in gateways:

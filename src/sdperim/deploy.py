@@ -43,11 +43,10 @@ def build_controller(cfg: DeploymentConfig, material: Material, rng) -> Controll
         control_port=cfg.ports.control,
         spa_port=cfg.ports.spa,
         rule_ttl=cfg.timing.rule_ttl,
-        skew_window=cfg.timing.skew_window,
     )
 
 
-def build_gateway(cfg: DeploymentConfig, material: Material, gw_id: str, rng, controller_host: str | None = None) -> GatewayNode:
+def build_gateway(cfg: DeploymentConfig, material: Material, gw_id: str, rng) -> GatewayNode:
     entry = next(g for g in cfg.gateways if g.id == gw_id)
     bindings = [
         ServiceBinding(s.service_id, s.public_port, s.protected_host, s.protected_port)
@@ -59,20 +58,17 @@ def build_gateway(cfg: DeploymentConfig, material: Material, gw_id: str, rng, co
         material.identities[gw_id],
         material.ca.public_bytes,
         material.spa_keys[gw_id],
-        (controller_host or cfg.controller.host, cfg.ports.control),
+        (cfg.controller.host, cfg.ports.control),
         bindings,
         rng=rng,
         spa_port=cfg.ports.spa,
         relay_port=cfg.ports.control,
-        sweep_tick=cfg.timing.sweep_tick,
-        conntrack_idle=cfg.timing.conntrack_idle,
-        skew_window=cfg.timing.skew_window,
     )
 
 
-def build_client(cfg: DeploymentConfig, material: Material, client_id: str, rng, gateway_host: str | None = None) -> ClientNode:
+def build_client(cfg: DeploymentConfig, material: Material, client_id: str, rng) -> ClientNode:
     entry = next(c for c in cfg.clients if c.id == client_id)
-    gw_host = gateway_host or (cfg.gateways[0].host if cfg.gateways else "gateway")
+    gw_host = cfg.gateways[0].host if cfg.gateways else "gateway"
     return ClientNode(
         entry.host,
         material.identities[client_id],
@@ -85,13 +81,13 @@ def build_client(cfg: DeploymentConfig, material: Material, client_id: str, rng,
     )
 
 
-def build_sim(cfg: DeploymentConfig, seed: int | None = None, start_clients: bool = True) -> SimDeployment:
-    """A whole simulated deployment: controller, gateways, protected echo
-    services, and (optionally deferred) clients. Material is derived from the
+def build_sim(cfg: DeploymentConfig) -> SimDeployment:
+    """A whole simulated deployment: controller, gateways and protected echo
+    services on the net, and clients built but not yet added, so a caller
+    starts each when its run needs it. Material is derived from the config's
     seed, so identical seeds give identical runs."""
-    seed = cfg.seed if seed is None else seed
-    material = generate_material(cfg, random.Random(f"material:{seed}"))
-    net = SimNet(build_topology(cfg), seed=seed)
+    material = generate_material(cfg, random.Random(f"material:{cfg.seed}"))
+    net = SimNet(build_topology(cfg), seed=cfg.seed)
     controller = build_controller(cfg, material, net.node_rng(cfg.controller.host))
     dep = SimDeployment(net=net, cfg=cfg, material=material, controller=controller)
     net.add_node(controller)
@@ -111,8 +107,6 @@ def build_sim(cfg: DeploymentConfig, seed: int | None = None, start_clients: boo
     for c in cfg.clients:
         node = build_client(cfg, material, c.id, net.node_rng(c.host))
         dep.clients[c.id] = node
-        if start_clients:
-            net.add_node(node)
     return dep
 
 

@@ -50,6 +50,8 @@ GATE_WINDOW = 60.0
 RELAY_GATE_CAP = 1024  # relay gates kept at once; a keyless sender can write one per datagram
 REGISTER_RETRY = 2.0  # wait before an unanswered registration is retried, doubled per retry
 REGISTER_RETRY_MAX = 32.0  # ... up to this; a registration that succeeds resets it
+SWEEP_TICK = 1.0  # period of the sweep that expires rules, idle connections and relay gates
+CONNTRACK_IDLE = 300.0  # a tracked connection silent this long is dropped, as conntrack's established timeout
 
 
 @dataclass
@@ -97,9 +99,6 @@ class GatewayNode(Node):
         rng,
         spa_port: int = 62201,
         relay_port: int = 5000,
-        sweep_tick: float = 1.0,
-        conntrack_idle: float = 300.0,
-        skew_window: float = spa.DEFAULT_SKEW_WINDOW,
     ):
         super().__init__(name)
         self.identity = identity
@@ -109,8 +108,6 @@ class GatewayNode(Node):
         self.rng = rng
         self.spa_port = spa_port
         self.relay_port = relay_port
-        self.sweep_tick = sweep_tick
-        self.conntrack_idle = conntrack_idle
         self.services = {s.service_id: s for s in services}
         self.by_public_port = {s.public_port: s for s in services}
         self.udp_ports = [spa_port]
@@ -118,7 +115,7 @@ class GatewayNode(Node):
         for s in services:
             self.tcp_ports[s.public_port] = RAW
         self.engine = FilterEngine()
-        self.client_store = spa.SpaKeyStore(skew_window)
+        self.client_store = spa.SpaKeyStore()
         self.relay_gate: dict[str, _RelayGate] = {}
         self.data_gate: dict[bytes, str] = {}
         self.relay_flows: dict[int, _RelayFlow] = {}
@@ -313,7 +310,7 @@ class GatewayNode(Node):
         if kind == Kind.AH_REGISTER_ACK:
             self.registered = True
             self._register_delay = REGISTER_RETRY
-            return [Log({"event": "register", "verdict": "ok"}), SetTimer("sweep", self.sweep_tick)]
+            return [Log({"event": "register", "verdict": "ok"}), SetTimer("sweep", SWEEP_TICK)]
         if kind == Kind.RELAY_DATA:
             relay = self.by_relay_id.get(fields.u32(F.FLOW))
             if relay is None or relay.dead:
@@ -455,8 +452,8 @@ class GatewayNode(Node):
     def on_timer(self, key, now):
         if key == "sweep":
             expired = self.engine.expire_rules(now)
-            idled = self.engine.expire_idle(now, self.conntrack_idle)
-            actions = [SetTimer("sweep", self.sweep_tick)]
+            idled = self.engine.expire_idle(now, CONNTRACK_IDLE)
+            actions = [SetTimer("sweep", SWEEP_TICK)]
             # deadline order: expired gates are at the front
             for host in list(takewhile(lambda h: self.relay_gate[h].deadline < now, self.relay_gate)):
                 actions += self._end_hello_wait(host, self.relay_gate.pop(host), "hello-timeout")

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..deploy import SimDeployment, build_sim, default_config
-from ..services import EchoNode, PingerNode
-from ..transport.sim import SimNet, Topology, two_way
+from ..services import PING_SIZE, EchoNode, PingerNode
+from ..transport.sim import CLS_ACCEPT, SimNet, Topology, two_way
 from .capture import CaptureSeries, is_attack_segment
 from .flood import FloodSpec, FloodStats, sim_flood
 
 SETUP_END = 5.0  # virtual seconds reserved for registration + authentication
+INTERVAL = 1.0  # capture interval: the per-second series the DoS results are read from
 
 
 @dataclass
@@ -27,13 +28,11 @@ class ExperimentSpec:
     seed: int = 42
     with_sdp: bool = True
     window: float = 120.0
-    interval: float = 1.0
     flood_enabled: bool = True
     flood_rate: float = 1000.0
     flood_duration: float = 60.0
     flood_start: float = 30.0  # relative to the observation window
     echo_rate: float = 50.0
-    ping_size: int = 128
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentSpec":
@@ -80,11 +79,11 @@ class ExperimentResult:
         return json.dumps(self.summary(), indent=2, sort_keys=True)
 
 
-def setup_with_sdp(cfg, seed: int, outsider: str) -> SimDeployment:
+def setup_with_sdp(seed: int, outsider: str) -> SimDeployment:
     """The reference deployment with ``outsider`` linked to the gateway and
     the client authenticated and granted its first service, at 4.0 s."""
-    dep = build_sim(cfg, seed=seed, start_clients=False)
-    net = dep.net
+    dep = build_sim(default_config(seed=seed))
+    net, cfg = dep.net, dep.cfg
     for link in two_way(outsider, dep.gateway().name):
         net.topology.links[(link.src, link.dst)] = link
     client = dep.client()
@@ -108,36 +107,40 @@ class _Arm:
     legit_host: str  # the legitimate origin the echo service sees
     rx_bytes: Callable[[], int]  # legitimate bytes echoed back so far
     work_units: Callable[[], int]  # filter work done so far
-    forwarded: Callable[[list[int]], list[int]]  # attack SYNs seen per interval -> forwarded per interval
 
 
 class _TraceSink:
     """Takes each final trace record of an arm's net: writes its line to
-    ``out``, when given, and counts the attack initiations arriving at the
-    target in each capture interval."""
+    ``out``, when given, and counts per capture interval the attack
+    initiations arriving at the target and those it forwards. A forwarded
+    one is an accept segment the target sends to an attack source, counted
+    at its send time; both arms are counted by this one rule."""
 
-    def __init__(self, target: tuple[str, int], t0: float, interval: float, n: int, out=None):
+    def __init__(self, target: tuple[str, int], t0: float, n: int, out=None):
         self.target = target
-        self.t0, self.interval = t0, interval
+        self.t0 = t0
         self.write = out.write if out is not None else None
         self.attack_seen = [0] * n
+        self.attack_forwarded = [0] * n
 
     def append(self, rec) -> None:
         if self.write is not None:
             self.write(rec.to_line())
         if rec.delivered is not None and is_attack_segment(rec, *self.target):
-            _tally(self.attack_seen, rec.delivered, self.t0, self.interval)
+            _tally(self.attack_seen, rec.delivered, self.t0)
+        elif (rec.cls == CLS_ACCEPT and (rec.src, rec.src_port) == self.target
+              and rec.dst.startswith("10.66.")):
+            _tally(self.attack_forwarded, rec.sent, self.t0)
 
 
-def run_experiment(spec: ExperimentSpec, cfg=None, trace_out=None) -> ExperimentResult:
+def run_experiment(spec: ExperimentSpec, trace_out=None) -> ExperimentResult:
     """Runs one arm. The trace goes to ``trace_out`` (a text file) line by
     line as the run makes it; no record is kept."""
-    cfg = cfg or default_config(seed=spec.seed)
-    arm = _protected_arm(spec, cfg) if spec.with_sdp else _unprotected_arm(spec, cfg)
+    arm = _protected_arm(spec) if spec.with_sdp else _unprotected_arm(spec)
     net = arm.net
     t0 = SETUP_END
-    n = int(spec.window / spec.interval)
-    sink = _TraceSink(arm.target, t0, spec.interval, n, trace_out)
+    n = int(spec.window / INTERVAL)
+    sink = _TraceSink(arm.target, t0, n, trace_out)
     for rec in net.trace:  # the arm's setup, in order
         sink.append(rec)
     net.trace = sink
@@ -160,19 +163,17 @@ def run_experiment(spec: ExperimentSpec, cfg=None, trace_out=None) -> Experiment
         half_samples.append(net.half_open_count(arm.target[0]))
 
     for i in range(n + 1):
-        net.call_at(t0 + i * spec.interval, lambda: rx_samples.append(arm.rx_bytes()))
-        net.call_at(t0 + i * spec.interval, sample_load)
+        net.call_at(t0 + i * INTERVAL, lambda: rx_samples.append(arm.rx_bytes()))
+        net.call_at(t0 + i * INTERVAL, sample_load)
 
     net.run(until=t0 + spec.window + 1.0)
 
-    seen = sink.attack_seen
-    forwarded = arm.forwarded(seen)
-    capture = CaptureSeries(start=t0, interval=spec.interval)
+    capture = CaptureSeries(start=t0, interval=INTERVAL)
     for i in range(n):
         capture.append(
-            (rx_samples[i + 1] - rx_samples[i]) // spec.ping_size,
-            seen[i],
-            forwarded[i],
+            (rx_samples[i + 1] - rx_samples[i]) // PING_SIZE,
+            sink.attack_seen[i],
+            sink.attack_forwarded[i],
             work_samples[i + 1] - work_samples[i],
             half_samples[i + 1],
         )
@@ -190,27 +191,20 @@ def run_experiment(spec: ExperimentSpec, cfg=None, trace_out=None) -> Experiment
     )
 
 
-def _protected_arm(spec: ExperimentSpec, cfg) -> _Arm:
-    dep = setup_with_sdp(cfg, spec.seed, "attacker")
+def _protected_arm(spec: ExperimentSpec) -> _Arm:
+    dep = setup_with_sdp(spec.seed, "attacker")
     net, gw, client = dep.net, dep.gateway(), dep.client()
-    svc = cfg.services[0]
+    svc = dep.cfg.services[0]
     net.act(client, client.open_tunnel_stream(svc.service_id))
     net.run(until=SETUP_END)
     tunnel = client.tunnels[svc.service_id]
     if not tunnel.established:
         raise RuntimeError("tunnel failed to establish during setup")
 
-    ping = b"\x55" * spec.ping_size
+    ping = b"\x55" * PING_SIZE
     period = 1.0 / spec.echo_rate
     for k in range(int(spec.window * spec.echo_rate)):
         net.call_at(SETUP_END + k * period, lambda: net.act(client, client.tunnel_send(svc.service_id, ping)))
-
-    def forwarded(seen):
-        counts = [0] * len(seen)
-        for rec in net.logs[gw.name]:
-            if rec.get("event") == "filter" and rec.get("verdict") == "forward" and rec["src"].startswith("10.66."):
-                _tally(counts, rec["ts"], SETUP_END, spec.interval)
-        return counts
 
     return _Arm(
         net=net,
@@ -219,18 +213,17 @@ def _protected_arm(spec: ExperimentSpec, cfg) -> _Arm:
         legit_host=gw.name,  # the gateway splices legitimate sessions onto the service
         rx_bytes=lambda: len(tunnel.rx),
         work_units=lambda: gw.engine.work_units,
-        forwarded=forwarded,
     )
 
 
-def _unprotected_arm(spec: ExperimentSpec, cfg) -> _Arm:
+def _unprotected_arm(spec: ExperimentSpec) -> _Arm:
     """No perimeter: the attacker reaches the service directly, and so does
     the legitimate sender."""
-    svc = cfg.services[0]
+    svc = default_config(seed=spec.seed).services[0]
     target = (svc.protected_host, svc.protected_port)
     net = SimNet(Topology(two_way("pinger", target[0]) + two_way("attacker", target[0])), seed=spec.seed)
     echo = EchoNode(*target)
-    pinger = PingerNode("pinger", target, spec.echo_rate, spec.ping_size)
+    pinger = PingerNode("pinger", target, spec.echo_rate)
     net.add_node(echo)
     net.add_node(pinger)
     net.run(until=SETUP_END)
@@ -241,13 +234,12 @@ def _unprotected_arm(spec: ExperimentSpec, cfg) -> _Arm:
         legit_host="pinger",
         rx_bytes=lambda: pinger.rx_bytes,
         work_units=lambda: 0,
-        forwarded=lambda seen: seen,  # every attack initiation reaches the unprotected service
     )
 
 
-def _tally(counts: list[int], t: float, t0: float, interval: float) -> None:
+def _tally(counts: list[int], t: float, t0: float) -> None:
     """Counts time ``t`` in its interval, if the window has one."""
-    i = int((t - t0) / interval)
+    i = int((t - t0) / INTERVAL)
     if 0 <= i < len(counts):
         counts[i] += 1
 
@@ -258,8 +250,8 @@ def _throughput(capture: CaptureSeries, spec: ExperimentSpec) -> tuple[float, fl
         vals = capture.acked_segments
         mean = sum(vals) / len(vals) if vals else 0.0
         return mean, mean
-    f0 = int(spec.flood_start / spec.interval)
-    f1 = int((spec.flood_start + spec.flood_duration) / spec.interval)
+    f0 = int(spec.flood_start / INTERVAL)
+    f1 = int((spec.flood_start + spec.flood_duration) / INTERVAL)
     before = capture.acked_segments[1:f0]  # first interval is warm-up
     during = capture.acked_segments[f0:f1]
     mean_before = sum(before) / len(before) if before else 0.0

@@ -6,26 +6,25 @@ import asyncio
 import time
 from dataclasses import dataclass
 
+# Frame bytes of a simulated flood SYN: under capture.ATTACK_FRAME_LIMIT, so
+# labeling tells flood segments from legitimate 64-byte handshake segments.
+SYN_SIZE = 40
+
 
 @dataclass
 class FloodSpec:
-    """Half-open initiation flood. ``payload_size`` stays under 60 bytes so
-    capture labeling can separate flood segments from legitimate handshakes
-    by frame length."""
+    """Half-open initiation flood."""
 
     target_host: str
     target_port: int
     rate: float = 1000.0
     duration: float = 60.0
-    payload_size: int = 40
 
     def __post_init__(self):
         if self.rate <= 0:
             raise ValueError("rate must be positive")
         if self.duration <= 0:
             raise ValueError("duration must be positive")
-        if not 0 < self.payload_size < 60:
-            raise ValueError("payload_size must be in (0, 60)")
 
 
 @dataclass
@@ -64,7 +63,7 @@ def sim_flood(net, spec: FloodSpec, attacker: str, start: float) -> FloodStats:
 
     def fire():
         # events fire in schedule order, so ``sent`` is this segment's index
-        net.inject_syn(spoofed_source(rng, stats.sent), target, size=spec.payload_size, attacker=attacker)
+        net.inject_syn(spoofed_source(rng, stats.sent), target, size=SYN_SIZE, attacker=attacker)
         stats.sent += 1
 
     for i in range(total):

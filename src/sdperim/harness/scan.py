@@ -19,6 +19,10 @@ from ..transport.base import Close, Node, OpenStream, SetTimer
 OPEN = "Open"
 CLOSED = "ClosedOrFiltered"
 
+PROBE_TIMEOUT = 0.5  # an initiation unanswered this long is ClosedOrFiltered
+LIVENESS_WINDOW = 0.12  # an accepted probe must stay up this long to be Open
+CONCURRENCY = 256  # probes in flight at once on real sockets, well under a process's descriptor limit
+
 
 @dataclass
 class ScanReport:
@@ -53,13 +57,11 @@ class ScanReport:
 async def real_port_scan(
     host: str,
     ports,
-    timeout: float = 0.5,
-    liveness_window: float = 0.12,
-    concurrency: int = 256,
+    timeout: float = PROBE_TIMEOUT,
     bind_ip: str | None = None,
 ) -> ScanReport:
     started = time.time()
-    sem = asyncio.Semaphore(concurrency)
+    sem = asyncio.Semaphore(CONCURRENCY)
     verdicts: dict[int, str] = {}
 
     async def probe(port: int):
@@ -74,7 +76,7 @@ async def real_port_scan(
                 return
             try:
                 # accepted: only a connection that stays up is a live service
-                data = await asyncio.wait_for(reader.read(1), timeout=liveness_window)
+                data = await asyncio.wait_for(reader.read(1), timeout=LIVENESS_WINDOW)
                 verdicts[port] = CLOSED if data == b"" else OPEN
             except asyncio.TimeoutError:
                 verdicts[port] = OPEN
@@ -91,14 +93,13 @@ async def real_port_scan(
 
 
 class ScannerNode(Node):
-    """Simulated scanner: one probe stream per port, with a per-probe timeout.
-    ``report()`` is valid once every port has a verdict."""
+    """Simulated scanner: one probe stream per port, each given
+    ``PROBE_TIMEOUT``. ``report()`` is valid once every port has a verdict."""
 
-    def __init__(self, name: str, target_host: str, ports, timeout: float = 0.5):
+    def __init__(self, name: str, target_host: str, ports):
         super().__init__(name)
         self.target_host = target_host
         self.ports = list(ports)
-        self.timeout = timeout
         self.verdicts: dict[int, str] = {}
         self._flow_port: dict[int, int] = {}
         self._started_at = 0.0
@@ -111,7 +112,7 @@ class ScannerNode(Node):
             flow = self.new_flow()
             self._flow_port[flow] = port
             actions.append(OpenStream(flow, (self.target_host, port), "raw"))
-            actions.append(SetTimer(f"probe:{flow}", self.timeout))
+            actions.append(SetTimer(f"probe:{flow}", PROBE_TIMEOUT))
         return actions
 
     def _verdict(self, flow, verdict, now):

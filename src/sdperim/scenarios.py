@@ -19,25 +19,20 @@ from .services import EchoNode
 from .transport.sim import PROTOCOL_CLASSES, SimNet, Topology, two_way
 
 AUTH_HOPS = (("client", "gateway"), ("gateway", "controller"), ("controller", "gateway"), ("gateway", "client"))
+AUTH_ALPHA_BITS = 720  # one accounting size on every hop, so the model's per-hop alphas are exact
+AUTH_RATE_BPS = 1e6  # a slow access link, so transmission is a visible share of each hop's delay
+AUTH_SPEED_MPS = 2e8  # propagation speed in fibre
 
 
-def auth_trace_run(seed: int, alpha_bits=(720, 720, 720, 720), beta_m=(50.0, 200.0, 200.0, 50.0), rate_bps=1e6, speed_mps=2e8):
+def auth_trace_run(seed: int, beta_m=(50.0, 200.0, 200.0, 50.0)):
     """One full authentication on links pinned to uniform per-hop packet
     sizes; returns (protocol frame records, matching model params)."""
-    cfg = default_config(
-        seed=seed,
-        topology={
-            "links": [
-                {"src": "client", "dst": "gateway", "rate_bps": rate_bps, "speed_mps": speed_mps, "beta_m": beta_m[0], "alpha_default_bits": alpha_bits[0]},
-                {"src": "gateway", "dst": "controller", "rate_bps": rate_bps, "speed_mps": speed_mps, "beta_m": beta_m[1], "alpha_default_bits": alpha_bits[1]},
-                {"src": "controller", "dst": "gateway", "rate_bps": rate_bps, "speed_mps": speed_mps, "beta_m": beta_m[2], "alpha_default_bits": alpha_bits[2]},
-                {"src": "gateway", "dst": "client", "rate_bps": rate_bps, "speed_mps": speed_mps, "beta_m": beta_m[3], "alpha_default_bits": alpha_bits[3]},
-                {"src": "gateway", "dst": "cloud", "rate_bps": rate_bps, "speed_mps": speed_mps, "beta_m": 1.0},
-                {"src": "cloud", "dst": "gateway", "rate_bps": rate_bps, "speed_mps": speed_mps, "beta_m": 1.0},
-            ]
-        },
-    )
-    dep = build_sim(cfg, seed=seed, start_clients=False)
+    link = {"rate_bps": AUTH_RATE_BPS, "speed_mps": AUTH_SPEED_MPS}
+    links = [{"src": s, "dst": d, "beta_m": b, "alpha_default_bits": AUTH_ALPHA_BITS, **link}
+             for (s, d), b in zip(AUTH_HOPS, beta_m)]
+    links += [{"src": "gateway", "dst": "cloud", "beta_m": 1.0, **link}, {"src": "cloud", "dst": "gateway", "beta_m": 1.0, **link}]
+    cfg = default_config(seed=seed, topology={"links": links})
+    dep = build_sim(cfg)
     net = dep.net
     net.run(until=5.0)
     if not dep.gateway().registered:
@@ -52,10 +47,10 @@ def auth_trace_run(seed: int, alpha_bits=(720, 720, 720, 720), beta_m=(50.0, 200
         raise RuntimeError("authentication did not finish")
     frames = [r for r in net.trace[start_index:] if r.cls in PROTOCOL_CLASSES and not r.dropped]
     params = DelayParams(
-        alpha_bits=tuple(float(a) for a in alpha_bits) + (0.0, 0.0, 0.0, 0.0),
+        alpha_bits=(float(AUTH_ALPHA_BITS),) * 4 + (0.0, 0.0, 0.0, 0.0),
         beta_m=tuple(float(b) for b in beta_m) + (0.0, 0.0, 0.0, 0.0),
-        rate_bps=rate_bps,
-        speed_mps=speed_mps,
+        rate_bps=AUTH_RATE_BPS,
+        speed_mps=AUTH_SPEED_MPS,
     )
     return frames, params
 
@@ -85,13 +80,13 @@ def _scenario_dos(seed: int, out_dir: str, with_sdp: bool, flood: bool = True) -
 def _scenario_portscan(seed: int, out_dir: str, with_sdp: bool) -> dict:
     ports = range(1, 2049)
     if with_sdp:
-        dep = setup_with_sdp(default_config(seed=seed), seed, "scanner")
+        dep = setup_with_sdp(seed, "scanner")
         net, target = dep.net, dep.gateway().name
         net.run(until=5.0)
     else:
         net, target = SimNet(Topology(two_way("scanner", "cloud")), seed=seed), "cloud"
         net.add_node(EchoNode("cloud", 22))
-    scanner = ScannerNode("scanner", target, ports, timeout=0.5)
+    scanner = ScannerNode("scanner", target, ports)
     net.add_node(scanner)
     net.run(until=net.clock + 10.0)
     report = scanner.report()

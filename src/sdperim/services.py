@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 from .transport.base import RAW, AcceptStream, Node, OpenStream, Send, SetTimer
 
+PING_SIZE = 128  # bytes per echo payload: the unit the DoS captures count acked segments in
+
 
 @dataclass
 class ServiceStats:
@@ -40,11 +42,11 @@ class PingerNode(Node):
     the experiments). Sends one payload per tick once connected and counts
     the bytes that come back."""
 
-    def __init__(self, name: str, target: tuple[str, int], rate: float, payload_size: int = 128):
+    def __init__(self, name: str, target: tuple[str, int], rate: float):
         super().__init__(name)
         self.target = target
         self.period = 1.0 / rate
-        self.payload = b"\x55" * payload_size
+        self.payload = b"\x55" * PING_SIZE
         self.rx_bytes = 0
         self.connected = False
         self._flow = None

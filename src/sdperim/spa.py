@@ -37,7 +37,7 @@ CLIENT_ID_LEN = 16
 NONCE_LEN = 16
 TAG_LEN = 32
 
-DEFAULT_SKEW_WINDOW = 30.0
+SKEW_WINDOW = 30.0  # seconds a packet's timestamp may differ from the verifier's clock
 
 _COUNTER_MAX = 2**64 - 1
 
@@ -153,8 +153,7 @@ class SpaKeyStore:
     counter floor unless a floor is given.
     """
 
-    def __init__(self, skew_window: float = DEFAULT_SKEW_WINDOW):
-        self.skew_window = skew_window
+    def __init__(self):
         self._lock = threading.Lock()
         self._secrets: dict[bytes, bytes] = {}
         self._last_counter: dict[bytes, int] = {}
@@ -182,7 +181,7 @@ class SpaKeyStore:
         expected = _tag(secret, packet.signed_portion())
         if not hmac.compare_digest(expected, packet.auth_tag):
             return SpaVerdict.BAD_TAG
-        if abs(packet.timestamp - now) > self.skew_window:
+        if abs(packet.timestamp - now) > SKEW_WINDOW:
             return SpaVerdict.STALE_TIMESTAMP
         with self._lock:
             # re-read under the lock: the key may have rotated, and the

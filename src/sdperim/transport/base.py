@@ -16,6 +16,10 @@ from dataclasses import dataclass
 
 Address = tuple[str, int]
 
+# Newest ``Log`` records a driver keeps in memory per node. Forged packets
+# each log a record, so an unbounded copy grows with a flood.
+LOG_KEEP = 1024
+
 FRAMED = "framed"
 RAW = "raw"
 

@@ -19,6 +19,10 @@ into a fresh 256 KiB ``bytes`` and shrinks it, and the result keeps a private
 4 KiB page and its own memory mapping however short the datagram is. The
 gateway keeps each controller-target SPA datagram for its gate window, so
 under a keyless flood a page per datagram would be most of its memory.
+Outbound datagrams leave through one more plain socket, bound to the host
+address on an ephemeral port, in one ``sendto`` each; an ``OSError`` (a
+full buffer, a queued ICMP error) loses that datagram, as the network
+could. asyncio's datagram transport would silently skip an empty one.
 
 TCP listeners are watched the same way. Each wakeup accepts one
 connection as a bare descriptor (``socket._accept``, which
@@ -53,6 +57,7 @@ from collections import deque
 
 from .base import (
     FRAMED,
+    LOG_KEEP,
     AcceptStream,
     CancelTimer,
     Close,
@@ -64,10 +69,6 @@ from .base import (
     SetTimer,
 )
 from ..wire import FrameSplitter, WireError
-
-# Newest log records kept in memory; the log file, when given, gets every one.
-# Forged packets each log a record, so an unbounded copy grows with a flood.
-LOG_KEEP = 1024
 
 # Larger than any UDP payload, so no datagram is truncated: a truncated
 # oversized datagram could parse as a valid-length SPA packet.
@@ -172,7 +173,7 @@ class RealHost:
         self._listeners: list[socket.socket] = []
         self._recv_buf = bytearray(RECV_BUF)
         self._recv_view = memoryview(self._recv_buf)
-        self._udp_send: asyncio.DatagramTransport | None = None
+        self._udp_send: socket.socket | None = None
         self._tasks: set[asyncio.Task] = set()  # outbound connects, accepted-stream attaches
         self._stopped = False
 
@@ -185,10 +186,9 @@ class RealHost:
         for port in self.node.udp_ports:
             sock = self._bind(port, socket.SOCK_DGRAM)
             loop.add_reader(sock, self._read_datagram, sock, port)
-        # ephemeral socket for outbound datagrams (a host need not listen to send)
-        self._udp_send, _ = await loop.create_datagram_endpoint(
-            asyncio.DatagramProtocol, local_addr=(self.bind_host, 0)
-        )
+        # outbound datagrams (a host need not listen to send); kept with the
+        # listeners, so stop closes it
+        self._udp_send = self._bind(0, socket.SOCK_DGRAM)
         for port, mode in self.node.tcp_ports.items():
             self._listen(self._bind(port, socket.SOCK_STREAM), port, mode)
         await self.call(self.node.start)
@@ -204,8 +204,6 @@ class RealHost:
         for sock in self._listeners:
             loop.remove_reader(sock)
             sock.close()
-        if self._udp_send is not None:
-            self._udp_send.close()
         for stream in list(self._flows.values()):
             stream.close()
         for task in self._tasks:
@@ -303,7 +301,10 @@ class RealHost:
                     self._write_log(record)
             elif isinstance(action, SendDatagram):
                 if self._udp_send is not None:
-                    self._udp_send.sendto(action.data, action.dst)
+                    try:
+                        self._udp_send.sendto(action.data, action.dst)
+                    except OSError:
+                        pass  # lost, as on the network
             elif isinstance(action, OpenStream):
                 stream = _Stream(self, action.mode, action.flow)
                 self._flows[action.flow] = stream

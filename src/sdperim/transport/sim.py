@@ -2,15 +2,17 @@
 
 Each directed link delivers a payload of n bytes after
 
-    delay = bits / rate + length / speed        (+ any extra stages)
+    delay = bits / rate + length / speed
 
 where bits is 8*n, or the link's fixed accounting size when one is
 configured (used by experiments that want uniform per-hop packet sizes).
 Processing and queuing delays are not modeled; delivery on a link is
-in-order. Every send goes to the net's trace sink, once its record is final
-(dropped, or with its delivery time set); the sink is any object with
-``append`` and defaults to a list (the DoS experiments set one that writes
-each record out and keeps only per-interval counts of attack arrivals).
+in-order, and a send between hosts with no link is dropped. Every send goes
+to the net's trace sink, once its record is final (dropped, or with its
+delivery time set); the sink is any object with ``append`` and defaults to
+a list (the DoS experiments set one that writes each record out and keeps
+only per-interval counts of attack segments). A node's ``Log`` records go
+to ``logs``, which keeps its newest ``LOG_KEEP``, as ``RealHost`` does.
 Runs with identical seeds and configs produce byte-identical traces.
 
 Streams carry a minimal three-segment handshake (initiation, accept, ack) so
@@ -44,6 +46,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 
 from .base import (
     FRAMED,
+    LOG_KEEP,
     RAW,
     AcceptStream,
     Address,
@@ -58,6 +61,8 @@ from .base import (
 )
 
 SEGMENT_OVERHEAD_BYTES = 64  # accounting size of handshake/close segments (options included)
+HANDSHAKE_TIMEOUT = 60.0  # an accepted flow whose ack never comes is dropped after this, like a SYN backlog entry
+MAX_EVENTS = 5_000_000  # events one ``run`` may execute; a run past this is a scheduling loop, not an experiment
 
 CLS_DATAGRAM = "datagram"
 CLS_SYN = "syn"
@@ -72,8 +77,7 @@ PROTOCOL_CLASSES = (CLS_DATAGRAM, CLS_DATA)
 @dataclass
 class LinkSpec:
     """One directed link. ``alpha_default_bits`` pins the accounting size of
-    every payload on the link; ``extra_stages`` appends (bits, meters) delay
-    terms for path segments not modeled as nodes."""
+    every payload on the link."""
 
     src: str
     dst: str
@@ -81,23 +85,16 @@ class LinkSpec:
     speed_mps: float
     beta_m: float = 0.0
     alpha_default_bits: int | None = None
-    loss_rate: float = 0.0
-    extra_stages: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
         if self.rate_bps <= 0 or self.speed_mps <= 0:
             raise ValueError("rate and speed must be positive")
         if self.beta_m < 0:
             raise ValueError("link length must be non-negative")
-        if not 0.0 <= self.loss_rate <= 1.0:
-            raise ValueError("loss_rate must be in [0, 1]")
 
     def delay(self, nbytes: int) -> float:
         bits = float(self.alpha_default_bits) if self.alpha_default_bits is not None else nbytes * 8.0
-        d = bits / self.rate_bps + self.beta_m / self.speed_mps
-        for stage_bits, stage_m in self.extra_stages:
-            d += stage_bits / self.rate_bps + stage_m / self.speed_mps
-        return d
+        return bits / self.rate_bps + self.beta_m / self.speed_mps
 
 
 class Topology:
@@ -165,21 +162,19 @@ class SimNet:
     holds ``(when, seq, handler, args)`` and ``run`` calls ``handler(*args)``.
     Each seq is unique, so the heap never compares two handlers."""
 
-    def __init__(self, topology: Topology, seed: int = 0, handshake_timeout: float = 60.0):
+    def __init__(self, topology: Topology, seed: int = 0):
         self.topology = topology
         self.seed = seed
-        self.handshake_timeout = handshake_timeout
         self.clock = 0.0
-        self.rng = random.Random(f"simnet:{seed}")
         self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._seq = 0
         self.trace: list[TraceRecord] = []  # or any sink with append
         self.nodes: dict[str, Node] = {}
-        self.logs: dict[str, list[dict]] = {}
+        self.logs: dict[str, deque[dict]] = {}  # node -> its newest LOG_KEEP records
         self._by_local: dict[str, dict[int, _Flow]] = {}  # node -> local flow id -> flow
         self._early: dict[tuple[str, int], list[bytes]] = {}  # (initiator, local flow) -> data sent before connect
         self._next_port = 33000  # synthetic ephemeral source ports
-        self._timer_version: dict[tuple[str, str], int] = {}
+        self._timers: dict[tuple[str, str], int] = {}  # (node, key) -> seq of its pending timer event
         self._pending_accepts: dict[str, deque[_Flow]] = {}  # node -> flows it accepted, oldest first
         self._half_open: dict[str, int] = {}  # node -> accepted flows still awaiting the ack
         self._last_delivery: dict[tuple[str, str], float] = {}
@@ -190,7 +185,7 @@ class SimNet:
         if node.name in self.nodes:
             raise ValueError(f"duplicate node {node.name}")
         self.nodes[node.name] = node
-        self.logs[node.name] = []
+        self.logs[node.name] = deque(maxlen=LOG_KEEP)
         self._by_local[node.name] = {}
         self._pending_accepts[node.name] = deque()
         self._half_open[node.name] = 0
@@ -210,7 +205,7 @@ class SimNet:
 
     # -- running -------------------------------------------------------------
 
-    def run(self, until: float | None = None, max_events: int = 5_000_000) -> None:
+    def run(self, until: float | None = None) -> None:
         events = 0
         while self._heap:
             when, _, handler, args = self._heap[0]
@@ -220,7 +215,7 @@ class SimNet:
             self.clock = max(self.clock, when)
             handler(*args)
             events += 1
-            if events > max_events:
+            if events > MAX_EVENTS:
                 raise RuntimeError("event budget exhausted")
         if until is not None:
             self.clock = max(self.clock, until)
@@ -233,7 +228,7 @@ class SimNet:
             seq=self._seq + 1, cls=cls, src=src, dst=dst, src_port=src_port, dst_port=dst_port,
             size=size, kind=kind, sent=self.clock, delivered=None,
         )
-        if link is None or (link.loss_rate and self.rng.random() < link.loss_rate):
+        if link is None:
             rec.dropped = True
         else:
             delay = link.delay(size)
@@ -273,11 +268,12 @@ class SimNet:
         elif isinstance(action, Close):
             self._close(name, action.flow)
         elif isinstance(action, SetTimer):
-            version = self._timer_version.get((name, action.key), 0) + 1
-            self._timer_version[(name, action.key)] = version
-            self._push(self.clock + action.delay, self._on_timer, (name, action.key, version))
+            # a replaced timer's event stays queued and finds another seq here when it fires
+            seq = self._seq + 1  # the one _push draws
+            self._timers[(name, action.key)] = seq
+            self._push(self.clock + action.delay, self._on_timer, (name, action.key, seq))
         elif isinstance(action, CancelTimer):
-            self._timer_version[(name, action.key)] = self._timer_version.get((name, action.key), 0) + 1
+            self._timers.pop((name, action.key), None)
         elif isinstance(action, Log):
             self.logs[name].append({"ts": self.clock, **action.record})
         else:
@@ -309,7 +305,7 @@ class SimNet:
 
     def _schedule_timeout(self, name: str, flow: _Flow) -> None:
         """The acceptor's one timeout event, at ``flow``'s own (time, seq)."""
-        when = flow.since + self.handshake_timeout
+        when = flow.since + HANDSHAKE_TIMEOUT
         heapq.heappush(self._heap, (when, flow.timeout_seq, self._on_handshake_timeout, (name,)))
 
     def _settle(self, flow: _Flow) -> None:
@@ -386,8 +382,9 @@ class SimNet:
         if node is not None and port in node.udp_ports:
             self.act(node, node.on_datagram(port, src, data, self.clock))
 
-    def _on_timer(self, name: str, key: str, version: int) -> None:
-        if self._timer_version.get((name, key)) == version:
+    def _on_timer(self, name: str, key: str, seq: int) -> None:
+        if self._timers.get((name, key)) == seq:
+            del self._timers[(name, key)]
             node = self.nodes.get(name)  # the node may have been torn down
             if node is not None:
                 self.act(node, node.on_timer(key, self.clock))

@@ -84,7 +84,7 @@ def test_criterion_2_dos_zero_leak_and_throughput():
 
 
 def test_criterion_3_per_hop_frame_counts():
-    dep = build_sim(default_config(seed=21), start_clients=False)
+    dep = build_sim(default_config(seed=21))
     dep.net.run(until=1.0)
     start = len(dep.net.trace)
     client = dep.client()
@@ -206,7 +206,7 @@ def test_criterion_6_loopback_overheads():
 
 def test_criterion_7_ttl_grandfathering():
     T = 5.0
-    dep = build_sim(default_config(seed=77, timing={"rule_ttl": T, "validation_interval": 300.0}), start_clients=False)
+    dep = build_sim(default_config(seed=77, timing={"rule_ttl": T, "validation_interval": 300.0}))
     net = dep.net
     client = dep.client()
     net.run(until=1.0)

@@ -234,7 +234,7 @@ def test_delaycalc_with_trace(tmp_path):
     )
     from sdperim.scenarios import auth_trace_run
 
-    frames, _ = auth_trace_run(seed=6, alpha_bits=(720, 720, 720, 720), beta_m=(50.0, 200.0, 200.0, 50.0))
+    frames, _ = auth_trace_run(seed=6)
     trace = tmp_path / "trace.jsonl"
     trace.write_text("".join(r.to_line() for r in frames))
     result = run(["delaycalc", "--params", str(params), "--trace", str(trace)])

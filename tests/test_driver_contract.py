@@ -17,8 +17,10 @@ from sdperim.transport.base import (
     FRAMED,
     RAW,
     AcceptStream,
+    LOG_KEEP,
     CancelTimer,
     Close,
+    Log,
     Node,
     OpenStream,
     Send,
@@ -164,6 +166,9 @@ class Sim(Driver):
     def held(self, node):
         return set(self.net._by_local[node.name])
 
+    def logs(self, node):
+        return self.net.logs[node.name]
+
 
 class Real(Driver):
     kind = "real"
@@ -191,6 +196,9 @@ class Real(Driver):
 
     def held(self, node):
         return set(self.hosts[node.name]._flows)
+
+    def logs(self, node):
+        return self.hosts[node.name].logs
 
     async def stop(self):
         for host in self.hosts.values():
@@ -356,7 +364,7 @@ def test_timers_replace_and_cancel(driver):
 
 def test_datagram_reaches_on_datagram_with_its_source(driver):
     a, b = Toy(A), Toy(B, udp=[23801])
-    sent = [b"one", bytes(range(256)) * 8, b"three"]
+    sent = [b"one", b"", bytes(range(256)) * 8, b"three"]
 
     async def case():
         await driver.add(a, b)
@@ -365,6 +373,17 @@ def test_datagram_reaches_on_datagram_with_its_source(driver):
         assert await driver.wait(lambda: len(b.events) == len(sent))
         await driver.settle(0.1)
         assert b.events == [("datagram", A, d) for d in sent]
+
+    driver.run(case)
+
+
+def test_logs_keep_the_newest_records_in_order(driver):
+    a = Toy(A)
+
+    async def case():
+        await driver.add(a)
+        await driver.act(a, [Log({"i": i}) for i in range(LOG_KEEP + 5)])
+        assert [r["i"] for r in driver.logs(a)] == list(range(5, LOG_KEEP + 5))
 
     driver.run(case)
 

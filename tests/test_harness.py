@@ -4,6 +4,7 @@ import asyncio
 
 import pytest
 
+from sdperim.gateway.filtering import FORWARD, FilterEngine
 from sdperim.harness.capture import CaptureSeries, is_attack_segment
 from sdperim.harness.experiment import ExperimentSpec, run_experiment
 from sdperim.harness.flood import FloodSpec, sim_flood
@@ -18,8 +19,6 @@ class TestFloodSpec:
             FloodSpec("gw", 4444, rate=0)
         with pytest.raises(ValueError):
             FloodSpec("gw", 4444, duration=-1)
-        with pytest.raises(ValueError):
-            FloodSpec("gw", 4444, payload_size=60)
 
     def test_sender_count_matches_rate_times_duration(self):
         net = SimNet(Topology(two_way("attacker", "gw")), seed=1)
@@ -76,7 +75,7 @@ class TestSimScanner:
     def test_open_vs_dark_vs_refused(self):
         net = SimNet(Topology(two_way("scanner", "target")), seed=2)
         net.add_node(EchoNode("target", 100))
-        scanner = ScannerNode("scanner", "target", [100, 101], timeout=0.5)
+        scanner = ScannerNode("scanner", "target", [100, 101])
         net.add_node(scanner)
         net.run(until=2.0)
         report = scanner.report()
@@ -85,8 +84,18 @@ class TestSimScanner:
 
 class TestRealScan:
     def test_loopback_refused_and_open(self):
+        async def hold(reader, writer):
+            # a live service: the connection stays up until the scanner
+            # hangs up (closing at once would make the port read closed)
+            try:
+                await reader.read()
+            except ConnectionError:
+                pass
+            finally:
+                writer.close()
+
         async def main():
-            server = await asyncio.start_server(lambda r, w: None, "127.0.0.1", 29123)
+            server = await asyncio.start_server(hold, "127.0.0.1", 29123)
             try:
                 report = await real_port_scan("127.0.0.1", [29123, 29124], timeout=0.4)
             finally:
@@ -112,6 +121,21 @@ class TestExperiment:
         for i, seen in enumerate(result.capture.attack_segments_seen):
             inside = 5.0 <= i < 11.0
             assert (seen > 0) == inside
+
+    def test_protected_arm_counts_every_forwarded_initiation(self, monkeypatch):
+        # a filter that forwards every initiation it would drop: each flood
+        # initiation is counted as forwarded in the interval it was seen
+        verdict_initiation = FilterEngine.verdict_initiation
+
+        def forward_all(engine, *args):
+            verdict = verdict_initiation(engine, *args)
+            return verdict if verdict[0] == FORWARD else (FORWARD, "no-rule")
+
+        monkeypatch.setattr(FilterEngine, "verdict_initiation", forward_all)
+        result = run_experiment(ExperimentSpec(seed=3, with_sdp=True, **self.SPEC))
+        assert sum(result.capture.attack_segments_seen) == 300 * 6
+        assert result.capture.attack_segments_forwarded == result.capture.attack_segments_seen
+        assert not result.zero_leak
 
     def test_protected_throughput_unaffected(self):
         result = run_experiment(ExperimentSpec(seed=3, with_sdp=True, **self.SPEC))

@@ -18,7 +18,7 @@ from sdperim import spa
 from sdperim.client import ClientNode, Phase
 from sdperim.credentials import SecureChannel
 from sdperim.deploy import build_sim, default_config
-from sdperim.gateway.node import GATE_WINDOW, RELAY_GATE_CAP
+from sdperim.gateway.node import GATE_WINDOW, RELAY_GATE_CAP, SWEEP_TICK
 from sdperim.transport.base import AcceptStream, Close, Log, Node, OpenStream, Send, SendDatagram
 from sdperim.transport.sim import PROTOCOL_CLASSES, two_way
 from sdperim.wire import F, Kind, encode_frame
@@ -44,7 +44,7 @@ def run_until(net, cond, deadline=AUTH_DEADLINE, step=0.25):
 
 
 def authed_deployment(seed=7, **overrides):
-    dep = build_sim(default_config(seed=seed, **overrides), start_clients=False)
+    dep = build_sim(default_config(seed=seed, **overrides))
     dep.net.run(until=1.0)
     assert dep.gateway().registered
     return dep
@@ -532,7 +532,7 @@ class TestDarkness:
         gw = dep.gateway()
         assert len(gw._flow_src) == 1 and gw.relay_gate["client"].flow in gw._flow_src
         assert sorted(forger.closed) == flows[:-1]
-        dep.net.run(until=dep.net.clock + GATE_WINDOW + 2 * gw.sweep_tick)
+        dep.net.run(until=dep.net.clock + GATE_WINDOW + 2 * SWEEP_TICK)
         assert sorted(forger.closed) == flows
         assert gw._flow_src == {} and "client" not in gw.relay_gate
         relay = [r["reason"] for r in dep.net.logs["gateway"] if r.get("event") == "relay"]
@@ -760,7 +760,7 @@ class TestRegistration:
                 ("gateway", "cloud"), ("cloud", "gateway"),
             ]
         ]
-        dep = build_sim(default_config(seed=7, topology={"links": links}), start_clients=False)
+        dep = build_sim(default_config(seed=7, topology={"links": links}))
         assert run_until(dep.net, lambda: dep.gateway().registered, deadline=30.0)
         dep.net.run(until=60.0)
         assert dep.gateway().registered
@@ -773,7 +773,7 @@ class TestRegistration:
     def test_a_controller_that_closes_the_link_is_retried_with_backoff(self):
         """A controller that no longer knows the gateway closes each link at
         its registration; the gateway's waits still double up to 32 s."""
-        dep = build_sim(default_config(seed=7), start_clients=False)
+        dep = build_sim(default_config(seed=7))
         del dep.controller.gateway_records[dep.gateway().identity.cert.subject_id]  # its SPA key stays
         dep.net.run(until=120.0)
         assert 1 <= len(self.link_closes(dep)) <= 8  # 2, 4, 8, 16, 32, 32 ... s apart, not every 2 s
@@ -850,7 +850,7 @@ class TestControlPlaneBytes:
         """Every byte the nodes put on the wire during one whole session
         (registration, login, a grant, a tunnel echo and one device-validation
         round), in order. Refactors of the message builders must keep it."""
-        dep = build_sim(default_config(seed=5), seed=5, start_clients=False)
+        dep = build_sim(default_config(seed=5))
         net, client = dep.net, dep.client()
         digest, count = hashlib.sha256(), 0
         act = net.act

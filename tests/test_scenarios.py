@@ -22,6 +22,11 @@ def _digest(d):
     return h.hexdigest()
 
 
+def _load(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def test_unknown_scenario_rejected(tmp_path):
     with pytest.raises(ValueError, match="unknown scenario"):
         scenario_run("nope", 1, tmp_path)
@@ -44,8 +49,8 @@ def test_rerun_is_idempotent(tmp_path):
 def test_portscan_scenarios_contrast(tmp_path):
     with_sdp = scenario_run("portscan_with_sdp", 2, tmp_path)
     without = scenario_run("portscan_without_sdp", 2, tmp_path)
-    s1 = json.load(open(os.path.join(with_sdp, "summary.json")))
-    s2 = json.load(open(os.path.join(without, "summary.json")))
+    s1 = _load(os.path.join(with_sdp, "summary.json"))
+    s2 = _load(os.path.join(without, "summary.json"))
     assert s1["open"] == []
     assert s1["counts"]["ClosedOrFiltered"] == 2048
     assert s2["open"] == [22]
@@ -53,7 +58,7 @@ def test_portscan_scenarios_contrast(tmp_path):
 
 def test_delay_sweep_reconciles_exactly(tmp_path):
     out = scenario_run("delay_sweep", 7, tmp_path)
-    rows = json.load(open(os.path.join(out, "delay_sweep.json")))
+    rows = _load(os.path.join(out, "delay_sweep.json"))
     assert len(rows) == 6
     assert all(r["delta"] == 0.0 for r in rows)
     assert all(r["count_mismatches"] == [] for r in rows)

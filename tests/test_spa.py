@@ -11,8 +11,8 @@ from sdperim import spa
 NOW = 1_000_000.0
 
 
-def fresh_store(key, skew=30.0):
-    store = spa.SpaKeyStore(skew)
+def fresh_store(key):
+    store = spa.SpaKeyStore()
     store.register(key)
     return store
 
@@ -74,12 +74,12 @@ class TestVerdicts:
         assert store.verify(old, NOW) is spa.SpaVerdict.REPLAY_DETECTED
 
     def test_stale_timestamp(self, client_key):
-        store = fresh_store(client_key, skew=30.0)
+        store = fresh_store(client_key)
         pkt = spa.build_spa(client_key, 1, spa.TargetRole.CONTROLLER, NOW - 3600)
         assert store.verify(pkt, NOW) is spa.SpaVerdict.STALE_TIMESTAMP
 
     def test_skew_window_boundary(self, client_key):
-        store = fresh_store(client_key, skew=30.0)
+        store = fresh_store(client_key)
         ok = spa.build_spa(client_key, 1, spa.TargetRole.CONTROLLER, NOW - 30)
         assert store.verify(ok, NOW) is spa.SpaVerdict.ACCEPT
         late = spa.build_spa(client_key, 2, spa.TargetRole.CONTROLLER, NOW - 31)
