@@ -23,7 +23,12 @@ repository's: for each seed and workload both run once, the parent first on
 every other seed, so a slow spell of a shared machine lands on both sides.
 A parent entry and a change entry are appended, and a summary gives per
 gated metric and workload both medians, the parent's interquartile range,
-and in how many pairs the change read lower.
+in how many pairs the change read better, and two verdicts: ``gain`` when
+the change reads better in at least nine tenths of at least ten pairs and
+its median beats the parent's by more than the parent's interquartile
+range; ``beyond bound`` when its median is worse than the parent's by more
+than that metric's ``BENCHMARK.json`` bound, a fraction of the parent
+median.
 """
 
 from __future__ import annotations
@@ -165,17 +170,37 @@ def entry(checkout: str, role: str, seeds: list[int], runs: dict[str, list[dict]
     }
 
 
+def gates() -> dict[str, dict]:
+    """The end-to-end metrics of ``BENCHMARK.json`` by name: ``better`` and ``bound``."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        return {m["name"]: m for m in json.load(fh)["end_to_end"]}
+
+
+def verdicts(base: dict, metric: dict, gate: dict) -> tuple[int, int, bool, bool]:
+    """Pairs in which the change read better, pairs compared, whether the
+    gain rule holds and whether the change's median is beyond the bound."""
+    sign = -1 if gate["better"] == "higher" else 1  # sign * (change - parent) < 0 is better
+    pairs = [(p, c) for p, c in zip(base["values"], metric["values"]) if p is not None and c is not None]
+    wins = sum(sign * (c - p) < 0 for p, c in pairs)
+    gained = sign * (base["median"] - metric["median"]) > base["q3"] - base["q1"]
+    gain = len(pairs) >= 10 and wins >= 0.9 * len(pairs) and gained
+    beyond = sign * (metric["median"] - base["median"]) > gate["bound"] * abs(base["median"])
+    return wins, len(pairs), gain, beyond
+
+
 def print_pairs(parent: dict, change: dict) -> None:
+    bounds = gates()
     for workload, side in change["workloads"].items():
         for name, metric in side["gated"].items():
             base = parent["workloads"][workload]["gated"].get(name)
             if base is None or base["median"] is None or metric["median"] is None:
                 print(f"{workload:10s} {name:16s} no value on one side")
                 continue
-            pairs = [(p, c) for p, c in zip(base["values"], metric["values"]) if p is not None and c is not None]
-            wins = sum(c < p for p, c in pairs)
+            wins, n, gain, beyond = verdicts(base, metric, bounds[name])
             print(f"{workload:10s} {name:16s} parent {base['median']:9.3f} (IQR {base['q3'] - base['q1']:.3f})"
-                  f"  change {metric['median']:9.3f}  change lower in {wins} of {len(pairs)} pairs")
+                  f"  change {metric['median']:9.3f}  change better in {wins} of {n} pairs"
+                  f"  gain: {'yes' if gain else 'no'}  beyond bound ({bounds[name]['bound']:g}):"
+                  f" {'yes' if beyond else 'no'}")
 
 
 def main(argv=None) -> int:

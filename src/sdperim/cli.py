@@ -27,10 +27,8 @@ import sys
 import yaml
 
 from .config import ConfigError, load_config, load_material, provision
-from .delay_model import DelayParams, e2e_delay, init_delay, lte_delay, reconcile, sdp_overhead
 from .deploy import build_client, build_controller, build_gateway
 from .transport.real import RealHost
-from .transport.sim import PROTOCOL_CLASSES, TraceRecord
 
 EXIT_OK = 0
 EXIT_AUTH = 2
@@ -311,6 +309,8 @@ def scenario_main(argv=None) -> int:
 
 
 def delaycalc_main(argv=None) -> int:
+    from .delay_model import DelayParams, e2e_delay, init_delay, lte_delay, reconcile, sdp_overhead
+    from .transport.sim import PROTOCOL_CLASSES, TraceRecord
     parser = argparse.ArgumentParser(prog="delaycalc", description="Evaluate the delay model, optionally against a trace.")
     parser.add_argument("--params", required=True, help="YAML/JSON parameter file")
     parser.add_argument("--trace", help="JSON-lines trace from a simulated run")

@@ -4,7 +4,7 @@ One YAML document describes a whole deployment; every binary reads the same
 file and uses only its role section. Secrets never live in the YAML: they
 are provisioned into a material directory, one file per host and kind. The
 controller's records of authorized hosts are built from this file and that
-material at start-up (``Material.records``).
+material at start-up (``deploy.controller_records``).
 
 Example::
 
@@ -41,9 +41,7 @@ from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from . import spa
-from .controller import ClientRecord, GatewayRecord, ServiceDescriptor
 from .credentials import CertificateAuthority, Identity, PeerRole
-from .transport.sim import LinkSpec, Topology, two_way
 
 
 class ConfigError(ValueError):
@@ -184,23 +182,6 @@ def dump_config(cfg: DeploymentConfig) -> str:
     return yaml.safe_dump(cfg.to_dict(), sort_keys=True)
 
 
-def build_topology(cfg: DeploymentConfig) -> Topology:
-    if cfg.topology_links is not None:
-        return Topology([LinkSpec(**spec) for spec in cfg.topology_links])
-    links = []
-    hosts = {cfg.controller.host} | {g.host for g in cfg.gateways}
-    for g in cfg.gateways:
-        links += two_way(g.host, cfg.controller.host)
-    for c in cfg.clients:
-        for g in cfg.gateways:
-            links += two_way(c.host, g.host)
-    for s in cfg.services:
-        gw_host = next(g.host for g in cfg.gateways if g.id == s.gateway)
-        if s.protected_host not in hosts:
-            links += two_way(gw_host, s.protected_host)
-    return Topology(links)
-
-
 # -- material -----------------------------------------------------------------
 
 
@@ -212,21 +193,6 @@ class Material:
     ca: CertificateAuthority
     identities: dict[str, Identity]  # hex id -> identity
     spa_keys: dict[str, spa.SpaKey]
-
-    def records(self, cfg: DeploymentConfig) -> tuple[list[ClientRecord], list[ServiceDescriptor], list[GatewayRecord]]:
-        clients = [
-            ClientRecord(
-                client_id=c.id_bytes,
-                spa_key=self.spa_keys[c.id],
-                certificate=self.identities[c.id].cert.encode(),
-                authorized_services=list(c.services),
-                validation_interval=cfg.timing.validation_interval,
-            )
-            for c in cfg.clients
-        ]
-        services = [ServiceDescriptor(s.service_id, bytes.fromhex(s.gateway), s.public_port) for s in cfg.services]
-        gateways = [GatewayRecord(g.id_bytes, self.spa_keys[g.id]) for g in cfg.gateways]
-        return clients, services, gateways
 
 
 def generate_material(cfg: DeploymentConfig, rng: random.Random | None = None) -> Material:

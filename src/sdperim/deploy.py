@@ -1,16 +1,20 @@
-"""Materialize a deployment config into live nodes on either backend."""
+"""Materialize a deployment config into live nodes on either backend. Each
+builder imports its own node's modules: a binary loads no other role's code."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .client import ClientNode
-from .config import DeploymentConfig, Material, build_topology, generate_material
-from .controller import ControllerNode
-from .gateway.node import GatewayNode, ServiceBinding
-from .services import EchoNode
-from .transport.sim import SimNet
+from .config import DeploymentConfig, Material, config_from_dict, generate_material
+
+if TYPE_CHECKING:
+    from .client import ClientNode
+    from .controller import ClientRecord, ControllerNode, GatewayRecord, ServiceDescriptor
+    from .gateway.node import GatewayNode
+    from .services import EchoNode
+    from .transport.sim import SimNet, Topology
 
 
 @dataclass
@@ -30,8 +34,26 @@ class SimDeployment:
         return next(iter(self.clients.values()))
 
 
+def controller_records(cfg: DeploymentConfig, material: Material) -> tuple[list[ClientRecord], list[ServiceDescriptor], list[GatewayRecord]]:
+    from .controller import ClientRecord, GatewayRecord, ServiceDescriptor
+    clients = [
+        ClientRecord(
+            client_id=c.id_bytes,
+            spa_key=material.spa_keys[c.id],
+            certificate=material.identities[c.id].cert.encode(),
+            authorized_services=list(c.services),
+            validation_interval=cfg.timing.validation_interval,
+        )
+        for c in cfg.clients
+    ]
+    services = [ServiceDescriptor(s.service_id, bytes.fromhex(s.gateway), s.public_port) for s in cfg.services]
+    gateways = [GatewayRecord(g.id_bytes, material.spa_keys[g.id]) for g in cfg.gateways]
+    return clients, services, gateways
+
+
 def build_controller(cfg: DeploymentConfig, material: Material, rng) -> ControllerNode:
-    clients, services, gateways = material.records(cfg)
+    from .controller import ControllerNode
+    clients, services, gateways = controller_records(cfg, material)
     return ControllerNode(
         cfg.controller.host,
         material.identities[cfg.controller.id],
@@ -47,6 +69,7 @@ def build_controller(cfg: DeploymentConfig, material: Material, rng) -> Controll
 
 
 def build_gateway(cfg: DeploymentConfig, material: Material, gw_id: str, rng) -> GatewayNode:
+    from .gateway.node import GatewayNode, ServiceBinding
     entry = next(g for g in cfg.gateways if g.id == gw_id)
     bindings = [
         ServiceBinding(s.service_id, s.public_port, s.protected_host, s.protected_port)
@@ -67,6 +90,7 @@ def build_gateway(cfg: DeploymentConfig, material: Material, gw_id: str, rng) ->
 
 
 def build_client(cfg: DeploymentConfig, material: Material, client_id: str, rng) -> ClientNode:
+    from .client import ClientNode
     entry = next(c for c in cfg.clients if c.id == client_id)
     gw_host = cfg.gateways[0].host if cfg.gateways else "gateway"
     return ClientNode(
@@ -81,11 +105,31 @@ def build_client(cfg: DeploymentConfig, material: Material, client_id: str, rng)
     )
 
 
+def build_topology(cfg: DeploymentConfig) -> Topology:
+    from .transport.sim import LinkSpec, Topology, two_way
+    if cfg.topology_links is not None:
+        return Topology([LinkSpec(**spec) for spec in cfg.topology_links])
+    links = []
+    hosts = {cfg.controller.host} | {g.host for g in cfg.gateways}
+    for g in cfg.gateways:
+        links += two_way(g.host, cfg.controller.host)
+    for c in cfg.clients:
+        for g in cfg.gateways:
+            links += two_way(c.host, g.host)
+    for s in cfg.services:
+        gw_host = next(g.host for g in cfg.gateways if g.id == s.gateway)
+        if s.protected_host not in hosts:
+            links += two_way(gw_host, s.protected_host)
+    return Topology(links)
+
+
 def build_sim(cfg: DeploymentConfig) -> SimDeployment:
     """A whole simulated deployment: controller, gateways and protected echo
     services on the net, and clients built but not yet added, so a caller
     starts each when its run needs it. Material is derived from the config's
     seed, so identical seeds give identical runs."""
+    from .services import EchoNode
+    from .transport.sim import SimNet
     material = generate_material(cfg, random.Random(f"material:{cfg.seed}"))
     net = SimNet(build_topology(cfg), seed=cfg.seed)
     controller = build_controller(cfg, material, net.node_rng(cfg.controller.host))
@@ -105,15 +149,12 @@ def build_sim(cfg: DeploymentConfig) -> SimDeployment:
         for s in entries:
             dep.services[s.service_id] = echo
     for c in cfg.clients:
-        node = build_client(cfg, material, c.id, net.node_rng(c.host))
-        dep.clients[c.id] = node
+        dep.clients[c.id] = build_client(cfg, material, c.id, net.node_rng(c.host))
     return dep
 
 
 def default_config(**overrides) -> DeploymentConfig:
     """The single-gateway reference deployment used by tests and scenarios."""
-    from .config import config_from_dict
-
     raw = {
         "seed": 42,
         "ports": {"spa": 62201, "control": 5000},

@@ -6,6 +6,7 @@ import io
 from dataclasses import dataclass, field
 
 ATTACK_FRAME_LIMIT = 60  # labeling only, never used for filtering decisions
+INTERVAL = 1.0  # seconds per row: the per-second series the DoS results are read from
 
 
 @dataclass
@@ -15,7 +16,6 @@ class CaptureSeries:
     target's half-open backlog."""
 
     start: float
-    interval: float = 1.0
     acked_segments: list[int] = field(default_factory=list)
     attack_segments_seen: list[int] = field(default_factory=list)
     attack_segments_forwarded: list[int] = field(default_factory=list)
@@ -37,7 +37,7 @@ class CaptureSeries:
     def rows(self):
         for i in range(len(self)):
             yield {
-                "t": self.start + i * self.interval,
+                "t": self.start + i * INTERVAL,
                 "acked_segments": self.acked_segments[i],
                 "attack_segments_seen": self.attack_segments_seen[i],
                 "attack_segments_forwarded": self.attack_segments_forwarded[i],

@@ -16,11 +16,10 @@ from typing import Callable
 from ..deploy import SimDeployment, build_sim, default_config
 from ..services import PING_SIZE, EchoNode, PingerNode
 from ..transport.sim import CLS_ACCEPT, SimNet, Topology, two_way
-from .capture import CaptureSeries, is_attack_segment
+from .capture import INTERVAL, CaptureSeries, is_attack_segment
 from .flood import FloodSpec, FloodStats, sim_flood
 
 SETUP_END = 5.0  # virtual seconds reserved for registration + authentication
-INTERVAL = 1.0  # capture interval: the per-second series the DoS results are read from
 
 
 @dataclass
@@ -168,7 +167,7 @@ def run_experiment(spec: ExperimentSpec, trace_out=None) -> ExperimentResult:
 
     net.run(until=t0 + spec.window + 1.0)
 
-    capture = CaptureSeries(start=t0, interval=INTERVAL)
+    capture = CaptureSeries(start=t0)
     for i in range(n):
         capture.append(
             (rx_samples[i + 1] - rx_samples[i]) // PING_SIZE,

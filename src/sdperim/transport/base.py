@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 Address = tuple[str, int]
 
-# Newest ``Log`` records a driver keeps in memory per node. Forged packets
-# each log a record, so an unbounded copy grows with a flood.
+# Newest ``Log`` records a driver keeps in memory per node without a log file
+# (one with a file keeps none); forged packets each log one, so keep a bound.
 LOG_KEEP = 1024
 
 FRAMED = "framed"

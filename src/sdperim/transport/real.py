@@ -38,11 +38,11 @@ completes the handshake and sends the SYN-ACK for every source, so a SYN
 scan sees the port open; a socket filter (``SO_ATTACH_FILTER``) could
 withhold it, and none is attached yet.
 
-Every ``Log`` record is kept in memory (the newest ``LOG_KEEP``) and, with a
-log file, written there as one JSON line: one encoder built per process,
-not one per record as ``json.dumps`` builds, gives the bytes of
-``json.dumps(record, sort_keys=True)``, and the line goes to the kernel in
-one ``os.write``, so it is in the file before the next event runs.
+A host with a log file writes each ``Log`` record there as one JSON line and
+keeps no copy (one without keeps its newest ``LOG_KEEP`` in ``logs``): one
+encoder built per process gives the bytes of ``json.dumps(record,
+sort_keys=True)``, and the line goes to the kernel in one ``os.write``, so
+it is in the file before the next event runs.
 """
 
 from __future__ import annotations
@@ -165,7 +165,7 @@ class RealHost:
     def __init__(self, node: Node, bind_host: str = "127.0.0.1", log_path=None):
         self.node = node
         self.bind_host = bind_host
-        self.logs: deque[dict] = deque(maxlen=LOG_KEEP)
+        self.logs: deque[dict] = deque(maxlen=LOG_KEEP)  # only without a log file
         self._log_path = log_path
         self._log_fd: int | None = None
         self._flows: dict[int, _Stream] = {}
@@ -217,9 +217,7 @@ class RealHost:
     async def call(self, fn):
         """Run a node API call (e.g. ``lambda now: node.open_service(...)``)
         and execute its actions."""
-        actions = fn(time.time())
-        self._execute(actions)
-        return actions
+        self._execute(fn(time.time()))
 
     # -- listeners --------------------------------------------------------------
 
@@ -296,8 +294,9 @@ class RealHost:
         for action in actions or ():
             if isinstance(action, Log):  # first: most events under a flood are a logged drop
                 record = {"ts": time.time(), **action.record}
-                self.logs.append(record)
-                if self._log_fd is not None:
+                if self._log_fd is None:
+                    self.logs.append(record)
+                else:
                     self._write_log(record)
             elif isinstance(action, SendDatagram):
                 if self._udp_send is not None:

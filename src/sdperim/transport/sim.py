@@ -11,18 +11,18 @@ in-order, and a send between hosts with no link is dropped. Every send goes
 to the net's trace sink, once its record is final (dropped, or with its
 delivery time set); the sink is any object with ``append`` and defaults to
 a list (the DoS experiments set one that writes each record out and keeps
-only per-interval counts of attack segments). A node's ``Log`` records go
-to ``logs``, which keeps its newest ``LOG_KEEP``, as ``RealHost`` does.
-Runs with identical seeds and configs produce byte-identical traces.
+only per-interval counts of attack segments). A node's ``Log`` records go to
+``logs``, which keeps its newest ``LOG_KEEP``, as a ``RealHost`` with no log
+file does. Runs with identical seeds and configs produce byte-identical traces.
 
 Streams carry a minimal three-segment handshake (initiation, accept, ack) so
 half-open state is observable: an acceptor that answers an initiation whose
 source never acks keeps it pending until the handshake timeout. A node that
-declines an initiation emits nothing at all. Data an initiator sends
-before its ``on_connected`` waits in one table keyed by (node, local flow),
-so a spoofed half-open flow carries no slot for it. It goes out right after
-the ack segment, before ``on_connected`` runs, and is forgotten with the
-flow if the flow dies first.
+declines an initiation emits nothing at all. Data an initiator sends before
+its ``on_connected``, or an acceptor before its ``AcceptStream``, waits in one
+table keyed by (node, local flow), so a spoofed half-open flow carries no slot
+for it. It goes out right after the ack or accept segment, so the peer's
+``on_connected`` runs first, and is dropped if the flow is declined or dies.
 
 Pending accepts time out oldest first. Each acceptor keeps its accepted
 flows in accept order and has at most one scheduled timeout event, for the
@@ -172,7 +172,7 @@ class SimNet:
         self.nodes: dict[str, Node] = {}
         self.logs: dict[str, deque[dict]] = {}  # node -> its newest LOG_KEEP records
         self._by_local: dict[str, dict[int, _Flow]] = {}  # node -> local flow id -> flow
-        self._early: dict[tuple[str, int], list[bytes]] = {}  # (initiator, local flow) -> data sent before connect
+        self._early: dict[tuple[str, int], list[bytes]] = {}  # (node, local flow) -> data sent before connect or accept
         self._next_port = 33000  # synthetic ephemeral source ports
         self._timers: dict[tuple[str, str], int] = {}  # (node, key) -> seq of its pending timer event
         self._pending_accepts: dict[str, deque[_Flow]] = {}  # node -> flows it accepted, oldest first
@@ -302,6 +302,8 @@ class SimNet:
         src = flow.spoofed_host if flow.spoofed_host is not None else flow.init_node
         self._transmit(CLS_ACCEPT, name, src, flow.acc_addr[1], flow.init_port, SEGMENT_OVERHEAD_BYTES, None,
                        self._on_accept, (flow,))
+        for data in self._early.pop((name, local), ()):
+            self._send_data(name, local, data)
 
     def _schedule_timeout(self, name: str, flow: _Flow) -> None:
         """The acceptor's one timeout event, at ``flow``'s own (time, seq)."""
@@ -332,8 +334,8 @@ class SimNet:
         flow = self._by_local[name].get(local)
         if flow is None or flow.state == "closed":
             return
-        if name == flow.init_node and flow.state != "established":
-            self._early.setdefault((name, local), []).append(data)  # sent once the stream connects
+        if flow.state == "syn-sent" or (name == flow.init_node and flow.state != "established"):
+            self._early.setdefault((name, local), []).append(data)  # sent once the stream connects or is accepted
             return
         peer_node, _, dst_port = self._peer(flow, name)
         src_port = flow.init_port if name == flow.init_node else flow.acc_addr[1]
@@ -424,6 +426,7 @@ class SimNet:
             self._early.pop((flow.init_node, flow.init_local), None)
         if flow.acc_node is not None:
             self._by_local[flow.acc_node].pop(flow.acc_local, None)
+            self._early.pop((flow.acc_node, flow.acc_local), None)
 
     def _on_accept(self, flow: _Flow) -> None:
         # accept segment arrives at the initiator

@@ -110,6 +110,41 @@ def test_local_forwarder_keeps_no_written_bytes():
     assert tunnel.rx == bytearray()
 
 
+# Imports the binaries' module, builds one role's node and prints every
+# sdperim module then loaded, in a fresh interpreter.
+IMPORT_PROBE = """
+import json, random, sys
+import sdperim.cli
+from sdperim import config, deploy
+cfg = deploy.default_config()
+material = config.generate_material(cfg, random.Random(1))
+if sys.argv[1] == "gateway":
+    deploy.build_gateway(cfg, material, cfg.gateways[0].id, random.Random(2))
+else:
+    deploy.build_controller(cfg, material, random.Random(2))
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("sdperim"))))
+"""
+
+NOT_LIVE = {"sdperim.transport.sim", "sdperim.client", "sdperim.delay_model", "sdperim.services", "sdperim.scenarios"}
+
+
+def loaded(code, *args):
+    result = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=60, env=ENV)
+    assert result.returncode == 0, result.stderr
+    return set(json.loads(result.stdout))
+
+
+def test_live_binaries_load_only_their_own_role():
+    for role, own, other in (("gateway", "sdperim.gateway.node", "sdperim.controller"),
+                             ("controller", "sdperim.controller", "sdperim.gateway.node")):
+        modules = loaded(IMPORT_PROBE, role)
+        assert own in modules and "sdperim.transport.real" in modules
+        assert modules.isdisjoint(NOT_LIVE | {other}), modules & (NOT_LIVE | {other})
+        assert not any(m.startswith("sdperim.harness") for m in modules)
+    modules = loaded('import json, sys, sdperim.transport.real; print(json.dumps(list(sys.modules)))')
+    assert "sdperim.transport.real" in modules and "sdperim.transport.sim" not in modules
+
+
 def test_provision_and_force(tmp_path):
     cfg = write_config(tmp_path, 31000)
     first = run(["controller", "--config", str(cfg), "--provision"])

@@ -13,7 +13,7 @@ from sdperim.config import (
     load_material,
     provision,
 )
-from sdperim.deploy import default_config
+from sdperim.deploy import controller_records, default_config
 
 
 def test_round_trip_is_identity(tmp_path):
@@ -72,7 +72,7 @@ def test_provision_writes_material_and_refuses_overwrite(tmp_path):
 def test_provisioned_material_loads_and_matches_records(tmp_path):
     cfg = default_config()
     material_dir = provision(cfg, tmp_path)
-    clients, _, gateways = load_material(cfg, tmp_path).records(cfg)
+    clients, _, gateways = controller_records(cfg, load_material(cfg, tmp_path))
     assert len(clients) == 1
     record = clients[0]
     assert record.client_id == cfg.clients[0].id_bytes

@@ -328,6 +328,21 @@ def test_send_from_stream_request_reaches_the_initiator(driver):
     driver.run(case)
 
 
+def test_acceptor_writes_before_accept_reach_the_initiator_after_connect(driver):
+    a = Toy(A)
+    b = Toy(B, tcp={23651: RAW}, answer=lambda flow: [Send(flow, b"early"), AcceptStream(flow)])
+
+    async def case():
+        await driver.add(a, b)
+        flow = a.new_flow()
+        await driver.act(a, [OpenStream(flow, (B, 23651), RAW)])
+        assert await driver.wait(lambda: a.chunks(flow))
+        await driver.settle(0.1)
+        assert a.hooks(flow) == ["connected", "data"] and a.chunks(flow) == [b"early"]
+
+    driver.run(case)
+
+
 def test_close_from_stream_request_reports_nothing_to_the_acceptor(driver):
     a = Toy(A)
     b = Toy(B, tcp={23701: RAW}, answer=lambda flow: [AcceptStream(flow), Close(flow)])

@@ -14,10 +14,12 @@ import struct
 import subprocess
 import sys
 import time
+import types
 
 import pytest
 
 import sdperim.client
+import sdperim.transport.real
 from sdperim import spa
 from sdperim.client import Phase
 from sdperim.config import generate_material
@@ -318,7 +320,7 @@ def test_oversized_frame_header_closes_stream_once():
     asyncio.run(run_contract(node, "127.0.0.32", body))
 
 
-def test_logs_keep_newest_records_while_file_gets_all(tmp_path):
+def test_log_file_gets_every_record_and_memory_keeps_none(tmp_path):
     path = tmp_path / "host.jsonl"
     host = RealHost(ContractNode(), "127.0.0.33", log_path=str(path))
 
@@ -331,6 +333,7 @@ def test_logs_keep_newest_records_while_file_gets_all(tmp_path):
 
     asyncio.run(main())
     assert [json.loads(line)["i"] for line in path.read_text().splitlines()] == list(range(LOG_KEEP + 5))
+    assert list(host.logs) == []
 
 
 # what perimbench reads: the gateway's log file, live and after the run
@@ -343,7 +346,9 @@ LOG_CONTRACT_RECORDS = [
 ]
 
 
-def test_log_lines_are_the_bytes_of_json_dumps(tmp_path):
+def test_log_lines_are_the_bytes_of_json_dumps(tmp_path, monkeypatch):
+    ts = 1760000000.123456
+    monkeypatch.setattr(sdperim.transport.real, "time", types.SimpleNamespace(time=lambda: ts))
     path = tmp_path / "host.jsonl"
     host = RealHost(ContractNode(), "127.0.0.40", log_path=str(path))
     seen = []
@@ -358,10 +363,8 @@ def test_log_lines_are_the_bytes_of_json_dumps(tmp_path):
             await host.stop()
 
     asyncio.run(main())
-    lines = [json.dumps(r, sort_keys=True) + "\n" for r in host.logs]
+    lines = [json.dumps({"ts": ts, **r}, sort_keys=True) + "\n" for r in LOG_CONTRACT_RECORDS]
     assert seen == ["".join(lines[: i + 1]).encode() for i in range(len(LOG_CONTRACT_RECORDS))]
-    records = [{k: v for k, v in r.items() if k != "ts"} for r in host.logs]  # NaN != NaN, so compare as JSON
-    assert [json.dumps(r, sort_keys=True) for r in records] == [json.dumps(r, sort_keys=True) for r in LOG_CONTRACT_RECORDS]
 
 
 def test_log_line_survives_short_writes(tmp_path, monkeypatch):

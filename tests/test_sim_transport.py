@@ -267,14 +267,18 @@ class TestStreams:
         net.run()
         assert [r.cls for r in net.trace if r.src == "a"] == ["syn", "close"]
 
-    @pytest.mark.parametrize("ending", ["initiator-closes", "acceptor-closes", "closed-before-syn", "refused"])
+    @pytest.mark.parametrize("ending", ["initiator-closes", "acceptor-closes", "closed-before-syn", "refused", "declined"])
     def test_closed_streams_are_forgotten(self, ending):
         class Hangup(Sink):
             def on_connected(self, flow, now):
                 return [Close(flow)]
 
+        class Decliner(Sink):  # writes, then never accepts
+            def on_stream_request(self, flow, port, src, now):
+                return [Send(flow, b"banner")]
+
         net = make_net()
-        net.add_node(Hangup("b") if ending == "acceptor-closes" else Sink("b"))
+        net.add_node({"acceptor-closes": Hangup, "declined": Decliner}.get(ending, Sink)("b"))
         opener = Hangup("a") if ending == "initiator-closes" else Node("a")
         net.add_node(opener)
         net.run()
@@ -286,6 +290,9 @@ class TestStreams:
             if ending == "closed-before-syn":
                 net.act(opener, [Close(flow)])
         net.run()
+        if ending == "declined":  # a declined flow is kept for its initiator's close
+            net.act(opener, [Close(flow) for flow in list(net._by_local["a"])])
+            net.run()
         assert live_flows() == before
         assert net._by_local == {"a": {}, "b": {}}
         assert net._early == {} and net.half_open_count("b") == 0
