@@ -23,12 +23,15 @@ import json
 import os
 import random
 import sys
+from typing import TYPE_CHECKING
 
 import yaml
 
-from .config import ConfigError, load_config, load_material, provision
+# module attributes, so that a traced perimbench run can wrap the node builders
 from .deploy import build_client, build_controller, build_gateway
-from .transport.real import RealHost
+
+if TYPE_CHECKING:
+    from .transport.real import RealHost
 
 EXIT_OK = 0
 EXIT_AUTH = 2
@@ -40,6 +43,7 @@ def _config_dir(path: str) -> str:
 
 
 def _load(path: str):
+    from .config import load_config, load_material
     cfg = load_config(path)
     material = load_material(cfg, _config_dir(path))
     return cfg, material
@@ -58,6 +62,8 @@ async def _run_forever(host: RealHost) -> int:
 
 
 def controller_main(argv=None) -> int:
+    from .config import ConfigError, load_config, load_material, provision
+    from .transport.real import RealHost
     parser = argparse.ArgumentParser(prog="controller", description="Run the control-plane node.")
     parser.add_argument("--config", required=True)
     parser.add_argument("--provision", action="store_true", help="generate key material and records, then exit")
@@ -82,6 +88,8 @@ def controller_main(argv=None) -> int:
 
 
 def gateway_main(argv=None) -> int:
+    from .config import ConfigError
+    from .transport.real import RealHost
     parser = argparse.ArgumentParser(prog="gateway", description="Run an accepting-host node.")
     parser.add_argument("--config", required=True)
     parser.add_argument("--id", help="gateway id (hex); defaults to the first configured gateway")
@@ -103,6 +111,7 @@ def gateway_main(argv=None) -> int:
 
 
 async def _client_session(cfg, material, args) -> int:
+    from .transport.real import RealHost
     client_id = args.id or cfg.clients[0].id
     entry = next(c for c in cfg.clients if c.id == client_id)
     node = build_client(cfg, material, client_id, random.Random())
@@ -187,6 +196,7 @@ async def _serve_local(host: RealHost, node, service_id: str, reader, writer):
 
 
 def client_main(argv=None) -> int:
+    from .config import ConfigError
     parser = argparse.ArgumentParser(prog="client", description="Authenticate and forward one service locally.")
     parser.add_argument("--config", required=True)
     parser.add_argument("--service", help="service id to open")
@@ -240,6 +250,7 @@ def attack_main(argv=None) -> int:
             host, port = args.target.rsplit(":", 1)
             port = int(port)
         elif args.config:
+            from .config import load_config
             cfg = load_config(args.config)
             svc = cfg.services[0]
             host = next(g.host for g in cfg.gateways if g.id == svc.gateway)
@@ -261,6 +272,7 @@ def attack_main(argv=None) -> int:
         if args.target:
             target = args.target
         elif args.config:
+            from .config import load_config
             target = load_config(args.config).gateways[0].host
         else:
             print("error: give --target or --config", file=sys.stderr)

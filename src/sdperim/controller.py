@@ -38,7 +38,6 @@ from .wire import (
     u64,
 )
 
-GATE_WINDOW = 60.0  # seconds an accepted gate entry stays usable
 GATEWAY_ACK_TIMEOUT = 2.0
 
 
@@ -130,7 +129,7 @@ class ControllerNode(Node):
             self.store.register(g.spa_key)
         self.udp_ports = [spa_port]
         self.tcp_ports = {control_port: "framed"}
-        self.gated: dict[str, _GateEntry] = {}
+        self.gated = spa.Gates()  # source host -> _GateEntry
         self.links: dict[int, _GatewayLink] = {}
         self.by_gateway: dict[bytes, _GatewayLink] = {}
         self.clients_ctx: dict[tuple[int, int], _ClientCtx] = {}
@@ -181,7 +180,8 @@ class ControllerNode(Node):
         verdict = self.store.verify(pkt, now)
         if verdict is not spa.SpaVerdict.ACCEPT:
             return [self._log(event="spa", verdict=verdict.value, src=src[0])]
-        self.gated[src[0]] = _GateEntry(pkt.client_id, pkt.nonce, now + GATE_WINDOW)
+        self.gated.expire(now)
+        self.gated.put(src[0], _GateEntry(pkt.client_id, pkt.nonce, now + spa.GATE_WINDOW))
         return [self._log(event="spa", verdict="accept", src=src[0], subject=pkt.client_id.hex())]
 
     # -- streams ---------------------------------------------------------------

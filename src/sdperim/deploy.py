@@ -1,5 +1,6 @@
 """Materialize a deployment config into live nodes on either backend. Each
-builder imports its own node's modules: a binary loads no other role's code."""
+function imports the modules it runs, ``config`` included, so a binary loads
+no other role's code, and one that builds no node no ``cryptography``."""
 
 from __future__ import annotations
 
@@ -7,10 +8,9 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .config import DeploymentConfig, Material, config_from_dict, generate_material
-
 if TYPE_CHECKING:
     from .client import ClientNode
+    from .config import DeploymentConfig, Material
     from .controller import ClientRecord, ControllerNode, GatewayRecord, ServiceDescriptor
     from .gateway.node import GatewayNode
     from .services import EchoNode
@@ -128,6 +128,7 @@ def build_sim(cfg: DeploymentConfig) -> SimDeployment:
     services on the net, and clients built but not yet added, so a caller
     starts each when its run needs it. Material is derived from the config's
     seed, so identical seeds give identical runs."""
+    from .config import generate_material
     from .services import EchoNode
     from .transport.sim import SimNet
     material = generate_material(cfg, random.Random(f"material:{cfg.seed}"))
@@ -155,6 +156,7 @@ def build_sim(cfg: DeploymentConfig) -> SimDeployment:
 
 def default_config(**overrides) -> DeploymentConfig:
     """The single-gateway reference deployment used by tests and scenarios."""
+    from .config import config_from_dict
     raw = {
         "seed": 42,
         "ports": {"spa": 62201, "control": 5000},

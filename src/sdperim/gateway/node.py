@@ -12,13 +12,9 @@ Default posture is drop-everything. Three kinds of traffic get through:
   byte-for-byte onto a gateway-originated connection to the protected
   service and tracked until closed or idle.
 
-The relay gate is structural, so any sender can write one. At most
-``RELAY_GATE_CAP`` gates are kept, in deadline order: a full table evicts
-its oldest gate, the sweep stops at the first live one, and the hello a
-gate admits spends it. A gate also holds the one relay stream from its
-source that awaits a hello: a newer stream closes the older one, which a
-retrying client has abandoned, and the stream is closed when its gate is
-evicted or swept.
+Any sender can write a relay gate (``relay_gate`` is a ``spa.Gates``), and the
+hello it admits spends it. A gate holds its source's one stream awaiting a
+hello, closed by a newer stream (a retrying client left it), eviction or expiry.
 
 Rules expire after their TTL; tracked connections survive rule expiry.
 Every verdict is logged as one structured record.
@@ -27,7 +23,6 @@ Every verdict is logged as one structured record.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import takewhile
 
 from .. import spa
 from ..credentials import CredentialError, HandshakeInitiator, Identity, PeerRole
@@ -46,8 +41,6 @@ from ..transport.base import (
 from ..wire import F, Kind, WireError, decode_frame, encode_frame, u8, u16, u32
 from .filtering import FORWARD, FilterEngine
 
-GATE_WINDOW = 60.0
-RELAY_GATE_CAP = 1024  # relay gates kept at once; a keyless sender can write one per datagram
 REGISTER_RETRY = 2.0  # wait before an unanswered registration is retried, doubled per retry
 REGISTER_RETRY_MAX = 32.0  # ... up to this; a registration that succeeds resets it
 SWEEP_TICK = 1.0  # period of the sweep that expires rules, idle connections and relay gates
@@ -116,7 +109,7 @@ class GatewayNode(Node):
             self.tcp_ports[s.public_port] = RAW
         self.engine = FilterEngine()
         self.client_store = spa.SpaKeyStore()
-        self.relay_gate: dict[str, _RelayGate] = {}
+        self.relay_gate = spa.Gates()  # source host -> _RelayGate
         self.data_gate: dict[bytes, str] = {}
         self.relay_flows: dict[int, _RelayFlow] = {}
         self.by_relay_id: dict[int, _RelayFlow] = {}
@@ -170,14 +163,11 @@ class GatewayNode(Node):
             return [Log({"event": "spa", "verdict": "drop", "reason": "malformed", "src": src[0]})]
         if pkt.target == spa.TargetRole.CONTROLLER:
             # structural gate only; the controller is the verifier of record
-            gates = self.relay_gate
-            gate = gates.pop(src[0], None)  # a re-sent SPA moves to the back, so the table stays in deadline order
+            old = self.relay_gate.get(src[0])  # a re-sent SPA keeps the stream its gate holds
+            gate = _RelayGate(pkt.client_id, data, now + spa.GATE_WINDOW, old.flow if old else None)
             actions = [Log({"event": "spa", "verdict": "gate-relay", "src": src[0], "client": pkt.client_id.hex()})]
-            if len(gates) >= RELAY_GATE_CAP:
-                oldest = next(iter(gates))  # the oldest gate goes first, with the stream it holds
-                actions += self._end_hello_wait(oldest, gates.pop(oldest), "evicted")
-            # a re-sent SPA keeps the stream its gate holds
-            gates[src[0]] = _RelayGate(pkt.client_id, data, now + GATE_WINDOW, gate.flow if gate else None)
+            for host, evicted in self.relay_gate.put(src[0], gate):
+                actions += self._end_hello_wait(host, evicted, "evicted")
             return actions
         verdict = self.client_store.verify(pkt, now)
         if verdict is not spa.SpaVerdict.ACCEPT:
@@ -454,9 +444,8 @@ class GatewayNode(Node):
             expired = self.engine.expire_rules(now)
             idled = self.engine.expire_idle(now, CONNTRACK_IDLE)
             actions = [SetTimer("sweep", SWEEP_TICK)]
-            # deadline order: expired gates are at the front
-            for host in list(takewhile(lambda h: self.relay_gate[h].deadline < now, self.relay_gate)):
-                actions += self._end_hello_wait(host, self.relay_gate.pop(host), "hello-timeout")
+            for host, gate in self.relay_gate.expire(now):
+                actions += self._end_hello_wait(host, gate, "hello-timeout")
             if expired or idled:
                 actions.append(Log({"event": "sweep", "rules_expired": expired, "conns_idled": idled}))
             return actions

@@ -24,6 +24,7 @@ import os
 import struct
 import threading
 from dataclasses import dataclass, field
+from itertools import takewhile
 from typing import NamedTuple
 
 MAGIC = b"SDP1"
@@ -38,6 +39,8 @@ NONCE_LEN = 16
 TAG_LEN = 32
 
 SKEW_WINDOW = 30.0  # seconds a packet's timestamp may differ from the verifier's clock
+GATE_WINDOW = 60.0  # seconds a gate that an SPA opened stays usable
+GATE_CAP = 1024  # gates kept at once per table; a sender can write one per datagram
 
 _COUNTER_MAX = 2**64 - 1
 
@@ -213,3 +216,23 @@ class SpaCounterSource:
                 raise KeyRotationRequired("counter space exhausted")
             self.last = candidate
             return candidate
+
+
+class Gates(dict):
+    """Gates SPA datagrams opened, keyed by source host, in deadline order (each
+    has a ``deadline`` and lives ``GATE_WINDOW``). ``put`` moves a re-written host
+    to the back and at ``GATE_CAP`` evicts the oldest, as conntrack early-drops;
+    ``expire`` pops gates up to the first live one. Both return the pairs that left."""
+
+    def put(self, host: str, gate) -> list:
+        self.pop(host, None)
+        gone = []
+        if len(self) >= GATE_CAP:
+            oldest = next(iter(self))
+            gone.append((oldest, self.pop(oldest)))
+        self[host] = gate
+        return gone
+
+    def expire(self, now: float) -> list:
+        expired = list(takewhile(lambda host: self[host].deadline < now, self))
+        return [(host, self.pop(host)) for host in expired]

@@ -20,7 +20,7 @@ import struct
 _TLV_HDR = struct.Struct("!BH")
 _FRAME_HDR = struct.Struct("!I")
 
-MAX_FRAME_LEN = 1 << 20
+MAX_FRAME_LEN = 1 << 14  # 16 KiB, HTTP/2's default: what a stream may buffer before it is trusted
 
 
 class Kind(enum.IntEnum):

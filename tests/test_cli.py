@@ -110,19 +110,24 @@ def test_local_forwarder_keeps_no_written_bytes():
     assert tunnel.rx == bytearray()
 
 
-# Imports the binaries' module, builds one role's node and prints every
-# sdperim module then loaded, in a fresh interpreter.
+# Runs one binary's main with the given arguments in a fresh interpreter (a
+# node role's with --help, then builds its node) and prints every module then
+# loaded.
 IMPORT_PROBE = """
-import json, random, sys
+import contextlib, io, json, random, sys
 import sdperim.cli
-from sdperim import config, deploy
-cfg = deploy.default_config()
-material = config.generate_material(cfg, random.Random(1))
-if sys.argv[1] == "gateway":
-    deploy.build_gateway(cfg, material, cfg.gateways[0].id, random.Random(2))
-else:
-    deploy.build_controller(cfg, material, random.Random(2))
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("sdperim"))))
+role, args = sys.argv[1], sys.argv[2:]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+    getattr(sdperim.cli, role + "_main")(args)
+if role in ("gateway", "controller"):
+    from sdperim import config, deploy
+    cfg = deploy.default_config()
+    material = config.generate_material(cfg, random.Random(1))
+    if role == "gateway":
+        deploy.build_gateway(cfg, material, cfg.gateways[0].id, random.Random(2))
+    else:
+        deploy.build_controller(cfg, material, random.Random(2))
+print(json.dumps(sorted(sys.modules)))
 """
 
 NOT_LIVE = {"sdperim.transport.sim", "sdperim.client", "sdperim.delay_model", "sdperim.services", "sdperim.scenarios"}
@@ -134,13 +139,22 @@ def loaded(code, *args):
     return set(json.loads(result.stdout))
 
 
-def test_live_binaries_load_only_their_own_role():
+def test_live_binaries_load_only_their_own_role(tmp_path):
     for role, own, other in (("gateway", "sdperim.gateway.node", "sdperim.controller"),
                              ("controller", "sdperim.controller", "sdperim.gateway.node")):
-        modules = loaded(IMPORT_PROBE, role)
+        modules = loaded(IMPORT_PROBE, role, "--help")
         assert own in modules and "sdperim.transport.real" in modules
         assert modules.isdisjoint(NOT_LIVE | {other}), modules & (NOT_LIVE | {other})
         assert not any(m.startswith("sdperim.harness") for m in modules)
+    # the binaries that build no node load no key material code
+    params = tmp_path / "params.yaml"
+    params.write_text(yaml.safe_dump(dict(alpha_bits=[720.0] * 8, beta_m=[50.0] * 8, rate_bps=1.0e6, speed_mps=2.0e8)))
+    for own, args in (("sdperim.delay_model", ["delaycalc", "--params", str(params)]),
+                      ("sdperim.harness.scan", ["attack", "scan", "--target", "127.0.0.25", "--ports", "31520-31521",
+                                                "--timeout", "0.1", "--out", str(tmp_path)])):
+        modules = loaded(IMPORT_PROBE, *args)
+        assert own in modules and "sdperim.config" not in modules
+        assert not any(m.startswith(("cryptography", "sdperim.credentials")) for m in modules)
     modules = loaded('import json, sys, sdperim.transport.real; print(json.dumps(list(sys.modules)))')
     assert "sdperim.transport.real" in modules and "sdperim.transport.sim" not in modules
 
@@ -245,6 +259,16 @@ def test_attack_scan_loopback(tmp_path):
     report = json.loads((tmp_path / "scan.json").read_text())
     assert report["counts"]["Open"] == 0
     assert report["counts"]["ClosedOrFiltered"] == 11
+
+
+def test_attack_flood_loopback(tmp_path):
+    with socket.create_server(("127.0.0.1", 0), backlog=64) as listener:
+        port = listener.getsockname()[1]
+        result = run(["attack", "flood", "--target", f"127.0.0.1:{port}", "--rate", "50", "--duration", "0.3",
+                      "--out", str(tmp_path)])
+    assert result.returncode == 0, result.stderr
+    stats = json.loads((tmp_path / "flood.json").read_text())
+    assert stats["sent"] > 0 and stats["errors"] == 0
 
 
 def test_scenario_cli(tmp_path):

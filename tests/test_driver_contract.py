@@ -29,7 +29,7 @@ from sdperim.transport.base import (
 )
 from sdperim.transport.real import RealHost
 from sdperim.transport.sim import SimNet, Topology, two_way
-from sdperim.wire import F, Kind, encode_frame
+from sdperim.wire import MAX_FRAME_LEN, F, Kind, encode_frame
 
 A, B = "127.0.0.60", "127.0.0.61"
 
@@ -269,7 +269,8 @@ def test_writes_before_connect_arrive_in_order_after_it(driver):
 
 @pytest.mark.parametrize("mode", [FRAMED, RAW])
 def test_data_flows_in_order_both_ways(driver, mode):
-    payloads = [frame(bytes([i]) * n) for i, n in enumerate((1, 3000, 60000))]
+    # the largest legal frames (kind, field header and payload fill MAX_FRAME_LEN), more than one read in all
+    payloads = [frame(bytes([i]) * n) for i, n in enumerate((1, 3000, *[MAX_FRAME_LEN - 4] * 4))]
     a, b = Toy(A), Toy(B, tcp={23401: mode}, echo=True)
 
     async def case():

@@ -14,11 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdperim.client
-from sdperim import spa
+from sdperim import spa, wire
 from sdperim.client import ClientNode, Phase
 from sdperim.credentials import SecureChannel
 from sdperim.deploy import build_sim, default_config
-from sdperim.gateway.node import GATE_WINDOW, RELAY_GATE_CAP, SWEEP_TICK
+from sdperim.gateway.node import SWEEP_TICK
+from sdperim.spa import GATE_CAP, GATE_WINDOW
 from sdperim.transport.base import AcceptStream, Close, Log, Node, OpenStream, Send, SendDatagram
 from sdperim.transport.sim import PROTOCOL_CLASSES, two_way
 from sdperim.wire import F, Kind, encode_frame
@@ -165,6 +166,22 @@ class TestServiceVisibility:
         assert seen_a == set(a_set)
         assert seen_b == set(b_set)
         assert seen_a.isdisjoint(seen_b)
+
+    def test_a_200_service_list_fits_one_frame(self):
+        # the service list is the one frame that grows with the deployment
+        pool = [f"{i:032d}" for i in range(200)]
+        services = [
+            {"service_id": sid, "gateway": "bb" * 16, "protected_host": "cloud", "protected_port": 7000 + i,
+             "public_port": 10000 + i}
+            for i, sid in enumerate(pool)
+        ]
+        dep = authed_deployment(clients=[{"id": "aa" * 16, "host": "client", "services": pool}], services=services)
+        client = connect_client(dep)
+        assert [sid for sid, _, _ in client.session.services] == pool
+        (ctx,) = dep.controller.clients_ctx.values()
+        (frame,) = [a.data for a in dep.controller._push_services(ctx)]
+        assert len(frame) <= wire.MAX_FRAME_LEN
+        assert wire.FrameSplitter().feed(frame) == [frame]
 
 
 class TestAuthorization:
@@ -558,9 +575,27 @@ class TestRelayGate:
         dep = authed_deployment()
         gw = dep.gateway()
         packet, now = forged_spa(dep.net.clock), dep.net.clock
-        for i in range(RELAY_GATE_CAP + 500):
+        for i in range(GATE_CAP + 500):
             gw.on_datagram(gw.spa_port, forged_src(i), packet, now + i * 1e-3)
-        assert list(gw.relay_gate) == [forged_src(i)[0] for i in range(500, RELAY_GATE_CAP + 500)]
+        assert list(gw.relay_gate) == [forged_src(i)[0] for i in range(500, GATE_CAP + 500)]
+
+    def test_controller_gates_are_capped_and_expire(self):
+        # any client key holder can write a controller gate from each spoofed source
+        dep = authed_deployment()
+        ctl, key = dep.controller, dep.client().spa_key
+        first, now = ctl.store.last_counter(key.client_id) + 1, dep.net.clock
+
+        def accept(i, at):
+            packet = spa.build_spa(key, first + i, spa.TargetRole.CONTROLLER, at, b"\x00" * spa.NONCE_LEN)
+            actions = ctl.on_datagram(ctl.udp_ports[0], forged_src(i), packet.encode(), at)
+            assert [a.record["verdict"] for a in actions] == ["accept"]
+
+        for i in range(20_000):
+            accept(i, now)
+        assert len(ctl.gated) <= GATE_CAP
+        assert list(ctl.gated) == [forged_src(i)[0] for i in range(20_000 - GATE_CAP, 20_000)]
+        accept(20_000, now + GATE_WINDOW + 1.0)
+        assert list(ctl.gated) == [forged_src(20_000)[0]]
 
     def test_resent_spa_survives_the_sweep_at_its_first_deadline(self):
         dep = authed_deployment()
@@ -587,9 +622,9 @@ class TestRelayGate:
         dep = authed_deployment()
         gw = dep.gateway()
         packet = forged_spa(dep.net.clock)
-        for i in range(RELAY_GATE_CAP):
+        for i in range(GATE_CAP):
             gw.on_datagram(gw.spa_port, forged_src(i), packet, dep.net.clock)
-        assert len(gw.relay_gate) == RELAY_GATE_CAP
+        assert len(gw.relay_gate) == GATE_CAP
         client = connect_client(dep)
         assert client.ready and not client.failed
         assert client.session.phase is Phase.AUTHENTICATED
@@ -643,7 +678,7 @@ class TestRelayGate:
                     gw.on_timer("sweep", now)
                     assert all(g.deadline >= now for g in gw.relay_gate.values())
                 deadlines = [g.deadline for g in gw.relay_gate.values()]
-                assert len(gw._flow_src) <= len(deadlines) <= RELAY_GATE_CAP
+                assert len(gw._flow_src) <= len(deadlines) <= GATE_CAP
                 assert deadlines == sorted(deadlines)
                 # each waiting stream's gate exists and names it, and each named stream waits
                 assert all(gw.relay_gate[host].flow == flow for flow, host in gw._flow_src.items())
@@ -654,7 +689,7 @@ class TestRelayGate:
 
 class TestHelloWait:
     """Relay streams a live gate admitted, awaiting their first frame: at
-    most one per source, at most ``RELAY_GATE_CAP`` in all."""
+    most one per source, at most ``GATE_CAP`` in all."""
 
     def test_silent_streams_from_one_source_keep_one_entry(self):
         dep = authed_deployment()
@@ -677,15 +712,15 @@ class TestHelloWait:
         gw = dep.gateway()
         packet, now = forged_spa(dep.net.clock), dep.net.clock
         flows = []
-        for i in range(RELAY_GATE_CAP + 100):
+        for i in range(GATE_CAP + 100):
             # a gate evicted at the cap takes the stream it holds with it
             actions = gw.on_datagram(gw.spa_port, forged_src(i), packet, now)
             closed = [a.flow for a in actions if isinstance(a, Close)]
             reasons = [a.record["reason"] for a in actions if isinstance(a, Log) and a.record["event"] == "relay"]
-            if i < RELAY_GATE_CAP:
+            if i < GATE_CAP:
                 assert closed == [] and reasons == []
             else:  # the oldest waiting stream goes
-                assert closed == [flows[i - RELAY_GATE_CAP]] and reasons == ["evicted"]
+                assert closed == [flows[i - GATE_CAP]] and reasons == ["evicted"]
             flows.append(gw.new_flow())
             assert gw.on_stream_request(flows[-1], gw.relay_port, forged_src(i), now) == [AcceptStream(flows[-1])]
         assert list(gw._flow_src) == flows[100:]
