@@ -150,9 +150,8 @@ class ClientNode(Node):
             if self.ready:
                 return []
             return self._retry_or_fail(now, "timeout")
-        if key.startswith("svc-timeout:"):
-            request_id = int(key.split(":")[1])
-            req = self.requests.get(request_id)
+        if key[0] == "svc-timeout":
+            req = self.requests.get(key[1])
             if req is not None and req.state == "pending":
                 req.state = "timeout"
                 req.reason = "gateway-timeout"
@@ -226,11 +225,11 @@ class ClientNode(Node):
         if not fields.need(F.OK)[0]:
             req.state = "denied"
             req.reason = (fields.get(F.REASON) or b"").decode("utf-8", "replace")
-            return [CancelTimer(f"svc-timeout:{request_id}"), Log({"event": "service", "verdict": "denied", "reason": req.reason})]
+            return [CancelTimer(("svc-timeout", request_id)), Log({"event": "service", "verdict": "denied", "reason": req.reason})]
         req.state = "granted"
         endpoint = (fields.text(F.HOST), fields.u16(F.PORT))
         self.tunnels[req.service_id] = Tunnel(service_id=req.service_id, endpoint=endpoint)
-        return [CancelTimer(f"svc-timeout:{request_id}"), Log({"event": "service", "verdict": "granted", "service": req.service_id})]
+        return [CancelTimer(("svc-timeout", request_id)), Log({"event": "service", "verdict": "granted", "service": req.service_id})]
 
     def _on_validate(self, fields, now):
         nonce = fields.need(F.NONCE)
@@ -275,7 +274,7 @@ class ClientNode(Node):
         return [
             SendDatagram((self.gateway_host, self.spa_port), packet.encode()),
             Send(self._relay_flow, request),
-            SetTimer(f"svc-timeout:{request_id}", REQUEST_TIMEOUT),
+            SetTimer(("svc-timeout", request_id), REQUEST_TIMEOUT),
         ]
 
     def open_tunnel_stream(self, service_id: str):

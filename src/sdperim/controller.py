@@ -7,7 +7,8 @@ gateways to open access, and revokes sessions that fail device validation.
 
 A host not present in the key store can never elicit a byte from this node:
 datagram failures are log-only, and inbound streams from ungated sources are
-never accepted.
+never accepted. Only a gateway key opens a gate on the SPA port, so no
+client key holder can push a gateway's gate out of the capped table.
 """
 
 from __future__ import annotations
@@ -177,6 +178,8 @@ class ControllerNode(Node):
             return [self._log(event="spa", verdict="malformed", src=src[0])]
         if pkt.target != spa.TargetRole.CONTROLLER:
             return [self._log(event="spa", verdict="wrong-target", src=src[0])]
+        if pkt.client_id not in self.gateway_records:  # a client's SPA reaches this node only as SPA_FORWARD
+            return [self._log(event="spa", verdict=spa.SpaVerdict.UNKNOWN_CLIENT.value, src=src[0])]
         verdict = self.store.verify(pkt, now)
         if verdict is not spa.SpaVerdict.ACCEPT:
             return [self._log(event="spa", verdict=verdict.value, src=src[0])]
@@ -282,7 +285,7 @@ class ControllerNode(Node):
             if ctx is None or ctx.session_id is None:
                 return []
             interval = ctx.record.validation_interval
-            return [SetTimer(f"validate:{ctx.gw.flow}:{ctx.relay_flow}", interval)]
+            return [SetTimer(("validate", ctx.gw.flow, ctx.relay_flow), interval)]
         if kind == Kind.AH_ACK:
             return self._on_ah_ack(fields, now)
         if kind == Kind.RELAY_CLOSE:
@@ -421,7 +424,7 @@ class ControllerNode(Node):
         ]
         return [
             self._gw_send(gw_link, Kind.AH_AUTHORIZE, directive),
-            SetTimer(f"ahack:{token}", GATEWAY_ACK_TIMEOUT),
+            SetTimer(("ahack", token), GATEWAY_ACK_TIMEOUT),
         ]
 
     def _on_ah_ack(self, fields, now):
@@ -434,7 +437,7 @@ class ControllerNode(Node):
             response = self._connection_response(ctx, request_id, svc=svc)
         else:
             response = self._connection_response(ctx, request_id, reason=fields.get(F.REASON) or b"rejected")
-        return [CancelTimer(f"ahack:{token}"), response]
+        return [CancelTimer(("ahack", token)), response]
 
     # -- device validation -------------------------------------------------------
 
@@ -450,9 +453,8 @@ class ControllerNode(Node):
         return [self._log(event="validate", verdict="ok", client=ctx.client_id.hex())]
 
     def on_timer(self, key, now):
-        if key.startswith("validate:"):
-            _, gw_flow, relay_flow = key.split(":")
-            ctx = self.clients_ctx.get((int(gw_flow), int(relay_flow)))
+        if key[0] == "validate":
+            ctx = self.clients_ctx.get(key[1:])
             if ctx is None or ctx.channel is None:
                 return []
             if ctx.pending_nonce is not None:  # the last challenge went unanswered
@@ -462,9 +464,8 @@ class ControllerNode(Node):
                 self._client_send(ctx, Kind.DEVICE_VALIDATE, [(F.NONCE, ctx.pending_nonce)]),
                 SetTimer(key, ctx.record.validation_interval),
             ]
-        if key.startswith("ahack:"):
-            token = int(key.split(":")[1])
-            pending = self._pending_auth.pop(token, None)
+        if key[0] == "ahack":
+            pending = self._pending_auth.pop(key[1], None)
             if pending is None:
                 return []
             ctx, request_id, _ = pending

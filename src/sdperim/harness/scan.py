@@ -1,27 +1,30 @@
 """Port scanning with timeout-based filtered detection.
 
-Verdict rule (both backends): a port is Open only when a connection is
-accepted AND held through a short liveness window; refused, unanswered, or
-accepted-then-severed probes are ClosedOrFiltered. A perimeter that severs
-unauthorized connections before any service byte therefore scans exactly
-like a closed port, which is the observable the experiments compare.
+One node, ``ScannerNode``, is the scanner under both drivers: ``SimNet`` in
+the scenarios, ``RealHost`` in ``real_port_scan`` (``attack scan``). One rule:
+a port is Open only when a connection is accepted AND held through a short
+liveness window; refused, unanswered, or accepted-then-severed probes are
+ClosedOrFiltered. A perimeter that severs unauthorized connections before any
+service byte therefore scans exactly like a closed port, which is the
+observable the experiments compare.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import time
+import socket
 from dataclasses import dataclass
+from itertools import islice
 
-from ..transport.base import Close, Node, OpenStream, SetTimer
+from ..transport.base import RAW, CancelTimer, Close, Node, OpenStream, SetTimer
 
 OPEN = "Open"
 CLOSED = "ClosedOrFiltered"
 
 PROBE_TIMEOUT = 0.5  # an initiation unanswered this long is ClosedOrFiltered
 LIVENESS_WINDOW = 0.12  # an accepted probe must stay up this long to be Open
-CONCURRENCY = 256  # probes in flight at once on real sockets, well under a process's descriptor limit
+CONCURRENCY = 256  # probes in flight at once, well under a process's descriptor limit
 
 
 @dataclass
@@ -54,78 +57,68 @@ class ScanReport:
         )
 
 
-async def real_port_scan(
-    host: str,
-    ports,
-    timeout: float = PROBE_TIMEOUT,
-    bind_ip: str | None = None,
-) -> ScanReport:
-    started = time.time()
-    sem = asyncio.Semaphore(CONCURRENCY)
-    verdicts: dict[int, str] = {}
+async def real_port_scan(host: str, ports, timeout: float = PROBE_TIMEOUT, bind_ip: str | None = None) -> ScanReport:
+    """Runs one ``ScannerNode`` on real sockets from ``bind_ip`` (by default
+    the wildcard address of ``host``'s family) until every port has a verdict."""
+    from ..transport.real import RealHost  # the scenarios never load the socket driver
 
-    async def probe(port: int):
-        async with sem:
-            try:
-                kw = {"local_addr": (bind_ip, 0)} if bind_ip else {}
-                reader, writer = await asyncio.wait_for(
-                    asyncio.open_connection(host, port, **kw), timeout=timeout
-                )
-            except (OSError, asyncio.TimeoutError):
-                verdicts[port] = CLOSED
-                return
-            try:
-                # accepted: only a connection that stays up is a live service
-                data = await asyncio.wait_for(reader.read(1), timeout=LIVENESS_WINDOW)
-                verdicts[port] = CLOSED if data == b"" else OPEN
-            except asyncio.TimeoutError:
-                verdicts[port] = OPEN
-            except OSError:
-                verdicts[port] = CLOSED
-            finally:
-                try:
-                    writer.transport.abort()
-                except Exception:
-                    pass
-
-    await asyncio.gather(*(probe(p) for p in ports))
-    return ScanReport(verdicts, time.time() - started)
+    if bind_ip is None:
+        family = socket.getaddrinfo(host, None, type=socket.SOCK_STREAM)[0][0]
+        bind_ip = "::" if family == socket.AF_INET6 else "0.0.0.0"
+    scanner = ScannerNode("scanner", host, ports, timeout)
+    driver = RealHost(scanner, bind_ip)
+    try:
+        await driver.start()
+        while not scanner.done():
+            await asyncio.sleep(0.01)
+    finally:
+        await driver.stop()
+    return scanner.report()
 
 
 class ScannerNode(Node):
-    """Simulated scanner: one probe stream per port, each given
-    ``PROBE_TIMEOUT``. ``report()`` is valid once every port has a verdict."""
+    """One probe stream per port, at most ``CONCURRENCY`` in flight; the next
+    port starts when a verdict lands. A probe has ``timeout`` to connect and
+    then ``LIVENESS_WINDOW`` to stay up; a timer that fires while it is
+    connected makes the port Open, anything else ClosedOrFiltered. Every
+    verdict cancels its probe's timer and closes its stream. ``report()`` is
+    valid once every port has a verdict."""
 
-    def __init__(self, name: str, target_host: str, ports):
+    def __init__(self, name: str, target_host: str, ports, timeout: float = PROBE_TIMEOUT):
         super().__init__(name)
         self.target_host = target_host
-        self.ports = list(ports)
+        self.ports = list(dict.fromkeys(ports))  # each port once, or done() never holds
+        self.timeout = timeout
         self.verdicts: dict[int, str] = {}
+        self._waiting = iter(self.ports)
         self._flow_port: dict[int, int] = {}
-        self._started_at = 0.0
-        self._finished_at = 0.0
+        self._connected: set[int] = set()
+        self._started_at = self._finished_at = 0.0
 
     def start(self, now):
         self._started_at = now
+        return self._probe(CONCURRENCY)
+
+    def _probe(self, n):
         actions = []
-        for port in self.ports:
+        for port in islice(self._waiting, n):
             flow = self.new_flow()
             self._flow_port[flow] = port
-            actions.append(OpenStream(flow, (self.target_host, port), "raw"))
-            actions.append(SetTimer(f"probe:{flow}", PROBE_TIMEOUT))
+            actions += [OpenStream(flow, (self.target_host, port), RAW), SetTimer(("probe", flow), self.timeout)]
         return actions
 
     def _verdict(self, flow, verdict, now):
         port = self._flow_port.pop(flow, None)
         if port is None:
             return []
+        self._connected.discard(flow)
         self.verdicts[port] = verdict
-        if len(self.verdicts) == len(self.ports):
-            self._finished_at = now
-        return [Close(flow)]
+        self._finished_at = now  # the last verdict's time once done()
+        return [CancelTimer(("probe", flow)), Close(flow)] + self._probe(1)
 
     def on_connected(self, flow, now):
-        return self._verdict(flow, OPEN, now)
+        self._connected.add(flow)
+        return [SetTimer(("probe", flow), LIVENESS_WINDOW)]
 
     def on_connect_failed(self, flow, reason, now):
         return self._verdict(flow, CLOSED, now)
@@ -134,9 +127,8 @@ class ScannerNode(Node):
         return self._verdict(flow, CLOSED, now)
 
     def on_timer(self, key, now):
-        if key.startswith("probe:"):
-            return self._verdict(int(key.split(":")[1]), CLOSED, now)
-        return []
+        _, flow = key
+        return self._verdict(flow, OPEN if flow in self._connected else CLOSED, now)
 
     def done(self) -> bool:
         return len(self.verdicts) == len(self.ports)

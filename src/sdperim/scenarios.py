@@ -78,7 +78,6 @@ def _scenario_dos(seed: int, out_dir: str, with_sdp: bool, flood: bool = True) -
 
 
 def _scenario_portscan(seed: int, out_dir: str, with_sdp: bool) -> dict:
-    ports = range(1, 2049)
     if with_sdp:
         dep = setup_with_sdp(seed, "scanner")
         net, target = dep.net, dep.gateway().name
@@ -86,6 +85,7 @@ def _scenario_portscan(seed: int, out_dir: str, with_sdp: bool) -> dict:
     else:
         net, target = SimNet(Topology(two_way("scanner", "cloud")), seed=seed), "cloud"
         net.add_node(EchoNode("cloud", 22))
+    ports = sorted({*range(1, 2049), *net.nodes[target].tcp_ports})  # the target's own listeners too
     scanner = ScannerNode("scanner", target, ports)
     net.add_node(scanner)
     net.run(until=net.clock + 10.0)

@@ -12,6 +12,7 @@ carry opaque application bytes (the forwarded-service data plane).
 
 from __future__ import annotations
 
+from collections.abc import Hashable
 from dataclasses import dataclass
 
 Address = tuple[str, int]
@@ -55,13 +56,13 @@ class Close:
 
 @dataclass(frozen=True)
 class SetTimer:
-    key: str
+    key: Hashable
     delay: float
 
 
 @dataclass(frozen=True)
 class CancelTimer:
-    key: str
+    key: Hashable
 
 
 @dataclass(frozen=True)
@@ -136,5 +137,5 @@ class Node:
     def on_closed(self, flow: int, now: float) -> list[Action]:
         return []
 
-    def on_timer(self, key: str, now: float) -> list[Action]:
+    def on_timer(self, key: Hashable, now: float) -> list[Action]:
         return []

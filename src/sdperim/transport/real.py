@@ -32,11 +32,12 @@ returned. A declined stream (or one whose hook raised) costs one
 task or selector registration. Only an accepted stream gets a socket and
 an asyncio transport, whose ``connection_made`` reports ``on_connected``.
 Writes the node issues on a stream before its transport exists, inbound or
-outbound, wait on the stream and go out before ``on_connected`` runs, as
-the contract in ``base.Node`` says. The kernel still
-completes the handshake and sends the SYN-ACK for every source, so a SYN
-scan sees the port open; a socket filter (``SO_ATTACH_FILTER``) could
-withhold it, and none is attached yet.
+outbound, wait on the stream and go out before ``on_connected`` runs, as the
+contract in ``base.Node`` says; a ``Close`` on an outbound stream still
+connecting cancels its connect, and the node hears nothing more of it. The
+kernel still completes the handshake and sends the SYN-ACK for every source,
+so a SYN scan sees the port open; a socket filter (``SO_ATTACH_FILTER``)
+could withhold it, and none is attached yet.
 
 A host with a log file writes each ``Log`` record there as one JSON line and
 keeps no copy (one without keeps its newest ``LOG_KEEP`` in ``logs``): one
@@ -54,6 +55,7 @@ import os
 import socket
 import time
 from collections import deque
+from collections.abc import Hashable
 
 from .base import (
     FRAMED,
@@ -98,23 +100,24 @@ else:
 
 class _Stream(asyncio.Protocol):
     """One TCP stream of one flow: an inbound one is made when its socket is
-    accepted, an outbound one when the node opens it. ``sock`` is an inbound
-    stream's raw socket until a transport takes it over. Writes issued
+    accepted (``sock`` until a transport takes it over), an outbound one when
+    the node opens it (its connect task in ``connecting``). Writes issued
     before the transport exists wait in ``pending``; a close before then
-    drops them with the socket."""
+    drops them and closes ``sock`` or cancels the connect."""
 
     def __init__(self, host: "RealHost", mode: str, flow: int):
         self.host = host
         self.flow = flow
         self.sock: socket.socket | None = None
         self.transport = None
+        self.connecting: asyncio.Task | None = None
         self.pending: list[bytes] = []
         self.splitter = FrameSplitter() if mode == FRAMED else None
         self.accepted = False
         self.closed = False
 
     def connection_made(self, transport):
-        self.transport = transport
+        self.transport, self.connecting = transport, None
         if self.closed or self.host._stopped:
             transport.close()
             return
@@ -155,6 +158,8 @@ class _Stream(asyncio.Protocol):
             self.transport.close()
         elif self.sock is not None:
             self.sock.close()
+        elif self.connecting is not None:
+            self.connecting.cancel()  # the node hears nothing more of this flow
 
 
 class RealHost:
@@ -169,7 +174,7 @@ class RealHost:
         self._log_path = log_path
         self._log_fd: int | None = None
         self._flows: dict[int, _Stream] = {}
-        self._timers: dict[str, asyncio.TimerHandle] = {}
+        self._timers: dict[Hashable, asyncio.TimerHandle] = {}
         self._listeners: list[socket.socket] = []
         self._recv_buf = bytearray(RECV_BUF)
         self._recv_view = memoryview(self._recv_buf)
@@ -307,7 +312,7 @@ class RealHost:
             elif isinstance(action, OpenStream):
                 stream = _Stream(self, action.mode, action.flow)
                 self._flows[action.flow] = stream
-                self._spawn(self._connect(stream, action.dst))
+                stream.connecting = self._spawn(self._connect(stream, action.dst))
             elif isinstance(action, AcceptStream):
                 stream = self._flows.get(action.flow)
                 if stream is not None:
@@ -336,10 +341,11 @@ class RealHost:
             line = line[n:]
             n = os.write(self._log_fd, line)
 
-    def _spawn(self, coro):
+    def _spawn(self, coro) -> asyncio.Task:
         task = asyncio.ensure_future(coro)
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
+        return task
 
     def _set_timer(self, key, delay):
         old = self._timers.pop(key, None)

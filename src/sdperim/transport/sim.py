@@ -40,7 +40,7 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -174,7 +174,7 @@ class SimNet:
         self._by_local: dict[str, dict[int, _Flow]] = {}  # node -> local flow id -> flow
         self._early: dict[tuple[str, int], list[bytes]] = {}  # (node, local flow) -> data sent before connect or accept
         self._next_port = 33000  # synthetic ephemeral source ports
-        self._timers: dict[tuple[str, str], int] = {}  # (node, key) -> seq of its pending timer event
+        self._timers: dict[tuple[str, Hashable], int] = {}  # (node, key) -> seq of its pending timer event
         self._pending_accepts: dict[str, deque[_Flow]] = {}  # node -> flows it accepted, oldest first
         self._half_open: dict[str, int] = {}  # node -> accepted flows still awaiting the ack
         self._last_delivery: dict[tuple[str, str], float] = {}
@@ -384,7 +384,7 @@ class SimNet:
         if node is not None and port in node.udp_ports:
             self.act(node, node.on_datagram(port, src, data, self.clock))
 
-    def _on_timer(self, name: str, key: str, seq: int) -> None:
+    def _on_timer(self, name: str, key: Hashable, seq: int) -> None:
         if self._timers.get((name, key)) == seq:
             del self._timers[(name, key)]
             node = self.nodes.get(name)  # the node may have been torn down

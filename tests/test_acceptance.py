@@ -32,8 +32,12 @@ def _report(number: int, text: str):
 def test_criterion_1_port_scan_darkness():
     async def protected():
         async with Stack(24000) as stack:
-            report = await real_port_scan(GW_IP, range(1, 2049), timeout=0.5, bind_ip=OTHER_IP)
-            assert report.covers(range(1, 2049))
+            ports = sorted({*range(1, 2049), *stack.gw.tcp_ports})  # the gateway's own listeners too
+            report = await real_port_scan(GW_IP, ports, timeout=0.5, bind_ip=OTHER_IP)
+            assert report.covers(ports) and len(ports) == 2050
+            # each of the gateway's listeners was reached and declined the probe
+            drops = [r for r in stack.hosts[1].logs if r.get("src") == OTHER_IP and r["verdict"] == "drop"]
+            assert {r.get("port", r.get("dst_port")) for r in drops} == set(stack.gw.tcp_ports)
             return report
 
     report = asyncio.run(protected())
@@ -59,7 +63,8 @@ def test_criterion_1_port_scan_darkness():
     direct = asyncio.run(unprotected())
     assert direct.verdicts[24102] == "Open"
     assert report.elapsed < 60.0
-    _report(1, f"2048 guarded ports all dark in {report.elapsed:.1f}s; unguarded service port reports Open")
+    _report(1, f"2050 guarded ports (2 of them the gateway's listeners) all dark in {report.elapsed:.1f}s; "
+               "unguarded service port reports Open")
 
 
 # -- 2. flood zero-leak with steady legitimate throughput ----------------------

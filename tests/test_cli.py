@@ -253,12 +253,14 @@ def test_attack_experiment_writes_artifacts(tmp_path):
 
 
 def test_attack_scan_loopback(tmp_path):
-    result = run(["attack", "scan", "--target", "127.0.0.25", "--ports", "31500-31510", "--timeout", "0.3",
-                  "--out", str(tmp_path)])
+    # a listener that never accepts: the kernel completes the handshake and holds the connection
+    with socket.create_server(("127.0.0.25", 31505)):
+        result = run(["attack", "scan", "--target", "127.0.0.25", "--ports", "31500-31510", "--timeout", "0.3",
+                      "--out", str(tmp_path)])
     assert result.returncode == 0, result.stderr
     report = json.loads((tmp_path / "scan.json").read_text())
-    assert report["counts"]["Open"] == 0
-    assert report["counts"]["ClosedOrFiltered"] == 11
+    assert report["open"] == [31505]
+    assert report["counts"]["ClosedOrFiltered"] == 10
 
 
 def test_attack_flood_loopback(tmp_path):

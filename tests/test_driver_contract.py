@@ -248,6 +248,45 @@ def test_initiation_to_an_unbound_port_fails(driver):
     driver.run(case)
 
 
+def test_stream_closed_before_it_connects_reports_nothing(driver):
+    a, b = Toy(A), Toy(B, tcp={23251: RAW})
+
+    async def case():
+        await driver.add(a, b)
+        flow = a.new_flow()
+        await driver.act(a, [OpenStream(flow, (B, 23252), RAW), Close(flow)])  # toward an unbound port
+        await driver.settle(0.2)
+        assert a.events == [] and b.events == []  # not even on_connect_failed
+        assert driver.held(a) == set()
+
+    driver.run(case)
+
+
+def test_close_cancels_a_pending_connect_on_real_sockets():
+    a = Toy(A)
+
+    async def hang(*args, **kwargs):
+        await asyncio.Event().wait()  # a host that drops the initiation
+
+    async def main():
+        asyncio.get_running_loop().create_connection = hang
+        host = RealHost(a, A)
+        await host.start()
+        try:
+            flow = a.new_flow()
+            await host.call(lambda now: [OpenStream(flow, (B, 23253), RAW)])
+            await asyncio.sleep(0)
+            assert len(host._tasks) == 1
+            await host.call(lambda now: [Close(flow)])
+            for _ in range(3):  # the cancelled task ends, then its done callback runs
+                await asyncio.sleep(0)
+            assert host._tasks == set() and host._flows == {} and a.events == []
+        finally:
+            await host.stop()
+
+    asyncio.run(main())
+
+
 def test_writes_before_connect_arrive_in_order_after_it(driver):
     a, b = Toy(A), Toy(B, tcp={23301: FRAMED})
 

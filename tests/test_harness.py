@@ -8,8 +8,9 @@ from sdperim.gateway.filtering import FORWARD, FilterEngine
 from sdperim.harness.capture import CaptureSeries, is_attack_segment
 from sdperim.harness.experiment import ExperimentSpec, run_experiment
 from sdperim.harness.flood import FloodSpec, sim_flood
-from sdperim.harness.scan import CLOSED, OPEN, ScannerNode, ScanReport, real_port_scan
+from sdperim.harness.scan import CLOSED, CONCURRENCY, OPEN, ScannerNode, ScanReport, real_port_scan
 from sdperim.services import EchoNode
+from sdperim.transport.base import RAW, Node
 from sdperim.transport.sim import SimNet, Topology, two_way
 
 
@@ -80,6 +81,21 @@ class TestSimScanner:
         net.run(until=2.0)
         report = scanner.report()
         assert report.verdicts == {100: OPEN, 101: CLOSED}
+
+    def test_at_most_concurrency_probes_in_flight(self):
+        # a target that declines every initiation in silence: each probe waits out its timeout
+        net = SimNet(Topology(two_way("scanner", "target")), seed=2)
+        dark = Node("target")
+        dark.tcp_ports = {port: RAW for port in range(1, CONCURRENCY + 2)}
+        net.add_node(dark)
+        scanner = ScannerNode("scanner", "target", [*dark.tcp_ports, 1], timeout=0.5)  # a repeated port counts once
+        net.add_node(scanner)
+        net.run(until=0.75)
+        assert len(scanner.verdicts) == CONCURRENCY  # the last port waited for a free slot
+        net.run(until=2.0)
+        report = scanner.report()
+        assert report.counts() == {OPEN: 0, CLOSED: CONCURRENCY + 1}
+        assert report.elapsed == pytest.approx(1.0, abs=1e-3)
 
 
 class TestRealScan:

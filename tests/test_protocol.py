@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import sdperim.client
 from sdperim import spa, wire
 from sdperim.client import ClientNode, Phase
-from sdperim.credentials import SecureChannel
+from sdperim.credentials import CredentialError, SecureChannel
 from sdperim.deploy import build_sim, default_config
 from sdperim.gateway.node import SWEEP_TICK
 from sdperim.spa import GATE_CAP, GATE_WINDOW
@@ -580,9 +580,9 @@ class TestRelayGate:
         assert list(gw.relay_gate) == [forged_src(i)[0] for i in range(500, GATE_CAP + 500)]
 
     def test_controller_gates_are_capped_and_expire(self):
-        # any client key holder can write a controller gate from each spoofed source
+        # a gateway key holder can write a controller gate from each spoofed source
         dep = authed_deployment()
-        ctl, key = dep.controller, dep.client().spa_key
+        ctl, key = dep.controller, dep.gateway().spa_key
         first, now = ctl.store.last_counter(key.client_id) + 1, dep.net.clock
 
         def accept(i, at):
@@ -596,6 +596,21 @@ class TestRelayGate:
         assert list(ctl.gated) == [forged_src(i)[0] for i in range(20_000 - GATE_CAP, 20_000)]
         accept(20_000, now + GATE_WINDOW + 1.0)
         assert list(ctl.gated) == [forged_src(20_000)[0]]
+
+    def test_client_keys_cannot_evict_a_gateway_gate_at_the_controller(self):
+        dep = authed_deployment()
+        ctl, now = dep.controller, dep.net.clock
+        gw_key, client_key = dep.gateway().spa_key, dep.client().spa_key
+
+        def send(key, src, counter):
+            packet = spa.build_spa(key, counter, spa.TargetRole.CONTROLLER, now, b"\x00" * spa.NONCE_LEN)
+            return [a.record["verdict"] for a in ctl.on_datagram(ctl.udp_ports[0], src, packet.encode(), now)]
+
+        assert send(gw_key, ("gateway", 40000), ctl.store.last_counter(gw_key.client_id) + 1) == ["accept"]
+        first = ctl.store.last_counter(client_key.client_id) + 1
+        for i in range(GATE_CAP):  # a client's SPA reaches the controller only through its gateway
+            assert send(client_key, forged_src(i), first + i) == ["unknown-client"]
+        assert list(ctl.gated) == ["gateway"]
 
     def test_resent_spa_survives_the_sweep_at_its_first_deadline(self):
         dep = authed_deployment()
@@ -805,11 +820,15 @@ class TestRegistration:
     def link_closes(dep):
         return [r for r in dep.net.logs["controller"] if r["event"] == "channel" and r["verdict"] == "closed"]
 
-    def test_a_controller_that_closes_the_link_is_retried_with_backoff(self):
-        """A controller that no longer knows the gateway closes each link at
-        its registration; the gateway's waits still double up to 32 s."""
+    def test_a_controller_that_closes_the_link_is_retried_with_backoff(self, monkeypatch):
+        """A controller that rejects the gateway's registration closes each
+        link there; the gateway's waits still double up to 32 s."""
         dep = build_sim(default_config(seed=7))
-        del dep.controller.gateway_records[dep.gateway().identity.cert.subject_id]  # its SPA key stays
+
+        def reject(link, fields, now):
+            raise CredentialError("gateway certificate subject mismatch")
+
+        monkeypatch.setattr(dep.controller, "_on_register", reject)
         dep.net.run(until=120.0)
         assert 1 <= len(self.link_closes(dep)) <= 8  # 2, 4, 8, 16, 32, 32 ... s apart, not every 2 s
         assert not dep.gateway().registered

@@ -52,7 +52,7 @@ def test_portscan_scenarios_contrast(tmp_path):
     s1 = _load(os.path.join(with_sdp, "summary.json"))
     s2 = _load(os.path.join(without, "summary.json"))
     assert s1["open"] == []
-    assert s1["counts"]["ClosedOrFiltered"] == 2048
+    assert s1["counts"]["ClosedOrFiltered"] == 2050  # ports 1-2048 and the gateway's two listeners
     assert s2["open"] == [22]
 
 
