@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import dataclasses
 import json
 import os
 import random
@@ -125,7 +126,7 @@ async def _client_session(cfg, material, args) -> int:
         if not node.ready:
             print(f"authentication failed: {node.failure or 'timeout'}", file=sys.stderr)
             return EXIT_TIMEOUT if "timeout" in (node.failure or "timeout") else EXIT_AUTH
-        print(f"authenticated; services: {[s[0] for s in node.session.services]}")
+        print(f"authenticated; services: {[s[0] for s in node.services]}")
         if not args.service:
             return EXIT_OK
         try:
@@ -262,7 +263,7 @@ def attack_main(argv=None) -> int:
         stats = asyncio.run(real_flood(spec, args.sources.split(",")))
         path = os.path.join(args.out, "flood.json")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(stats.to_dict(), fh, indent=2)
+            json.dump(dataclasses.asdict(stats), fh, indent=2)
         print(f"sent {stats.sent} initiations ({stats.mode}); stats in {path}")
         return EXIT_OK
 

@@ -8,12 +8,13 @@ streams to the gateway's public port.
 
 On any verification failure the far side stays silent, so failure here is
 always a timeout: the SPA phase retries up to ``MAX_SPA_ATTEMPTS`` times and
-then gives up.
+then gives up. Each attempt starts a new conversation on a new relay stream:
+the channel, session id and service list of the last one are dropped with
+its stream.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 from . import spa
@@ -27,36 +28,8 @@ MAX_SPA_ATTEMPTS = 3
 REQUEST_TIMEOUT = 5.0
 
 
-class Phase(enum.Enum):
-    IDLE = "idle"
-    SPA_SENT = "spa-sent"
-    CHANNEL_UP = "channel-up"
-    AUTHENTICATED = "authenticated"
-    SERVICE_CONNECTED = "service-connected"
-    REVOKED = "revoked"
-
-
-_ORDER = [Phase.IDLE, Phase.SPA_SENT, Phase.CHANNEL_UP, Phase.AUTHENTICATED, Phase.SERVICE_CONNECTED]
-
-
-@dataclass
-class ClientSession:
-    client_id: bytes
-    phase: Phase = Phase.IDLE
-    session_id: bytes | None = None
-    services: list[tuple[str, str, int]] = field(default_factory=list)
-    validation_interval: float = 0.0
-
-    def advance(self, phase: Phase) -> None:
-        if self.phase == Phase.REVOKED:
-            return
-        if phase == Phase.REVOKED or _ORDER.index(phase) > _ORDER.index(self.phase):
-            self.phase = phase
-
-
 @dataclass
 class Tunnel:
-    service_id: str
     endpoint: tuple[str, int]
     flow: int | None = None
     established: bool = False
@@ -91,7 +64,11 @@ class ClientNode(Node):
         self.spa_port = spa_port
         self.relay_port = relay_port
         self.rng = rng
-        self.session = ClientSession(client_id=spa_key.client_id)
+        # earned by the conversation on the current relay stream; revoked ends it for good
+        self.session_id: bytes | None = None
+        self.services: list[tuple[str, str, int]] = []
+        self.validation_interval = 0.0
+        self.revoked = False
         self.ready = False  # gateway confirmed the authorization material
         self.failed = False
         self.failure = ""
@@ -119,12 +96,13 @@ class ClientNode(Node):
         if self._relay_flow is not None:
             actions.append(Close(self._relay_flow))
         self._relay_flow = self.new_flow()
-        self.session.advance(Phase.SPA_SENT)
+        self.channel = self.session_id = None
+        self.services = []
         actions.extend(
             [
                 SendDatagram((self.gateway_host, self.spa_port), packet.encode()),
                 OpenStream(self._relay_flow, (self.gateway_host, self.relay_port), FRAMED),
-                Send(self._relay_flow, self._initiator.hello(self.session.client_id)),
+                Send(self._relay_flow, self._initiator.hello(self.spa_key.client_id)),
                 SetTimer("spa-timeout", SPA_TIMEOUT),
             ]
         )
@@ -134,7 +112,6 @@ class ClientNode(Node):
         tunnel = self._flow_tunnel.get(flow)
         if tunnel is not None:
             tunnel.established = True
-            self.session.advance(Phase.SERVICE_CONNECTED)
         return []
 
     def on_connect_failed(self, flow, reason, now):
@@ -147,8 +124,6 @@ class ClientNode(Node):
 
     def on_timer(self, key, now):
         if key == "spa-timeout":
-            if self.ready:
-                return []
             return self._retry_or_fail(now, "timeout")
         if key[0] == "svc-timeout":
             req = self.requests.get(key[1])
@@ -189,7 +164,6 @@ class ClientNode(Node):
             except CredentialError:
                 # an imposter controller: go dark and let the timeout handle it
                 return [Log({"event": "channel", "verdict": "rejected-accept"})]
-            self.session.advance(Phase.CHANNEL_UP)
             return [Send(self._relay_flow, login)]
         if kind == Kind.SECURE and self.channel is not None:
             try:
@@ -204,12 +178,11 @@ class ClientNode(Node):
 
     def _on_controller_message(self, kind, fields, now):
         if kind == Kind.LOGIN_RESPONSE:
-            self.session.session_id = fields.need(F.SESSION)
-            self.session.validation_interval = fields.u32(F.INTERVAL_MS) / 1000.0
-            self.session.advance(Phase.AUTHENTICATED)
+            self.session_id = fields.need(F.SESSION)
+            self.validation_interval = fields.u32(F.INTERVAL_MS) / 1000.0
             return []
         if kind == Kind.IH_SERVICES:
-            self.session.services = [parse_service_entry(e) for e in fields.all(F.ENTRY)]
+            self.services = [parse_service_entry(e) for e in fields.all(F.ENTRY)]
             return []
         if kind == Kind.CONNECTION_RESPONSE:
             return self._on_connection_response(fields, now)
@@ -228,7 +201,7 @@ class ClientNode(Node):
             return [CancelTimer(("svc-timeout", request_id)), Log({"event": "service", "verdict": "denied", "reason": req.reason})]
         req.state = "granted"
         endpoint = (fields.text(F.HOST), fields.u16(F.PORT))
-        self.tunnels[req.service_id] = Tunnel(service_id=req.service_id, endpoint=endpoint)
+        self.tunnels[req.service_id] = Tunnel(endpoint)
         return [CancelTimer(("svc-timeout", request_id)), Log({"event": "service", "verdict": "granted", "service": req.service_id})]
 
     def _on_validate(self, fields, now):
@@ -239,7 +212,7 @@ class ClientNode(Node):
     def on_closed(self, flow, now):
         if flow == self._relay_flow:
             if self.ready:
-                self.session.advance(Phase.REVOKED)
+                self.revoked = True
                 out = []
                 for tunnel in self.tunnels.values():
                     if tunnel.flow is not None and not tunnel.closed:
@@ -258,9 +231,9 @@ class ClientNode(Node):
         """Request access to one authorized service. Precondition: the session
         is authenticated and the service is in the cached list; violating it
         raises before anything touches the wire."""
-        if self.session.phase not in (Phase.AUTHENTICATED, Phase.SERVICE_CONNECTED):
+        if self.session_id is None or self.revoked:
             raise ValueError("session not authenticated")
-        if service_id not in [sid for sid, _, _ in self.session.services]:
+        if service_id not in [sid for sid, _, _ in self.services]:
             raise ValueError(f"service {service_id!r} not in the authorized list")
         packet = spa.build_spa(
             self.spa_key, self._counter.next(now), spa.TargetRole.GATEWAY, now, self.rng.randbytes(spa.NONCE_LEN)

@@ -52,7 +52,7 @@ class CredentialError(Exception):
     pass
 
 
-def _raw_public(key: Ed25519PublicKey) -> bytes:
+def _raw_public(key: Ed25519PublicKey | X25519PublicKey) -> bytes:
     return key.public_bytes(serialization.Encoding.Raw, serialization.PublicFormat.Raw)
 
 
@@ -224,9 +224,7 @@ class HandshakeResponder:
         self.initiator_nonce = initiator_nonce
         self.nonce = nonce
         self._eph = X25519PrivateKey.from_private_bytes(eph_seed)
-        self.eph_pub = self._eph.public_key().public_bytes(
-            serialization.Encoding.Raw, serialization.PublicFormat.Raw
-        )
+        self.eph_pub = _raw_public(self._eph.public_key())
         self.signature = identity.sign(accept_transcript(initiator_nonce, nonce, self.eph_pub))
 
     def accept_fields(self) -> list[tuple[int, bytes]]:
@@ -266,9 +264,7 @@ class HandshakeInitiator:
         self.ca_public = ca_public
         self.initiator_nonce = initiator_nonce
         self._eph = X25519PrivateKey.from_private_bytes(eph_seed)
-        self.eph_pub = self._eph.public_key().public_bytes(
-            serialization.Encoding.Raw, serialization.PublicFormat.Raw
-        )
+        self.eph_pub = _raw_public(self._eph.public_key())
 
     def hello(self, subject_id: bytes) -> bytes:
         """CHANNEL_HELLO naming the first-contact datagram's subject, which the gates match."""

@@ -34,25 +34,12 @@ class CaptureSeries:
     def __len__(self):
         return len(self.acked_segments)
 
-    def rows(self):
-        for i in range(len(self)):
-            yield {
-                "t": self.start + i * INTERVAL,
-                "acked_segments": self.acked_segments[i],
-                "attack_segments_seen": self.attack_segments_seen[i],
-                "attack_segments_forwarded": self.attack_segments_forwarded[i],
-                "cpu_proxy": self.cpu_proxy[i],
-                "half_open": self.half_open[i],
-            }
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("t,acked_segments,attack_segments_seen,attack_segments_forwarded,cpu_proxy,half_open\n")
-        for row in self.rows():
-            buf.write(
-                f"{row['t']},{row['acked_segments']},{row['attack_segments_seen']},"
-                f"{row['attack_segments_forwarded']},{row['cpu_proxy']},{row['half_open']}\n"
-            )
+        columns = (self.acked_segments, self.attack_segments_seen, self.attack_segments_forwarded, self.cpu_proxy, self.half_open)
+        for i, row in enumerate(zip(*columns)):
+            buf.write(",".join(map(str, (self.start + i * INTERVAL, *row))) + "\n")
         return buf.getvalue()
 
 

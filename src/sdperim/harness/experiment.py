@@ -10,7 +10,7 @@ attacker and the service.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 from ..deploy import SimDeployment, build_sim, default_config
@@ -62,7 +62,7 @@ class ExperimentResult:
             "with_sdp": self.spec.with_sdp,
             "seed": self.spec.seed,
             "window": self.spec.window,
-            "flood": self.flood.to_dict() if self.flood else None,
+            "flood": asdict(self.flood) if self.flood else None,
             "attack_segments_seen": sum(self.capture.attack_segments_seen),
             "attack_segments_forwarded": sum(self.capture.attack_segments_forwarded),
             "attacker_segments_to_service": self.attacker_segments_to_service,

@@ -36,16 +36,6 @@ class FloodStats:
     started_at: float = 0.0
     finished_at: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "sent": self.sent,
-            "mode": self.mode,
-            "errors": self.errors,
-            "sources": self.sources,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-        }
-
 
 def spoofed_source(rng, i: int) -> tuple[str, int]:
     # non-routable sources; the simulator delivers their handshake replies nowhere

@@ -85,7 +85,6 @@ class F(enum.IntEnum):
     ROLE = 23
     ISSUED_AT = 24
     SERIAL = 25
-    SEQ = 26
     SPA_PORT = 27
 
 

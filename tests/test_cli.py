@@ -66,7 +66,7 @@ def test_local_forwarder_keeps_no_written_bytes():
     """The client binary's local forwarder writes each echoed chunk once and
     then drops it from the tunnel's receive buffer."""
     chunks = [b"first chunk", b"second", b"third and last"]
-    tunnel = Tunnel("echo-cloud", ("gateway", 4444), rx=bytearray(b"left by an earlier connection"))
+    tunnel = Tunnel(("gateway", 4444), rx=bytearray(b"left by an earlier connection"))
 
     class Node:
         tunnels = {"echo-cloud": tunnel}

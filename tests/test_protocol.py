@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import sdperim.client
 from sdperim import spa, wire
-from sdperim.client import ClientNode, Phase
+from sdperim.client import ClientNode
 from sdperim.credentials import CredentialError, SecureChannel
 from sdperim.deploy import build_sim, default_config
 from sdperim.gateway.node import SWEEP_TICK
@@ -63,9 +63,9 @@ class TestAuthentication:
         dep = authed_deployment()
         client = connect_client(dep)
         assert client.ready and not client.failed
-        assert client.session.phase is Phase.AUTHENTICATED
-        assert client.session.services == [("echo-cloud", "gateway", 4444)]
-        assert client.session.validation_interval == 30.0
+        assert client.session_id is not None and not client.revoked
+        assert client.services == [("echo-cloud", "gateway", 4444)]
+        assert client.validation_interval == 30.0
 
     def test_wrong_key_sees_pure_silence_and_fails(self):
         dep = authed_deployment()
@@ -74,7 +74,7 @@ class TestAuthentication:
             "client",
             good.identity,
             good.ca_public,
-            spa.SpaKey(good.session.client_id, b"\xee" * 32),
+            spa.SpaKey(good.spa_key.client_id, b"\xee" * 32),
             "gateway",
             rng=dep.net.node_rng("client"),
         )
@@ -118,21 +118,41 @@ class TestAuthentication:
         client = connect_client(dep)
         ctrl = dep.controller
         assert ctrl.session_count() == 1
-        session_id = client.session.session_id
+        session_id = client.session_id
         ctx = next(iter(ctrl.clients_ctx.values()))
         # replay the login frame on the authenticated conversation
         actions = ctrl._on_login(ctx, None, dep.net.clock)
         dep.net.act(ctrl, actions)
         dep.net.run(until=dep.net.clock + 1.0)
         assert ctrl.session_count() == 1
-        assert client.session.session_id == session_id
+        assert client.session_id == session_id
 
     def test_client_with_no_services_still_authenticates(self):
         dep = authed_deployment(clients=[{"id": "aa" * 16, "host": "client", "services": []}])
         client = connect_client(dep)
         assert client.ready
-        assert client.session.phase is Phase.AUTHENTICATED
-        assert client.session.services == []
+        assert client.session_id is not None and not client.revoked
+        assert client.services == []
+
+    def test_retry_after_the_channel_came_up_authenticates(self, monkeypatch):
+        # the gateway drops the first service list: that conversation logs in but never hears GATEWAY_READY
+        dep = authed_deployment()
+        gw = dep.gateway()
+        forward, calls = gw._on_client_services, []
+
+        def drop_first(fields):
+            calls.append(fields)
+            return [] if len(calls) == 1 else forward(fields)
+
+        monkeypatch.setattr(gw, "_on_client_services", drop_first)
+        client = dep.client()
+        dep.net.add_node(client)
+        assert run_until(dep.net, lambda: client.session_id is not None)
+        assert client.channel is not None and not client.ready
+        assert run_until(dep.net, lambda: client.ready or client.failed)
+        assert client.ready and client._attempts == 2 and len(calls) == 2
+        assert client.session_id is not None and client.services == [("echo-cloud", "gateway", 4444)]
+        assert dep.net.clock < 1.0 + 2 * sdperim.client.SPA_TIMEOUT  # within the second attempt, not after the third
 
 
 class TestServiceVisibility:
@@ -161,8 +181,8 @@ class TestServiceVisibility:
         )
         a = connect_client(dep, dep.clients["aa" * 16])
         b = connect_client(dep, dep.clients["dd" * 16])
-        seen_a = {sid for sid, _, _ in a.session.services}
-        seen_b = {sid for sid, _, _ in b.session.services}
+        seen_a = {sid for sid, _, _ in a.services}
+        seen_b = {sid for sid, _, _ in b.services}
         assert seen_a == set(a_set)
         assert seen_b == set(b_set)
         assert seen_a.isdisjoint(seen_b)
@@ -177,7 +197,7 @@ class TestServiceVisibility:
         ]
         dep = authed_deployment(clients=[{"id": "aa" * 16, "host": "client", "services": pool}], services=services)
         client = connect_client(dep)
-        assert [sid for sid, _, _ in client.session.services] == pool
+        assert [sid for sid, _, _ in client.services] == pool
         (ctx,) = dep.controller.clients_ctx.values()
         (frame,) = [a.data for a in dep.controller._push_services(ctx)]
         assert len(frame) <= wire.MAX_FRAME_LEN
@@ -193,7 +213,7 @@ class TestAuthorization:
         assert run_until(dep.net, lambda: client.requests[1].state != "pending")
         assert client.requests[1].state == "granted"
         installed = [r for r in dep.net.logs["gateway"] if r.get("event") == "rule" and r["verdict"] == "installed"]
-        assert [(r["client"], r["service"]) for r in installed] == [(client.session.client_id.hex(), "echo-cloud")]
+        assert [(r["client"], r["service"]) for r in installed] == [(client.spa_key.client_id.hex(), "echo-cloud")]
         expiry = installed[0]["expires_at"]
         assert expiry > dep.net.clock
         assert expiry - dep.net.clock <= 60.0
@@ -219,6 +239,23 @@ class TestAuthorization:
         before = len(dep.net.trace)
         with pytest.raises(ValueError):
             client.open_service("not-a-service", dep.net.clock)
+        assert len(dep.net.trace) == before
+
+    def test_open_service_needs_a_live_session(self, monkeypatch):
+        dep = authed_deployment(timing={"validation_interval": 2.0})
+        client = dep.client()
+        dep.net.add_node(client)
+        before = len(dep.net.trace)
+        with pytest.raises(ValueError):  # not logged in yet
+            client.open_service("echo-cloud", dep.net.clock)
+        assert len(dep.net.trace) == before
+        assert run_until(dep.net, lambda: client.ready)
+        monkeypatch.setattr(client, "_on_validate", lambda fields, now: [])
+        assert run_until(dep.net, lambda: client.revoked, deadline=dep.net.clock + 10.0)
+        assert client.session_id is not None  # the revocation, not a missing login, refuses it
+        before = len(dep.net.trace)
+        with pytest.raises(ValueError):
+            client.open_service("echo-cloud", dep.net.clock)
         assert len(dep.net.trace) == before
 
     def test_wedged_gateway_yields_unavailable_after_ack_window(self):
@@ -405,7 +442,7 @@ class TestDeviceValidation:
         dep = authed_deployment(timing={"validation_interval": 2.0})
         client = connect_client(dep)
         dep.net.run(until=dep.net.clock + 10.0)  # several challenge cycles
-        assert client.session.phase is Phase.AUTHENTICATED
+        assert client.session_id is not None and not client.revoked
         assert dep.controller.session_count() == 1
 
     def test_silent_client_revoked_and_rules_removed(self, monkeypatch):
@@ -416,7 +453,7 @@ class TestDeviceValidation:
         run_until(dep.net, lambda: client.requests[1].state == "granted")
         dep.net.act(client, client.open_tunnel_stream("echo-cloud"))
         run_until(dep.net, lambda: client.tunnels["echo-cloud"].established)
-        assert run_until(dep.net, lambda: client.session.phase is Phase.REVOKED, deadline=dep.net.clock + 10.0)
+        assert run_until(dep.net, lambda: client.revoked, deadline=dep.net.clock + 10.0)
         assert client.tunnels["echo-cloud"].closed
         assert dep.controller.session_count() == 0
         assert dep.gateway().engine.rule_count() == 0
@@ -427,7 +464,7 @@ class TestDeviceValidation:
         dep = authed_deployment(timing={"validation_interval": 2.0})
         client = connect_client(dep)
         monkeypatch.setattr(client, "_on_validate", lambda fields, now: [])
-        assert run_until(dep.net, lambda: client.session.phase is Phase.REVOKED, deadline=dep.net.clock + 10.0)
+        assert run_until(dep.net, lambda: client.revoked, deadline=dep.net.clock + 10.0)
         dep.net.run(until=dep.net.clock + 120.0)
         gw = dep.gateway()
         assert gw.relay_flows == {}
@@ -437,7 +474,7 @@ class TestDeviceValidation:
         dep = authed_deployment(timing={"validation_interval": 2.0})
         client = connect_client(dep)
         monkeypatch.setattr(sdperim.client, "sign_validation", lambda identity, nonce: bytes(64))
-        assert run_until(dep.net, lambda: client.session.phase is Phase.REVOKED, deadline=dep.net.clock + 10.0)
+        assert run_until(dep.net, lambda: client.revoked, deadline=dep.net.clock + 10.0)
         assert dep.controller.session_count() == 0
 
 
@@ -566,7 +603,7 @@ class TestDarkness:
             for r in dep.net.logs["gateway"]
             if r.get("event") == "rule" and r["verdict"] == "installed"
         }
-        assert installed == {(client.session.client_id.hex(), "echo-cloud")} and installed <= allowed
+        assert installed == {(client.spa_key.client_id.hex(), "echo-cloud")} and installed <= allowed
         assert dep.gateway().engine.rule_count() == 1
 
 
@@ -642,7 +679,7 @@ class TestRelayGate:
         assert len(gw.relay_gate) == GATE_CAP
         client = connect_client(dep)
         assert client.ready and not client.failed
-        assert client.session.phase is Phase.AUTHENTICATED
+        assert client.session_id is not None and not client.revoked
 
     def test_table_stays_bounded_ordered_and_swept(self):
         # keyless input only: bursts of forged controller-target SPAs and of
@@ -792,7 +829,7 @@ class TestHelloWait:
 
         client._attempt_connect, client._retry_or_fail = attempt_connect, retry_or_fail
         connect_client(dep, client)
-        assert client.ready and client.session.phase is Phase.AUTHENTICATED
+        assert client.ready and client.session_id is not None and not client.revoked
         relay = [(r["verdict"], r.get("reason")) for r in dep.net.logs["gateway"] if r.get("event") == "relay"]
         assert relay == [("drop", "superseded"), ("open", None)]
         assert dep.gateway()._flow_src == {}
@@ -864,7 +901,7 @@ class TestGatewayIntegrity:
         gw = dep.gateway()
         forged = encode_frame(
             Kind.AH_AUTHORIZE,
-            [(20, (1).to_bytes(4, "big")), (1, client.session.client_id), (10, b"echo-cloud"),
+            [(20, (1).to_bytes(4, "big")), (1, client.spa_key.client_id), (10, b"echo-cloud"),
              (8, b"client"), (9, (4444).to_bytes(2, "big")), (11, (60000).to_bytes(4, "big"))],
         )
         dep.net.act(client, [Send(client._relay_flow, forged)])

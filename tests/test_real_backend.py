@@ -21,7 +21,6 @@ import pytest
 import sdperim.client
 import sdperim.transport.real
 from sdperim import spa
-from sdperim.client import Phase
 from sdperim.config import generate_material
 from sdperim.deploy import build_client, build_controller, build_gateway, build_sim, default_config
 from sdperim.services import EchoNode
@@ -125,7 +124,7 @@ def test_full_session_and_echo_round_trip():
         async with Stack(21000) as stack:
             client, host = await stack.join_client()
             assert await wait_for(lambda: client.ready)
-            assert client.session.phase is Phase.AUTHENTICATED
+            assert client.session_id is not None and not client.revoked
             await host.call(lambda now: client.open_service("echo-cloud", now))
             assert await wait_for(lambda: client.requests[1].state == "granted")
             await host.call(lambda now: client.open_tunnel_stream("echo-cloud"))
@@ -218,7 +217,7 @@ def test_gateway_relay_is_transparent_end_to_end():
         async with Stack(21400) as stack:
             client, host = await stack.join_client()
             assert await wait_for(lambda: client.ready)
-            assert client.session.session_id is not None
+            assert client.session_id is not None
             assert stack.ctrl.session_count() == 1
 
     asyncio.run(main())
