@@ -252,16 +252,21 @@ class ClientNode(Node):
 
     def open_tunnel_stream(self, service_id: str):
         """Open one raw stream through a granted tunnel; bytes flow via
-        ``tunnel_send`` and accumulate in ``Tunnel.rx``."""
+        ``tunnel_send`` and accumulate in ``Tunnel.rx``. A stream the tunnel
+        still has open is closed first."""
         tunnel = self.tunnels.get(service_id)
         if tunnel is None:
             raise ValueError(f"no granted tunnel for {service_id!r}")
+        out = []
+        if tunnel.flow is not None and not tunnel.closed:
+            self._flow_tunnel.pop(tunnel.flow, None)
+            out.append(Close(tunnel.flow))
         flow = self.new_flow()
         tunnel.flow = flow
         tunnel.established = False
         tunnel.closed = False
         self._flow_tunnel[flow] = tunnel
-        return [OpenStream(flow, tunnel.endpoint, RAW)]
+        return out + [OpenStream(flow, tunnel.endpoint, RAW)]
 
     def tunnel_send(self, service_id: str, data: bytes):
         tunnel = self.tunnels.get(service_id)

@@ -87,6 +87,13 @@ class Node:
     first. If the stream fails or is closed first, the writes are dropped
     with it. A node therefore keeps no backlog of its own.
 
+    A datagram that reached the host before an inbound stream request, or
+    before a frame on a ``FRAMED`` stream, is handed to the node first, so
+    a control event never overtakes a datagram its peer sent earlier (an
+    SPA, say, queued behind a flood). ``SimNet`` delivers every event in
+    arrival order; ``RealHost`` drains its queued datagrams before each such
+    event. ``RAW`` chunks carry no such promise.
+
     A hook that raises returns no actions, so none of its event's actions
     run, and the drivers differ in what follows:
 

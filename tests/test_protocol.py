@@ -356,6 +356,24 @@ class TestTunnelAndTtl:
         assert run_until(dep.net, lambda: tunnel.closed, deadline=t0 + 2.0)
         assert dep.net.clock - t0 <= 2.0
 
+    def test_reopened_tunnel_stream_closes_the_one_before(self):
+        dep = authed_deployment()
+        client = connect_client(dep)
+        dep.net.act(client, client.open_service("echo-cloud", dep.net.clock))
+        assert run_until(dep.net, lambda: client.requests[1].state == "granted")
+        for _ in range(5):
+            dep.net.act(client, client.open_tunnel_stream("echo-cloud"))
+            dep.net.run(until=dep.net.clock + 0.5)
+        tunnel = client.tunnels["echo-cloud"]
+        assert tunnel.established and not tunnel.closed
+        for wait in (0.0, 200.0):
+            dep.net.run(until=dep.net.clock + wait)
+            assert list(client._flow_tunnel) == [tunnel.flow]
+            assert dep.gateway().engine.conntrack_count() == 1
+            assert len(dep.net._by_local["cloud"]) == 1  # the echo service's open connections
+        dep.net.act(client, client.tunnel_send("echo-cloud", b"ping"))
+        assert run_until(dep.net, lambda: bytes(tunnel.rx) == b"ping", deadline=dep.net.clock + 5.0)
+
 
 class TestSpliceIsolation:
     def test_two_clients_bytes_never_cross(self):

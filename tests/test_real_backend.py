@@ -27,7 +27,7 @@ from sdperim.services import EchoNode
 from sdperim.transport.base import Send, SendDatagram
 from sdperim.transport.base import FRAMED, LOG_KEEP, RAW, AcceptStream, Log, Node
 from sdperim.transport.real import RealHost
-from sdperim.wire import MAX_FRAME_LEN
+from sdperim.wire import MAX_FRAME_LEN, F, Kind, encode_frame
 
 CTRL_IP, GW_IP, CLOUD_IP, CLIENT_IP, OTHER_IP = (
     "127.0.0.10",
@@ -493,6 +493,183 @@ def test_listener_out_of_descriptors_pauses_instead_of_spinning():
         assert [e["message"] for e in errors] == ["socket.accept() out of system resource"] * 2
 
     asyncio.run(run_contract(node, "127.0.0.39", body))
+
+
+# -- busy listeners: polled on a tick, datagrams before control events -------
+
+
+class OrderNode(Node):
+    """Records, in order, each datagram as ``(port, data)``, each stream
+    request as ``(port, "request", peer)`` and each chunk as ``("data",
+    chunk)``; accepts streams on ``accept_ports`` only."""
+
+    def __init__(self, udp_ports=(), tcp_ports=None, accept_ports=()):
+        super().__init__("order")
+        self.udp_ports = list(udp_ports)
+        self.tcp_ports = dict(tcp_ports or {})
+        self.accept_ports = set(accept_ports)
+        self.events = []
+
+    def on_datagram(self, port, src, data, now):
+        self.events.append((port, data))
+        return []
+
+    def on_stream_request(self, flow, port, src, now):
+        self.events.append((port, "request", src))
+        return [AcceptStream(flow)] if port in self.accept_ports else []
+
+    def on_data(self, flow, data, now):
+        self.events.append(("data", data))
+        return []
+
+
+def abort_initiation(dst) -> tuple:
+    """Connect from OTHER_IP and close with a reset at once; return the
+    initiator's own address."""
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
+        sock.bind((OTHER_IP, 0))
+        sock.setblocking(False)
+        sock.connect_ex(dst)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        return sock.getsockname()
+
+
+def test_burst_is_delivered_once_in_order_and_the_listeners_settle():
+    # four datagram listeners and two stream listeners, each sent about what
+    # its kernel queue holds, before the loop runs again: first datagrams and
+    # initiations together (each accept takes the queued datagrams first),
+    # then datagrams alone
+    ip, udp, tcp = "127.0.0.41", [22501, 22502, 22503, 22504], [22511, 22512]
+    node = OrderNode(udp, {port: RAW for port in tcp})
+    polled = set()  # the kinds of listener a tick found parked
+
+    async def body(host, errors):
+        poll = host._poll
+        host._poll = lambda: (polled.update(lst.mode for lst in host._parked), poll())
+        senders = [socket.socket(socket.AF_INET, socket.SOCK_DGRAM) for _ in udp]
+        peers = {port: [] for port in tcp}
+        try:
+            for sender in senders:
+                sender.bind((OTHER_IP, 0))
+            for burst in range(2):
+                for i in range(250 * burst, 250 * (burst + 1)):
+                    for sender, port in zip(senders, udp):
+                        sender.sendto(b"%d" % i, (ip, port))
+                if burst == 0:
+                    for port in tcp:
+                        peers[port] += [abort_initiation((ip, port)) for _ in range(100)]
+                assert await wait_for(lambda: len(node.events) == 1200 + 1000 * burst, 10.0)
+                assert await wait_for(lambda: not host._parked and host._tick is None, 1.0)
+        finally:
+            for sender in senders:
+                sender.close()
+        for port in udp:
+            assert [e[1] for e in node.events if e[0] == port] == [b"%d" % i for i in range(500)]
+        for port in tcp:
+            assert [e[2] for e in node.events if e[0] == port] == peers[port]
+        assert polled == {None, RAW}  # both kinds were polled, not read one wakeup at a time
+        assert host._flows == {} and errors == []
+
+    asyncio.run(run_contract(node, ip, body))
+
+
+def test_queued_datagrams_reach_the_node_before_a_stream_and_its_frame():
+    ip, port_udp, port_tcp = "127.0.0.42", 22601, 22602
+    node = OrderNode([port_udp], {port_tcp: FRAMED}, accept_ports=[port_tcp])
+    frame = encode_frame(Kind.RELAY_DATA, [(F.DATA, b"after the datagrams")])
+    burst = [b"junk %d" % i for i in range(200)] + [b"mark"]
+
+    async def body(host, errors):
+        # each burst is sent without yielding to the loop, so all of it is
+        # queued when the host wakes to the stream or to its frame
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sender:
+            sender.bind((OTHER_IP, 0))
+            for data in burst:
+                sender.sendto(data, (ip, port_udp))
+            with socket.create_connection((ip, port_tcp), timeout=5.0, source_address=(OTHER_IP, 0)) as stream:
+                assert await wait_for(lambda: len(node.events) == 202, 5.0)
+                for data in burst:
+                    sender.sendto(data, (ip, port_udp))
+                stream.sendall(frame)
+                assert await wait_for(lambda: len(node.events) == 404, 5.0)
+        seen = [e[1] if e[0] != port_tcp else "request" for e in node.events]
+        assert seen == burst + ["request"] + burst + [frame]
+        assert errors == []
+
+    asyncio.run(run_contract(node, ip, body))
+
+
+class IcmpErrorSocket(socket.socket):
+    """A datagram socket whose every other read fails as a queued ICMP error
+    would."""
+
+    def __init__(self):
+        super().__init__(socket.AF_INET, socket.SOCK_DGRAM)
+        self.reads = 0
+
+    def recvfrom_into(self, buf):
+        self.reads += 1
+        if self.reads % 2:
+            raise ConnectionRefusedError(errno.ECONNREFUSED, os.strerror(errno.ECONNREFUSED))
+        return super().recvfrom_into(buf)
+
+
+def test_queued_icmp_errors_do_not_end_a_drain():
+    ip, port_udp, port_tcp = "127.0.0.44", 22801, 22802
+    node = OrderNode(tcp_ports={port_tcp: RAW})
+    burst = [b"%d" % i for i in range(3)]
+
+    async def body(host, errors):
+        host._listen(lsock, port_udp, None)
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sender:
+            sender.bind((OTHER_IP, 0))
+            for data in burst:
+                sender.sendto(data, (ip, port_udp))
+        abort_initiation((ip, port_tcp))
+        assert await wait_for(lambda: len(node.events) == 4, 5.0)
+        assert [e[1] if e[0] == port_udp else "request" for e in node.events] == burst + ["request"]
+        assert errors == []
+
+    with IcmpErrorSocket() as lsock:  # closed after the loop that watches it
+        lsock.bind((ip, port_udp))
+        lsock.setblocking(False)
+        asyncio.run(run_contract(node, ip, body))
+
+
+def test_stop_while_listeners_are_parked_ends_every_hook():
+    ip, port_udp, port_tcp = "127.0.0.43", 22701, 22702
+    node = OrderNode([port_udp], {port_tcp: RAW})
+    host = RealHost(node, ip)
+    errors = []
+
+    async def main():
+        asyncio.get_running_loop().set_exception_handler(lambda loop, ctx: errors.append(ctx))
+        await host.start()
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sender:
+            sender.bind((OTHER_IP, 0))
+            try:
+                for _ in range(100):  # a steady flood until both listeners are polled
+                    for i in range(20):
+                        sender.sendto(b"%d" % i, (ip, port_udp))
+                    abort_initiation((ip, port_tcp))
+                    await asyncio.sleep(0.001)
+                    if len(host._parked) == 2:
+                        break
+                assert len(host._parked) == 2
+                for i in range(200):  # still queued when the host stops
+                    sender.sendto(b"%d" % i, (ip, port_udp))
+                    if i % 2:
+                        abort_initiation((ip, port_tcp))
+            finally:
+                await host.stop()
+            seen = len(node.events)
+            for i in range(20):
+                sender.sendto(b"%d" % i, (ip, port_udp))
+            await asyncio.sleep(0.05)  # ten ticks
+        assert len(node.events) == seen
+        assert host._tick is None and host._parked == [] and errors == []
+
+    asyncio.run(main())
 
 
 def _proc_status():
