@@ -43,13 +43,16 @@ wakeup, with no added delay. A busy one is polled instead, because the same
 Python work costs nearly four times as much per item when the process
 sleeps between items as when it runs them back to back. A listener readable
 again within ``POLL_INTERVAL`` of its last wakeup leaves the selector
-("parked"), and one shared tick every ``POLL_INTERVAL`` takes up to
-``POLL_BUDGET`` items from each parked listener, datagram listeners first.
+("parked"), and one shared tick, at most ``POLL_INTERVAL`` apart, takes up
+to ``POLL_BUDGET`` items from each parked listener, datagram listeners first.
 A tick that finds nothing waiting on a listener puts it back on the
 selector, and no tick runs while none is parked. So an item waits up to
-``POLL_INTERVAL``, but only while its listener is busy (Mogul and
-Ramakrishnan, "Eliminating Receive Livelock in an Interrupt-Driven Kernel",
-1997; Linux NAPI).
+``POLL_INTERVAL``, but only while its listener is busy. A faster flood is
+polled sooner (at once after a tick that filled a budget), so the kernel's
+receive queue, which holds about 256 small datagrams, does not overflow
+between ticks while the process has time to spare (Mogul and Ramakrishnan,
+"Eliminating Receive Livelock in an Interrupt-Driven Kernel", 1997; Linux
+NAPI).
 
 Before the node sees an accepted stream (``on_stream_request``) or a frame
 on a ``FRAMED`` stream, the host hands it the datagrams queued on its UDP
@@ -103,8 +106,9 @@ ACCEPT_RESOURCE_ERRNOS = (errno.EMFILE, errno.ENFILE, errno.ENOBUFS, errno.ENOME
 TCP_BACKLOG = 100
 
 # Polling a busy listener (see the module docstring). A 2 ms interval saved
-# about half as much CPU; 64 items per tick let one listener take 12,800
-# items a second.
+# about half as much CPU, and a budget of 8 that yielded to the loop between
+# slices lost most of the saving. Under 6,400 items a second a listener is
+# polled every POLL_INTERVAL; a faster one more often (see _poll).
 POLL_INTERVAL = 0.005
 POLL_BUDGET = 64
 # The most datagrams one listener hands over before a control event: what a
@@ -228,7 +232,8 @@ class RealHost:
         self._listeners: list[socket.socket] = []  # every bound socket, closed by stop
         self._datagram_listeners: list[_Listener] = []
         self._parked: list[_Listener] = []  # off the selector, datagram listeners first
-        self._tick: asyncio.TimerHandle | None = None  # scheduled while any listener is parked
+        self._tick: asyncio.Handle | None = None  # scheduled while any listener is parked
+        self._tick_at = 0.0  # loop time the last tick ran (or the first was scheduled)
         self._loop: asyncio.AbstractEventLoop | None = None
         self._recv_buf = bytearray(RECV_BUF)
         self._recv_view = memoryview(self._recv_buf)
@@ -321,6 +326,7 @@ class RealHost:
             else:
                 self._parked.append(listener)
             if self._tick is None:
+                self._tick_at = now
                 self._tick = self._loop.call_later(POLL_INTERVAL, self._poll)
         listener.woke = now
         self._take(listener)
@@ -328,17 +334,32 @@ class RealHost:
     def _poll(self):
         """The tick: take up to ``POLL_BUDGET`` items from each parked
         listener. One that had none goes back on the selector; one that had
-        some stays parked, so a steady flood wakes the loop once a tick."""
+        some stays parked, so a steady flood wakes the loop once a tick.
+        The next tick runs at once if a listener filled its budget, since
+        more may wait. Otherwise it is due when the busiest listener should
+        hold half a budget again, at the rate it filled since the last
+        tick, and at most ``POLL_INTERVAL`` later. So a fast flood is
+        polled more often, and its kernel queue keeps room for a burst."""
+        now = self._loop.time()
+        elapsed, self._tick_at = now - self._tick_at, now
+        most = 0
         try:
             for listener in list(self._parked):
                 taken = 0
                 while taken < POLL_BUDGET and self._take(listener):
                     taken += 1
+                most = max(most, taken)
                 if not taken and listener in self._parked:  # (an accept error may have paused it)
                     self._parked.remove(listener)
                     self._watch(listener)
         finally:  # an accept error the loop reports still leaves the tick running
-            self._tick = self._loop.call_later(POLL_INTERVAL, self._poll) if self._parked else None
+            if not self._parked:
+                self._tick = None
+            elif most == POLL_BUDGET:
+                self._tick = self._loop.call_soon(self._poll)  # after the loop's other ready callbacks
+            else:
+                delay = min(POLL_INTERVAL, elapsed * (POLL_BUDGET / 2) / most) if most else POLL_INTERVAL
+                self._tick = self._loop.call_later(delay, self._poll)
 
     def _take(self, listener: _Listener) -> bool:
         """Handle one item of ``listener``; False when none was waiting."""

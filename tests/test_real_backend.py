@@ -26,7 +26,7 @@ from sdperim.deploy import build_client, build_controller, build_gateway, build_
 from sdperim.services import EchoNode
 from sdperim.transport.base import Send, SendDatagram
 from sdperim.transport.base import FRAMED, LOG_KEEP, RAW, AcceptStream, Log, Node
-from sdperim.transport.real import RealHost
+from sdperim.transport.real import POLL_INTERVAL, RealHost
 from sdperim.wire import MAX_FRAME_LEN, F, Kind, encode_frame
 
 CTRL_IP, GW_IP, CLOUD_IP, CLIENT_IP, OTHER_IP = (
@@ -542,10 +542,18 @@ def test_burst_is_delivered_once_in_order_and_the_listeners_settle():
     ip, udp, tcp = "127.0.0.41", [22501, 22502, 22503, 22504], [22511, 22512]
     node = OrderNode(udp, {port: RAW for port in tcp})
     polled = set()  # the kinds of listener a tick found parked
+    ticks = []  # (start, end) loop times of each tick
 
     async def body(host, errors):
-        poll = host._poll
-        host._poll = lambda: (polled.update(lst.mode for lst in host._parked), poll())
+        loop, poll = asyncio.get_running_loop(), host._poll
+
+        def timed_poll():
+            polled.update(lst.mode for lst in host._parked)
+            start = loop.time()
+            poll()
+            ticks.append((start, loop.time()))
+
+        host._poll = timed_poll
         senders = [socket.socket(socket.AF_INET, socket.SOCK_DGRAM) for _ in udp]
         peers = {port: [] for port in tcp}
         try:
@@ -558,6 +566,7 @@ def test_burst_is_delivered_once_in_order_and_the_listeners_settle():
                 if burst == 0:
                     for port in tcp:
                         peers[port] += [abort_initiation((ip, port)) for _ in range(100)]
+                ticks.clear()
                 assert await wait_for(lambda: len(node.events) == 1200 + 1000 * burst, 10.0)
                 assert await wait_for(lambda: not host._parked and host._tick is None, 1.0)
         finally:
@@ -568,6 +577,10 @@ def test_burst_is_delivered_once_in_order_and_the_listeners_settle():
         for port in tcp:
             assert [e[2] for e in node.events if e[0] == port] == peers[port]
         assert polled == {None, RAW}  # both kinds were polled, not read one wakeup at a time
+        # 250 queued on each listener fill its budget more than once, and a
+        # tick that fills one is followed at once, not a POLL_INTERVAL later
+        gaps = [b[0] - a[1] for a, b in zip(ticks, ticks[1:])]
+        assert sum(gap < POLL_INTERVAL / 2 for gap in gaps) >= 2, gaps
         assert host._flows == {} and errors == []
 
     asyncio.run(run_contract(node, ip, body))
