@@ -439,17 +439,23 @@ class ScriptedNode(ContractNode):
         return self.respond(flow)
 
 
+def abort_initiation(dst) -> tuple:
+    """Connect from OTHER_IP and close at once with a reset; return the
+    initiator's own address."""
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
+        sock.bind((OTHER_IP, 0))
+        sock.setblocking(False)
+        sock.connect_ex(dst)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        return sock.getsockname()
+
+
 def test_aborting_initiators_are_reported_with_their_address():
     node = ScriptedNode({22301: RAW}, lambda flow: [])
-    linger_abort = struct.pack("ii", 1, 0)  # close sends RST
 
     async def body(host, errors):
         for i in range(200):
-            with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
-                sock.bind((OTHER_IP, 0))
-                sock.setblocking(False)
-                sock.connect_ex(("127.0.0.38", 22301))
-                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, linger_abort)
+            abort_initiation(("127.0.0.38", 22301))
             if i % 20 == 19:  # paced, so the backlog of 100 never overflows
                 assert await wait_for(lambda: len(node.sources) == i + 1, 5.0)
         assert {src[0] for src in node.sources} == {OTHER_IP}
@@ -521,17 +527,6 @@ class OrderNode(Node):
     def on_data(self, flow, data, now):
         self.events.append(("data", data))
         return []
-
-
-def abort_initiation(dst) -> tuple:
-    """Connect from OTHER_IP and close with a reset at once; return the
-    initiator's own address."""
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
-        sock.bind((OTHER_IP, 0))
-        sock.setblocking(False)
-        sock.connect_ex(dst)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
-        return sock.getsockname()
 
 
 def test_burst_is_delivered_once_in_order_and_the_listeners_settle():
