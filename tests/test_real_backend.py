@@ -25,7 +25,7 @@ from sdperim.config import generate_material
 from sdperim.deploy import build_client, build_controller, build_gateway, build_sim, default_config
 from sdperim.services import EchoNode
 from sdperim.transport.base import Send, SendDatagram
-from sdperim.transport.base import FRAMED, LOG_KEEP, RAW, AcceptStream, Log, Node
+from sdperim.transport.base import FRAMED, LOG_KEEP, RAW, AcceptStream, Close, Log, Node
 from sdperim.transport.real import POLL_INTERVAL, RealHost
 from sdperim.wire import MAX_FRAME_LEN, F, Kind, encode_frame
 
@@ -603,6 +603,36 @@ def test_queued_datagrams_reach_the_node_before_a_stream_and_its_frame():
         seen = [e[1] if e[0] != port_tcp else "request" for e in node.events]
         assert seen == burst + ["request"] + burst + [frame]
         assert errors == []
+
+    asyncio.run(run_contract(node, ip, body))
+
+
+class EvictingNode(OrderNode):
+    """Closes its newest stream when a datagram says ``evict``, as a gateway
+    closes a stream awaiting its hello when that stream's gate is evicted."""
+
+    def on_datagram(self, port, src, data, now):
+        super().on_datagram(port, src, data, now)
+        return [Close(self._next_flow - 1)] if data == b"evict" else []
+
+
+def test_a_frame_whose_stream_the_queued_datagrams_closed_is_dropped():
+    ip, port_udp, port_tcp = "127.0.0.45", 22901, 22902
+    node = EvictingNode([port_udp], {port_tcp: FRAMED}, accept_ports=[port_tcp])
+    frame = encode_frame(Kind.RELAY_DATA, [(F.DATA, b"too late")])
+
+    async def body(host, errors):
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sender:
+            sender.bind((OTHER_IP, 0))
+            with socket.create_connection((ip, port_tcp), timeout=5.0, source_address=(OTHER_IP, 0)) as stream:
+                assert await wait_for(lambda: host._flows and next(iter(host._flows.values())).transport, 5.0)
+                # both queued before the host wakes, the frame's stream readable first
+                stream.sendall(frame)
+                sender.sendto(b"evict", (ip, port_udp))
+                assert await wait_for(lambda: (port_udp, b"evict") in node.events, 5.0)
+                await asyncio.sleep(0.1)
+        assert node.events[1:] == [(port_udp, b"evict")]
+        assert host._flows == {} and errors == []
 
     asyncio.run(run_contract(node, ip, body))
 
