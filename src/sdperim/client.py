@@ -73,14 +73,13 @@ class ClientNode(Node):
         self.failed = False
         self.failure = ""
         self._counter = spa.SpaCounterSource()
-        self._initiator: HandshakeInitiator | None = None
         self.channel = None
-        self._relay_flow: int | None = None
+        self._relay_flow: int | None = None  # the current attempt's relay stream
         self._attempts = 0
         self._next_request = 1
         self.requests: dict[int, ServiceRequest] = {}
         self.tunnels: dict[str, Tunnel] = {}
-        self._flow_tunnel: dict[int, Tunnel] = {}
+        self.flows: dict[int, HandshakeInitiator | Tunnel] = {}  # a relay stream holds its attempt's initiator
 
     # -- authentication ------------------------------------------------------
 
@@ -91,35 +90,29 @@ class ClientNode(Node):
         self._attempts += 1
         nonce = self.rng.randbytes(spa.NONCE_LEN)
         packet = spa.build_spa(self.spa_key, self._counter.next(now), spa.TargetRole.CONTROLLER, now, nonce)
-        self._initiator = HandshakeInitiator(self.identity, self.ca_public, nonce, self.rng.randbytes(32))
-        actions = []
-        if self._relay_flow is not None:
-            actions.append(Close(self._relay_flow))
+        initiator = HandshakeInitiator(self.identity, self.ca_public, nonce, self.rng.randbytes(32))
+        actions = self._close(self._relay_flow)
         self._relay_flow = self.new_flow()
+        self.flows[self._relay_flow] = initiator
         self.channel = self.session_id = None
         self.services = []
-        actions.extend(
-            [
-                SendDatagram((self.gateway_host, self.spa_port), packet.encode()),
-                OpenStream(self._relay_flow, (self.gateway_host, self.relay_port), FRAMED),
-                Send(self._relay_flow, self._initiator.hello(self.spa_key.client_id)),
-                SetTimer("spa-timeout", SPA_TIMEOUT),
-            ]
-        )
-        return actions
+        return actions + [
+            SendDatagram((self.gateway_host, self.spa_port), packet.encode()),
+            OpenStream(self._relay_flow, (self.gateway_host, self.relay_port), FRAMED),
+            Send(self._relay_flow, initiator.hello(self.spa_key.client_id)),
+            SetTimer("spa-timeout", SPA_TIMEOUT),
+        ]
 
     def on_connected(self, flow, now):
-        tunnel = self._flow_tunnel.get(flow)
-        if tunnel is not None:
+        tunnel = self.flows.get(flow)
+        if isinstance(tunnel, Tunnel):
             tunnel.established = True
         return []
 
     def on_connect_failed(self, flow, reason, now):
+        self._close(flow)  # the driver ended it: only forgetting it is left
         if flow == self._relay_flow:
             return self._retry_or_fail(now, f"connect-failed:{reason}")
-        tunnel = self._flow_tunnel.pop(flow, None)
-        if tunnel is not None:
-            tunnel.closed = True
         return []
 
     def on_timer(self, key, now):
@@ -139,19 +132,19 @@ class ClientNode(Node):
         if self._attempts >= MAX_SPA_ATTEMPTS:
             self.failed = True
             self.failure = reason
-            return [Log({"event": "connect", "verdict": "failed", "reason": reason})]
+            return [Log({"event": "connect", "verdict": "failed", "reason": reason})] + self._close(self._relay_flow)
         return self._attempt_connect(now)
 
     def on_data(self, flow, data, now):
-        if flow == self._relay_flow:
-            return self._on_relay_frame(data, now)
-        tunnel = self._flow_tunnel.get(flow)
-        if tunnel is not None:
-            tunnel.rx.extend(data)
+        rec = self.flows.get(flow)
+        if isinstance(rec, Tunnel):
+            rec.rx.extend(data)
             return []
+        if flow == self._relay_flow:
+            return self._on_relay_frame(rec, data, now)
         return []
 
-    def _on_relay_frame(self, data, now):
+    def _on_relay_frame(self, initiator, data, now):
         try:
             kind, fields = decode_frame(data)
         except WireError:
@@ -160,7 +153,7 @@ class ClientNode(Node):
             return []
         if kind == Kind.CHANNEL_ACCEPT and self.channel is None:
             try:
-                login, self.channel = self._initiator.confirm(fields, PeerRole.CONTROLLER, Kind.LOGIN_REQUEST)
+                login, self.channel = initiator.confirm(fields, PeerRole.CONTROLLER, Kind.LOGIN_REQUEST)
             except CredentialError:
                 # an imposter controller: go dark and let the timeout handle it
                 return [Log({"event": "channel", "verdict": "rejected-accept"})]
@@ -201,7 +194,8 @@ class ClientNode(Node):
             return [CancelTimer(("svc-timeout", request_id)), Log({"event": "service", "verdict": "denied", "reason": req.reason})]
         req.state = "granted"
         endpoint = (fields.text(F.HOST), fields.u16(F.PORT))
-        self.tunnels[req.service_id] = Tunnel(endpoint)
+        tunnel = self.tunnels.setdefault(req.service_id, Tunnel(endpoint))
+        tunnel.endpoint = endpoint  # a re-grant keeps the tunnel and the stream it has open
         return [CancelTimer(("svc-timeout", request_id)), Log({"event": "service", "verdict": "granted", "service": req.service_id})]
 
     def _on_validate(self, fields, now):
@@ -210,20 +204,22 @@ class ClientNode(Node):
         return [Send(self._relay_flow, self.channel.frame(Kind.DEVICE_VALIDATE_ACK, [(F.NONCE, nonce), (F.SIG, sig)]))]
 
     def on_closed(self, flow, now):
+        self._close(flow)  # the driver ended it: only forgetting it is left
         if flow == self._relay_flow:
             if self.ready:
                 self.revoked = True
-                out = []
-                for tunnel in self.tunnels.values():
-                    if tunnel.flow is not None and not tunnel.closed:
-                        tunnel.closed = True
-                        out.append(Close(tunnel.flow))
-                return out
+                return [a for tunnel in self.tunnels.values() for a in self._close(tunnel.flow)]
             return self._retry_or_fail(now, "closed")
-        tunnel = self._flow_tunnel.pop(flow, None)
-        if tunnel is not None:
-            tunnel.closed = True
         return []
+
+    def _close(self, flow):
+        """Forgets ``flow`` and closes it; a tunnel's stream leaves its tunnel closed.
+        The one place this node forgets a flow (see ``Node``); a flow with no
+        record, or ``None``, closes nothing."""
+        rec = self.flows.pop(flow, None)
+        if isinstance(rec, Tunnel):
+            rec.closed = True
+        return [] if rec is None else [Close(flow)]
 
     # -- service access (driver/harness entry points) ---------------------------
 
@@ -257,15 +253,12 @@ class ClientNode(Node):
         tunnel = self.tunnels.get(service_id)
         if tunnel is None:
             raise ValueError(f"no granted tunnel for {service_id!r}")
-        out = []
-        if tunnel.flow is not None and not tunnel.closed:
-            self._flow_tunnel.pop(tunnel.flow, None)
-            out.append(Close(tunnel.flow))
+        out = self._close(tunnel.flow)
         flow = self.new_flow()
         tunnel.flow = flow
         tunnel.established = False
         tunnel.closed = False
-        self._flow_tunnel[flow] = tunnel
+        self.flows[flow] = tunnel
         return out + [OpenStream(flow, tunnel.endpoint, RAW)]
 
     def tunnel_send(self, service_id: str, data: bytes):

@@ -197,16 +197,20 @@ class ControllerNode(Node):
         return [AcceptStream(flow)]
 
     def on_closed(self, flow, now):
+        self._close(flow)  # the driver ended it: only forgetting it is left
+        return []
+
+    def _close(self, flow, **record):
+        """Forgets ``flow``'s link with every index that names it and closes it,
+        logging ``record``; the one place this node forgets a flow (see ``Node``)."""
         link = self.links.pop(flow, None)
-        if link is None:
-            return []
-        if link.gateway_id is not None:
-            self.by_gateway.pop(link.gateway_id, None)
+        if link is not None and self.by_gateway.get(link.gateway_id) is link:  # a newer link may hold the id
+            del self.by_gateway[link.gateway_id]
         for key in [k for k in self.clients_ctx if k[0] == flow]:
             # channel gone: the session ends, but established service flows
             # are the gateway's business (expiry semantics, not revocation)
             del self.clients_ctx[key]
-        return []
+        return [self._log(**record), Close(flow)]
 
     def on_data(self, flow, data, now):
         link = self.links.get(flow)
@@ -225,16 +229,15 @@ class ControllerNode(Node):
                 inner_kind, inner = link.channel.open_frame(fields)
                 return self._on_gateway_message(link, inner_kind, inner, now)
         except (CredentialError, WireError, KeyError) as exc:
-            self.on_closed(flow, now)  # every conversation relayed over the link ends with it
-            return [self._log(event="channel", verdict="closed", reason=str(exc)), Close(flow)]
+            # every conversation relayed over the link ends with it
+            return self._close(flow, event="channel", verdict="closed", reason=str(exc))
         return [self._log(event="frame", verdict="ignored", kind=kind)]
 
     def _on_hello(self, link, fields, now):
         subject = fields.need(F.SUBJECT_ID)
         gate = self.gated.pop(link.src[0], None)  # spent: a second stream from this source is ungated
         if gate is None or gate.subject_id != subject or gate.deadline < now:
-            self.links.pop(link.flow, None)
-            return [self._log(event="hello", verdict="drop", reason="gate-mismatch"), Close(link.flow)]
+            return self._close(link.flow, event="hello", verdict="drop", reason="gate-mismatch")
         link.subject_id = subject
         link.responder, accept = self._respond(gate.nonce)
         return [Send(link.flow, accept)]
@@ -245,11 +248,14 @@ class ControllerNode(Node):
         cert, channel = link.responder.open_confirm(fields, self.ca_public, PeerRole.GATEWAY, Kind.AH_REGISTER)
         if cert.subject_id != link.subject_id or cert.subject_id not in self.gateway_records:
             raise CredentialError("gateway certificate subject mismatch")
+        old, actions = self.by_gateway.get(cert.subject_id, link), []
+        if old is not link:  # a gateway that restarted without closing its stream: the older link goes
+            actions = self._close(old.flow, event="gateway", verdict="superseded", gateway=cert.subject_id.hex())
         link.channel = channel
         link.gateway_id = cert.subject_id
         self.by_gateway[cert.subject_id] = link
         self.gateway_records[cert.subject_id].host = link.src[0]
-        return [
+        return actions + [
             self._log(event="gateway", verdict="registered", gateway=cert.subject_id.hex()),
             self._gw_send(link, Kind.AH_REGISTER_ACK, [(F.OK, u8(1))]),
         ]

@@ -7,7 +7,8 @@ Default posture is drop-everything. Three kinds of traffic get through:
 - relay streams on the control port from sources whose controller-bound
   authorization datagram was just seen (bytes are relayed verbatim to the
   controller and back; a stream still silent at the gate's deadline is
-  closed), and
+  closed, and so is a relay the controller refused, ``GATE_WINDOW`` after
+  it opened), and
 - service connections matching an Active firewall rule, which are spliced
   byte-for-byte onto a gateway-originated connection to the protected
   service and tracked until closed or idle.
@@ -57,17 +58,20 @@ class ServiceBinding:
 
 @dataclass
 class _RelayGate:
-    client_id: bytes
-    spa_bytes: bytes
-    deadline: float
-    flow: int | None = None  # the relay stream from this source awaiting its hello
+    host: str
+    client_id: bytes = b""
+    spa_bytes: bytes = b""
+    deadline: float = 0.0
+    flow: int | None = None  # the relay stream from this source awaiting its hello; its record is this gate
 
 
 @dataclass
-class _RelayFlow:
+class _Relay:
     flow: int
     relay_id: int
     client_id: bytes
+    host: str
+    deadline: float  # once ``dead``, the first sweep from here closes it, whenever the verdict came
     dead: bool = False  # blackholed: bytes are swallowed, nothing is sent
     ready_sent: bool = False  # the relay-confirmed frame waits for the controller's verdict
 
@@ -111,17 +115,15 @@ class GatewayNode(Node):
         self.client_store = spa.SpaKeyStore()
         self.relay_gate = spa.Gates()  # source host -> _RelayGate
         self.data_gate: dict[bytes, str] = {}
-        self.relay_flows: dict[int, _RelayFlow] = {}
-        self.by_relay_id: dict[int, _RelayFlow] = {}
+        # every open stream's record: a splice's two legs share one; the upstream holds its attempt's initiator
+        self.flows: dict[int, _RelayGate | _Relay | _Splice | HandshakeInitiator] = {}
+        self.by_relay_id: dict[int, _Relay] = {}  # the id the controller names a relay by (pinned bytes carry it)
         self._next_relay_id = 1
         self.upstream_flow: int | None = None
         self.registered = False
-        self._initiator: HandshakeInitiator | None = None
         self._register_delay = REGISTER_RETRY
         self.channel = None
         self._counter = spa.SpaCounterSource()
-        self.splices: dict[int, _Splice] = {}  # both flow ids point at the same record
-        self._flow_src: dict[int, str] = {}  # relay stream awaiting its hello -> its source host
 
     # -- upstream channel -----------------------------------------------------
 
@@ -131,25 +133,25 @@ class GatewayNode(Node):
     def _begin_register(self, now):
         nonce = self.rng.randbytes(spa.NONCE_LEN)
         packet = spa.build_spa(self.spa_key, self._counter.next(now), spa.TargetRole.CONTROLLER, now, nonce)
-        self._initiator = HandshakeInitiator(self.identity, self.ca_public, nonce, self.rng.randbytes(32))
+        initiator = HandshakeInitiator(self.identity, self.ca_public, nonce, self.rng.randbytes(32))
         # the last attempt's stream goes, so a slow round trip cannot pile them up
-        actions = [] if self.upstream_flow is None else [Close(self.upstream_flow)]
+        actions = self._close(self.upstream_flow)
         self.upstream_flow = self.new_flow()
+        self.flows[self.upstream_flow] = initiator
         delay, self._register_delay = self._register_delay, min(2 * self._register_delay, REGISTER_RETRY_MAX)
         return actions + [
             SendDatagram((self.controller_addr[0], self.spa_port), packet.encode()),
             OpenStream(self.upstream_flow, self.controller_addr, FRAMED),
-            Send(self.upstream_flow, self._initiator.hello(self.identity.cert.subject_id)),
+            Send(self.upstream_flow, initiator.hello(self.identity.cert.subject_id)),
             SetTimer("register-retry", delay),
         ]
 
     def on_connect_failed(self, flow, reason, now):
+        if isinstance(self.flows.get(flow), _Splice):
+            return self._close(flow, f"service-unreachable:{reason}")
+        self._close(flow)  # the driver ended it: only forgetting it is left
         if flow == self.upstream_flow:
             self.registered = False
-            return []
-        splice = self.splices.get(flow)
-        if splice is not None:
-            return self._teardown_splice(splice, f"service-unreachable:{reason}")
         return []
 
     def _upstream(self, kind, fields) -> Send:
@@ -163,11 +165,11 @@ class GatewayNode(Node):
             return [Log({"event": "spa", "verdict": "drop", "reason": "malformed", "src": src[0]})]
         if pkt.target == spa.TargetRole.CONTROLLER:
             # structural gate only; the controller is the verifier of record
-            old = self.relay_gate.get(src[0])  # a re-sent SPA keeps the stream its gate holds
-            gate = _RelayGate(pkt.client_id, data, now + spa.GATE_WINDOW, old.flow if old else None)
+            gate = self.relay_gate.get(src[0]) or _RelayGate(src[0])  # a re-sent SPA keeps the stream its gate holds
+            gate.client_id, gate.spa_bytes, gate.deadline = pkt.client_id, data, now + spa.GATE_WINDOW
             actions = [Log({"event": "spa", "verdict": "gate-relay", "src": src[0], "client": pkt.client_id.hex()})]
-            for host, evicted in self.relay_gate.put(src[0], gate):
-                actions += self._end_hello_wait(host, evicted, "evicted")
+            for _, evicted in self.relay_gate.put(src[0], gate):
+                actions += self._close(evicted.flow, "evicted")
             return actions
         verdict = self.client_store.verify(pkt, now)
         if verdict is not spa.SpaVerdict.ACCEPT:
@@ -183,9 +185,9 @@ class GatewayNode(Node):
             if not self.registered or gate is None or gate.deadline < now:
                 return [Log({"event": "stream", "verdict": "drop", "reason": "ungated", "src": src[0], "port": port})]
             # one stream per source awaits a hello; a retrying client abandoned the older
-            actions = self._end_hello_wait(src[0], gate, "superseded")
+            actions = self._close(gate.flow, "superseded")
             gate.flow = flow
-            self._flow_src[flow] = src[0]
+            self.flows[flow] = gate
             actions.append(AcceptStream(flow))
             return actions
         binding = self.by_public_port.get(port)
@@ -212,8 +214,7 @@ class GatewayNode(Node):
             five=(src[0], src[1], port),
             client_id=self.engine.conntrack_client(src[0], src[1], port),
         )
-        self.splices[flow] = splice
-        self.splices[service_flow] = splice
+        self.flows[flow] = self.flows[service_flow] = splice
         return [
             log,
             AcceptStream(flow),
@@ -223,68 +224,52 @@ class GatewayNode(Node):
     # -- frames and bytes --------------------------------------------------------------
 
     def on_data(self, flow, data, now):
-        if flow == self.upstream_flow:
-            return self._on_upstream_frame(data, now)
-        relay = self.relay_flows.get(flow)
-        if relay is not None:
-            return self._on_relay_frame(relay, data, now)
-        if flow in self._flow_src:
-            return self._on_first_relay_frame(flow, data, now)
-        splice = self.splices.get(flow)
-        if splice is not None:
-            return self._on_splice_data(splice, flow, data, now)
+        rec = self.flows.get(flow)
+        if isinstance(rec, _Splice):
+            return self._on_splice_data(rec, flow, data, now)
+        if isinstance(rec, _Relay):
+            return self._on_relay_frame(rec, data, now)
+        if isinstance(rec, _RelayGate):
+            return self._on_first_relay_frame(flow, rec, data, now)
+        if isinstance(rec, HandshakeInitiator):
+            return self._on_upstream_frame(rec, data, now)
         return []
 
-    def _end_hello_wait(self, host, gate, reason):
-        """Closes the stream ``gate`` holds for its hello, if any, logging ``reason``."""
-        if gate.flow is None:
-            return []
-        flow, gate.flow = gate.flow, None
-        del self._flow_src[flow]
-        return self._drop_relay(flow, host, reason)
-
-    def _on_first_relay_frame(self, flow, data, now):
-        host = self._flow_src.pop(flow)
-        gate = self.relay_gate[host]  # a gate outlives the stream it holds
-        gate.flow = None
+    def _on_first_relay_frame(self, flow, gate, data, now):
         try:
             kind, fields = decode_frame(data)
             if kind != Kind.CHANNEL_HELLO:
-                return self._drop_relay(flow, host, "no-hello")
+                return self._close(flow, "no-hello")
             subject = fields.need(F.SUBJECT_ID)
         except WireError:
-            return self._drop_relay(flow, host, "malformed")
+            return self._close(flow, "malformed")
         if gate.client_id != subject or gate.deadline < now:
-            return self._drop_relay(flow, host, "gate-mismatch")
-        del self.relay_gate[host]  # spent: a second stream from this source is ungated
-        relay = _RelayFlow(flow=flow, relay_id=self._next_relay_id, client_id=subject)
+            return self._close(flow, "gate-mismatch")
+        del self.relay_gate[gate.host]  # spent: a second stream from this source is ungated
+        relay = _Relay(flow, self._next_relay_id, subject, gate.host, now + spa.GATE_WINDOW)
         self._next_relay_id += 1
-        self.relay_flows[flow] = relay
-        self.by_relay_id[relay.relay_id] = relay
+        self.flows[flow] = self.by_relay_id[relay.relay_id] = relay
         return [
-            Log({"event": "relay", "verdict": "open", "src": host, "client": subject.hex()}),
+            Log({"event": "relay", "verdict": "open", "src": gate.host, "client": subject.hex()}),
             self._upstream(
-                Kind.RELAY_OPEN, [(F.FLOW, u32(relay.relay_id)), (F.SUBJECT_ID, subject), (F.HOST, host.encode())]
+                Kind.RELAY_OPEN, [(F.FLOW, u32(relay.relay_id)), (F.SUBJECT_ID, subject), (F.HOST, gate.host.encode())]
             ),
             self._upstream(Kind.SPA_FORWARD, [(F.FLOW, u32(relay.relay_id)), (F.DATA, gate.spa_bytes)]),
         ]
-
-    def _drop_relay(self, flow, host, reason):
-        return [Log({"event": "relay", "verdict": "drop", "reason": reason, "src": host}), Close(flow)]
 
     def _on_relay_frame(self, relay, data, now):
         if relay.dead or not self.registered:
             return []
         return [self._upstream(Kind.RELAY_DATA, [(F.FLOW, u32(relay.relay_id)), (F.DATA, data)])]
 
-    def _on_upstream_frame(self, data, now):
+    def _on_upstream_frame(self, initiator, data, now):
         try:
             kind, fields = decode_frame(data)
         except WireError:
             return []
         if kind == Kind.CHANNEL_ACCEPT and not self.registered:
             try:
-                register, self.channel = self._initiator.confirm(fields, PeerRole.CONTROLLER, Kind.AH_REGISTER)
+                register, self.channel = initiator.confirm(fields, PeerRole.CONTROLLER, Kind.AH_REGISTER)
             except CredentialError as exc:
                 return [Log({"event": "register", "verdict": "failed", "reason": str(exc)})]
             return [Send(self.upstream_flow, register)]
@@ -315,7 +300,7 @@ class GatewayNode(Node):
         if kind == Kind.RELAY_CLOSE:
             relay = self.by_relay_id.get(fields.u32(F.FLOW))
             if relay is not None:
-                relay.dead = True  # swallow everything; the source times out
+                relay.dead = True  # swallow everything; the sweep closes it at its deadline
             return []
         if kind == Kind.CLIENT_SERVICES:
             return self._on_client_services(fields)
@@ -382,16 +367,15 @@ class GatewayNode(Node):
             Log({"event": "revoke", "client": client_id.hex(), "rules": rules, "flows": len(flows)})
         ]
         severed = set(flows)
-        for flow, splice in list(self.splices.items()):
-            if flow != splice.client_flow:
-                continue
-            if splice.five in severed or splice.client_id == client_id:
-                actions.extend(self._teardown_splice(splice, "revoked"))
-        for relay in [r for r in self.relay_flows.values() if r.client_id == client_id and not r.dead]:
-            # no driver reports on_closed for a flow its node closed, so forget it here
-            del self.relay_flows[relay.flow]
-            del self.by_relay_id[relay.relay_id]
-            actions.append(Close(relay.flow))
+        for flow in [
+            f for f, r in self.flows.items()
+            if isinstance(r, _Splice) and f == r.client_flow and (r.five in severed or r.client_id == client_id)
+        ]:
+            actions += self._close(flow, "revoked")
+        for flow in [
+            f for f, r in self.flows.items() if isinstance(r, _Relay) and r.client_id == client_id and not r.dead
+        ]:
+            actions += self._close(flow)
         self.data_gate.pop(client_id, None)
         self.client_store.remove(client_id)
         return actions
@@ -402,39 +386,48 @@ class GatewayNode(Node):
         if flow == splice.client_flow:
             verdict, reason = self.engine.verdict_segment(*splice.five, now)
             if verdict != FORWARD:
-                return self._teardown_splice(splice, reason)
+                return self._close(flow, reason)
             return [Send(splice.service_flow, data)]  # the driver holds it until the service connects
         # return path from the protected service
         self.engine.touch(*splice.five, now)
         return [Send(splice.client_flow, data)]
 
-    def _teardown_splice(self, splice, reason):
-        self.splices.pop(splice.client_flow, None)
-        self.splices.pop(splice.service_flow, None)
-        self.engine.conntrack_remove(*splice.five)
-        return [
-            Log({"event": "splice", "verdict": "closed", "reason": reason, "src": splice.five[0]}),
-            Close(splice.client_flow),
-            Close(splice.service_flow),
-        ]
+    # -- the flow table: every open stream has one record in ``flows`` ----------------
+
+    def _close(self, flow, reason=None):
+        """Forgets ``flow`` with every index that names it and closes it (a splice:
+        both legs), logging ``reason`` if given; the one place this node forgets a
+        flow (see ``Node``). A flow with no record, or ``None``, closes nothing."""
+        rec = self.flows.pop(flow, None)
+        if rec is None:
+            return []
+        if isinstance(rec, _Splice):
+            self.flows.pop(rec.client_flow, None)
+            self.flows.pop(rec.service_flow, None)
+            self.engine.conntrack_remove(*rec.five)
+            return [
+                Log({"event": "splice", "verdict": "closed", "reason": reason, "src": rec.five[0]}),
+                Close(rec.client_flow),
+                Close(rec.service_flow),
+            ]
+        if isinstance(rec, _Relay):
+            del self.by_relay_id[rec.relay_id]
+        elif isinstance(rec, _RelayGate):
+            rec.flow = None
+        log = [] if reason is None else [Log({"event": "relay", "verdict": "drop", "reason": reason, "src": rec.host})]
+        return log + [Close(flow)]
 
     def on_closed(self, flow, now):
+        rec = self.flows.get(flow)
+        if isinstance(rec, _Splice):
+            return self._close(flow, "peer-closed")
+        self._close(flow)  # the driver ended it: only forgetting it is left
         if flow == self.upstream_flow:
             self.registered = False
             self.channel = None
             return [SetTimer("register-retry", self._register_delay)]  # backs off as an unanswered retry does
-        relay = self.relay_flows.pop(flow, None)
-        if relay is not None:
-            self.by_relay_id.pop(relay.relay_id, None)
-            if self.registered and not relay.dead:
-                return [self._upstream(Kind.RELAY_CLOSE, [(F.FLOW, u32(relay.relay_id))])]
-            return []
-        splice = self.splices.get(flow)
-        if splice is not None:
-            return self._teardown_splice(splice, "peer-closed")
-        host = self._flow_src.pop(flow, None)
-        if host is not None:
-            self.relay_gate[host].flow = None
+        if isinstance(rec, _Relay) and self.registered and not rec.dead:
+            return [self._upstream(Kind.RELAY_CLOSE, [(F.FLOW, u32(rec.relay_id))])]
         return []
 
     # -- timers --------------------------------------------------------------------
@@ -444,8 +437,10 @@ class GatewayNode(Node):
             expired = self.engine.expire_rules(now)
             idled = self.engine.expire_idle(now, CONNTRACK_IDLE)
             actions = [SetTimer("sweep", SWEEP_TICK)]
-            for host, gate in self.relay_gate.expire(now):
-                actions += self._end_hello_wait(host, gate, "hello-timeout")
+            for _, gate in self.relay_gate.expire(now):
+                actions += self._close(gate.flow, "hello-timeout")
+            for flow in [f for f, r in self.flows.items() if isinstance(r, _Relay) and r.dead and r.deadline <= now]:
+                actions += self._close(flow, "dead")
             if expired or idled:
                 actions.append(Log({"event": "sweep", "rules_expired": expired, "conns_idled": idled}))
             return actions

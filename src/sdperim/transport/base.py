@@ -87,6 +87,10 @@ class Node:
     first. If the stream fails or is closed first, the writes are dropped
     with it. A node therefore keeps no backlog of its own.
 
+    A node's own ``Close`` is never reported back to it (no ``on_closed``
+    follows), so a node forgets a flow where it closes it. A ``Close`` of a
+    flow the driver has already ended, or never opened, does nothing.
+
     A datagram that reached the host before an inbound stream request, or
     before a frame on a ``FRAMED`` stream, is handed to the node first, so
     a control event never overtakes a datagram its peer sent earlier (an

@@ -345,6 +345,10 @@ def test_close_reaches_the_peer_once(driver, closer):
         assert await driver.wait(lambda: "closed" in other.hooks(theirs))
         await driver.settle(0.2)
         assert other.hooks(theirs).count("closed") == 1
+        # a Close of a flow the driver already ended, or never opened, does nothing
+        await driver.act(other, [Close(theirs), Close(other.new_flow())])
+        await driver.settle(0.2)
+        assert other.hooks(theirs).count("closed") == 1
         assert "closed" not in node.hooks(own)  # a node hears of no close it made
         assert driver.held(a) == driver.held(b) == set()
 

@@ -6,7 +6,9 @@ protocol logic: authentication, authorization, relaying, revocation, rule
 TTL semantics, and the darkness properties.
 """
 
+import ast
 import hashlib
+import inspect
 import random
 
 import pytest
@@ -14,11 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdperim.client
+import sdperim.controller
+import sdperim.gateway.node
 from sdperim import spa, wire
-from sdperim.client import ClientNode
+from sdperim.client import ClientNode, Tunnel
 from sdperim.credentials import CredentialError, SecureChannel
 from sdperim.deploy import build_sim, default_config
-from sdperim.gateway.node import SWEEP_TICK
+from sdperim.gateway.node import SWEEP_TICK, _Relay, _RelayGate
 from sdperim.spa import GATE_CAP, GATE_WINDOW
 from sdperim.transport.base import AcceptStream, Close, Log, Node, OpenStream, Send, SendDatagram
 from sdperim.transport.sim import PROTOCOL_CLASSES, two_way
@@ -58,6 +62,16 @@ def connect_client(dep, client=None):
     return client
 
 
+def flows_of(node, kind):
+    """``node``'s flows whose record is a ``kind``, in table order, as {flow: record}."""
+    return {flow: rec for flow, rec in node.flows.items() if isinstance(rec, kind)}
+
+
+def hello_waits(gw):
+    """The gateway's relay streams awaiting a hello, as {flow: source host}."""
+    return {flow: rec.host for flow, rec in flows_of(gw, _RelayGate).items()}
+
+
 class TestAuthentication:
     def test_valid_credentials_reach_authenticated(self):
         dep = authed_deployment()
@@ -85,6 +99,19 @@ class TestAuthentication:
         # darkness: not a single protocol frame ever went back to the client
         frames_back = [r for r in dep.net.trace if r.src == "gateway" and r.dst == "client" and r.cls == "data"]
         assert frames_back == []
+
+    def test_a_client_that_gives_up_closes_its_relay_stream(self):
+        dep = authed_deployment()
+        good = dep.client()
+        bad = ClientNode(
+            "client", good.identity, good.ca_public, spa.SpaKey(good.spa_key.client_id, b"\xee" * 32), "gateway",
+            rng=dep.net.node_rng("client"),
+        )
+        dep.net.add_node(bad)
+        assert run_until(dep.net, lambda: bad.failed, deadline=40.0)
+        dep.net.run(until=dep.net.clock + 1.0)
+        assert dep.net._by_local["client"] == {}
+        assert [f for f in dep.net._by_local["gateway"].values() if f.acc_node == "gateway"] == []  # no relay left
 
     def test_unknown_client_id_is_dark(self):
         dep = authed_deployment()
@@ -368,11 +395,30 @@ class TestTunnelAndTtl:
         assert tunnel.established and not tunnel.closed
         for wait in (0.0, 200.0):
             dep.net.run(until=dep.net.clock + wait)
-            assert list(client._flow_tunnel) == [tunnel.flow]
+            assert list(flows_of(client, Tunnel)) == [tunnel.flow]
             assert dep.gateway().engine.conntrack_count() == 1
             assert len(dep.net._by_local["cloud"]) == 1  # the echo service's open connections
         dep.net.act(client, client.tunnel_send("echo-cloud", b"ping"))
         assert run_until(dep.net, lambda: bytes(tunnel.rx) == b"ping", deadline=dep.net.clock + 5.0)
+
+    def test_regranted_service_keeps_its_open_tunnel_stream(self):
+        dep = authed_deployment()
+        client = connect_client(dep)
+        dep.net.act(client, client.open_service("echo-cloud", dep.net.clock))
+        assert run_until(dep.net, lambda: client.requests[1].state == "granted")
+        dep.net.act(client, client.open_tunnel_stream("echo-cloud"))
+        tunnel = client.tunnels["echo-cloud"]
+        assert run_until(dep.net, lambda: tunnel.established)
+        dep.net.act(client, client.open_service("echo-cloud", dep.net.clock))
+        assert run_until(dep.net, lambda: client.requests[2].state == "granted", deadline=dep.net.clock + 5.0)
+        dep.net.act(client, client.tunnel_send("echo-cloud", b"ping"))  # the stream open before the grant
+        assert run_until(dep.net, lambda: bytes(tunnel.rx) == b"ping", deadline=dep.net.clock + 5.0)
+        dep.net.run(until=dep.net.clock + 200.0)
+        assert client.tunnels["echo-cloud"] is tunnel and tunnel.established and not tunnel.closed
+        tunnel_streams = [f for f in dep.net._by_local["client"] if f != client._relay_flow]
+        assert tunnel_streams == [tunnel.flow]
+        assert dep.gateway().engine.conntrack_count() == 1
+        assert len(dep.net._by_local["cloud"]) == 1  # the echo service's open connections
 
 
 class TestSpliceIsolation:
@@ -485,7 +531,7 @@ class TestDeviceValidation:
         assert run_until(dep.net, lambda: client.revoked, deadline=dep.net.clock + 10.0)
         dep.net.run(until=dep.net.clock + 120.0)
         gw = dep.gateway()
-        assert gw.relay_flows == {}
+        assert flows_of(gw, _Relay) == {}
         assert gw.by_relay_id == {}
 
     def test_tampered_ack_revokes(self, monkeypatch):
@@ -577,7 +623,7 @@ class TestDarkness:
         relay = [r for r in dep.net.logs["gateway"] if r.get("event") == "relay"]
         assert [r["reason"] for r in relay] == [reason]
         assert forger.closed == [flow]
-        assert dep.gateway()._flow_src == {}
+        assert hello_waits(dep.gateway()) == {}
         replies = [r for r in dep.net.trace[before:] if r.dst == "client" and r.cls == "data"]
         assert replies == []
 
@@ -602,13 +648,46 @@ class TestDarkness:
         dep.net.run(until=dep.net.clock + 1.0)
         # one stream per source awaits its hello: each newer one closed the older
         gw = dep.gateway()
-        assert len(gw._flow_src) == 1 and gw.relay_gate["client"].flow in gw._flow_src
+        assert len(hello_waits(gw)) == 1 and gw.relay_gate["client"].flow in hello_waits(gw)
         assert sorted(forger.closed) == flows[:-1]
         dep.net.run(until=dep.net.clock + GATE_WINDOW + 2 * SWEEP_TICK)
         assert sorted(forger.closed) == flows
-        assert gw._flow_src == {} and "client" not in gw.relay_gate
+        assert hello_waits(gw) == {} and "client" not in gw.relay_gate
         relay = [r["reason"] for r in dep.net.logs["gateway"] if r.get("event") == "relay"]
         assert relay == ["superseded"] * 49 + ["hello-timeout"]
+
+    def test_a_dead_relay_closes_one_sweep_after_its_deadline(self):
+        # a made-up key opens the structural gate and its hello opens a relay;
+        # the controller refuses the SPA, and the source keeps its stream open
+        dep = authed_deployment()
+        gw = dep.gateway()
+
+        class Knocker(Node):
+            closed = []
+
+            def on_connected(self, flow, now):
+                return [Send(flow, encode_frame(Kind.CHANNEL_HELLO, [(F.SUBJECT_ID, b"\x99" * 16)]))]
+
+            def on_closed(self, flow, now):
+                self.closed.append(flow)
+                return []
+
+        knocker = Knocker("client")
+        dep.net.add_node(knocker)
+        dep.net.act(knocker, [SendDatagram(("gateway", 62201), forged_spa(dep.net.clock))])
+        dep.net.run(until=dep.net.clock + 0.5)
+        flow = knocker.new_flow()
+        dep.net.act(knocker, [OpenStream(flow, ("gateway", gw.relay_port))])
+        dep.net.run(until=dep.net.clock + 1.0)
+        (opened,) = [r["ts"] for r in dep.net.logs["gateway"] if r.get("event") == "relay" and r["verdict"] == "open"]
+        refused = [r["verdict"] for r in dep.net.logs["controller"] if r.get("event") == "client-spa"]
+        assert refused == ["unknown-client"]
+        dep.net.run(until=opened + GATE_WINDOW - 0.01)
+        assert knocker.closed == [] and len(dep.net._by_local["client"]) == 1  # held before its deadline
+        dep.net.run(until=opened + GATE_WINDOW + SWEEP_TICK + 0.01)
+        assert knocker.closed == [flow] and dep.net._by_local["client"] == {}
+        drops = [r for r in dep.net.logs["gateway"] if r.get("event") == "relay" and r["verdict"] == "drop"]
+        assert [r["reason"] for r in drops] == ["dead"] and opened + GATE_WINDOW <= drops[0]["ts"]
 
     def test_least_privilege_rule_table_subset_of_records(self):
         dep = authed_deployment()
@@ -717,7 +796,8 @@ class TestRelayGate:
         @given(st.lists(step, max_size=12))
         def check(steps):
             gw.relay_gate.clear()
-            gw._flow_src.clear()
+            for flow in hello_waits(gw):
+                del gw.flows[flow]
             now = 0.0
             for op, *args in steps:
                 if op == "spa":
@@ -736,23 +816,24 @@ class TestRelayGate:
                         older = gate.flow if gate is not None else None
                         actions = gw.on_stream_request(flow, gw.relay_port, src, now)
                         if gate is None or gate.deadline < now:
-                            assert AcceptStream(flow) not in actions and flow not in gw._flow_src
+                            assert AcceptStream(flow) not in actions and flow not in hello_waits(gw)
                         else:  # admitted, and the older stream from its source is closed
                             assert actions[-1] == AcceptStream(flow) and gate.flow == flow
                             assert [a.flow for a in actions if isinstance(a, Close)] == [older] * (older is not None)
-                        if gw._flow_src and rng.random() < 0.3:  # a source gives up on a waiting stream
-                            gw.on_closed(rng.choice(list(gw._flow_src)), now)
+                        if hello_waits(gw) and rng.random() < 0.3:  # a source gives up on a waiting stream
+                            gw.on_closed(rng.choice(list(hello_waits(gw))), now)
                 elif op == "advance":
                     now += args[0]
                 else:
                     gw.on_timer("sweep", now)
                     assert all(g.deadline >= now for g in gw.relay_gate.values())
                 deadlines = [g.deadline for g in gw.relay_gate.values()]
-                assert len(gw._flow_src) <= len(deadlines) <= GATE_CAP
+                waiting = hello_waits(gw)
+                assert len(waiting) <= len(deadlines) <= GATE_CAP
                 assert deadlines == sorted(deadlines)
                 # each waiting stream's gate exists and names it, and each named stream waits
-                assert all(gw.relay_gate[host].flow == flow for flow, host in gw._flow_src.items())
-                assert all(gw._flow_src[g.flow] == host for host, g in gw.relay_gate.items() if g.flow is not None)
+                assert all(gw.relay_gate[host].flow == flow for flow, host in waiting.items())
+                assert all(waiting[g.flow] == host for host, g in gw.relay_gate.items() if g.flow is not None)
 
         check()
 
@@ -770,7 +851,7 @@ class TestHelloWait:
         dep.net.run(until=dep.net.clock + 0.5)
         dep.net.act(forger, [OpenStream(forger.new_flow(), ("gateway", gw.relay_port)) for _ in range(5000)])
         dep.net.run(until=dep.net.clock + 5.0)
-        assert len(gw._flow_src) == 1 and len(gw.relay_gate) == 1
+        assert len(hello_waits(gw)) == 1 and len(gw.relay_gate) == 1
         open_relay = [
             f for f in dep.net._by_local["gateway"].values()
             if f.acc_node == "gateway" and f.acc_addr[1] == gw.relay_port
@@ -793,7 +874,7 @@ class TestHelloWait:
                 assert closed == [flows[i - GATE_CAP]] and reasons == ["evicted"]
             flows.append(gw.new_flow())
             assert gw.on_stream_request(flows[-1], gw.relay_port, forged_src(i), now) == [AcceptStream(flows[-1])]
-        assert list(gw._flow_src) == flows[100:]
+        assert list(hello_waits(gw)) == flows[100:]
         assert [g.flow for g in gw.relay_gate.values()] == flows[100:]
 
     def test_resent_spa_keeps_the_waiting_stream_and_its_hello_opens_the_relay(self):
@@ -808,13 +889,13 @@ class TestHelloWait:
         actions = gw.on_datagram(gw.spa_port, src, resent, now + 1.0)
         assert [a.record["verdict"] for a in actions] == ["gate-relay"]  # logged, nothing closed
         gate = gw.relay_gate["client"]
-        assert gate.flow == flow and gate.spa_bytes == resent and gw._flow_src == {flow: src[0]}
+        assert gate.flow == flow and gate.spa_bytes == resent and hello_waits(gw) == {flow: src[0]}
         actions = gw.on_data(flow, encode_frame(Kind.CHANNEL_HELLO, [(F.SUBJECT_ID, key.client_id)]), now + 2.0)
         assert [a.record for a in actions if isinstance(a, Log)] == [
             {"event": "relay", "verdict": "open", "src": "client", "client": key.client_id.hex()}
         ]
         assert [a.flow for a in actions if isinstance(a, Send)] == [gw.upstream_flow] * 2  # RELAY_OPEN, SPA_FORWARD
-        assert flow in gw.relay_flows and gw._flow_src == {} and "client" not in gw.relay_gate
+        assert flow in flows_of(gw, _Relay) and hello_waits(gw) == {} and "client" not in gw.relay_gate
 
     def test_a_waiting_stream_its_source_closed_is_forgotten(self):
         dep = authed_deployment()
@@ -824,7 +905,7 @@ class TestHelloWait:
         first, second = gw.new_flow(), gw.new_flow()
         assert gw.on_stream_request(first, gw.relay_port, src, now) == [AcceptStream(first)]
         gw.on_closed(first, now)
-        assert gw._flow_src == {} and gw.relay_gate[src[0]].flow is None
+        assert hello_waits(gw) == {} and gw.relay_gate[src[0]].flow is None
         assert gw.on_stream_request(second, gw.relay_port, src, now) == [AcceptStream(second)]
 
     def test_client_whose_first_stream_sent_no_hello_authenticates_on_retry(self):
@@ -850,7 +931,7 @@ class TestHelloWait:
         assert client.ready and client.session_id is not None and not client.revoked
         relay = [(r["verdict"], r.get("reason")) for r in dep.net.logs["gateway"] if r.get("event") == "relay"]
         assert relay == [("drop", "superseded"), ("open", None)]
-        assert dep.gateway()._flow_src == {}
+        assert hello_waits(dep.gateway()) == {}
 
 
 class TestRegistration:
@@ -888,13 +969,32 @@ class TestRegistration:
         assert 1 <= len(self.link_closes(dep)) <= 8  # 2, 4, 8, 16, 32, 32 ... s apart, not every 2 s
         assert not dep.gateway().registered
 
+    def test_a_restarted_gateway_stays_registered_when_its_old_stream_closes(self):
+        """The gateway registers again without closing its first stream, as a
+        restart does. The controller closes the older link, so the old
+        stream's close cannot unregister the gateway."""
+        dep = authed_deployment()
+        gw, ctl = dep.gateway(), dep.controller
+        old = gw.upstream_flow
+        gw.upstream_flow, gw.registered, gw.channel = None, False, None  # a restart forgets, it does not close
+        dep.net.act(gw, gw._begin_register(dep.net.clock))
+        assert run_until(dep.net, lambda: gw.registered, deadline=dep.net.clock + 2.0)
+        dep.net.act(gw, [Close(old)])
+        dep.net.run(until=dep.net.clock + 1.0)
+        assert gw.registered and len(ctl.by_gateway) == 1
+        assert list(ctl.links) == [ctl.by_gateway[gw.spa_key.client_id].flow]
+        client = connect_client(dep)
+        dep.net.act(client, client.open_service("echo-cloud", dep.net.clock))
+        assert run_until(dep.net, lambda: client.requests[1].state != "pending", deadline=dep.net.clock + 5.0)
+        assert client.requests[1].state == "granted"
+
     def test_a_registered_link_that_closes_is_retried_after_two_seconds(self):
         dep = authed_deployment()
         gw, ctl = dep.gateway(), dep.controller
         (link,) = ctl.links.values()
         closed_at = dep.net.clock
-        ctl.on_closed(link.flow, closed_at)  # the controller ends the link as its error path does
-        dep.net.act(ctl, [Close(link.flow)])
+        # the controller ends the link as its error path does
+        dep.net.act(ctl, ctl._close(link.flow, event="channel", verdict="closed", reason="test"))
         dep.net.run(until=closed_at + 1.9)
         assert not gw.registered
         assert run_until(dep.net, lambda: gw.registered, deadline=closed_at + 2.5)
@@ -983,3 +1083,74 @@ class TestControlPlaneBytes:
         assert dep.controller.session_count() == 1
         assert count == 39
         assert digest.hexdigest() == "868b7b8f98b3169b71d15424efedbf50a6bd0afe359b0bbfb52f57646eaca41b"
+
+
+class TestFlowTables:
+    """Each protocol node keeps one record per open flow in one table (the
+    controller's is ``links``) and forgets a flow only in its ``_close``."""
+
+    @pytest.mark.parametrize("module", [sdperim.client, sdperim.controller, sdperim.gateway.node])
+    def test_only_close_builds_a_close(self, module):
+        """No driver reports a node's own ``Close``, so a ``Close`` built
+        anywhere but ``_close`` could leave its flow's record behind."""
+
+        def closes(root):
+            return [
+                n for n in ast.walk(root)
+                if isinstance(n, ast.Call) and getattr(n.func, "id", getattr(n.func, "attr", None)) == "Close"
+            ]
+
+        tree = ast.parse(inspect.getsource(module))
+        (close,) = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "_close"]
+        assert len(closes(close)) >= 1 and len(closes(tree)) == len(closes(close))
+
+    def test_tables_hold_exactly_the_flows_the_driver_holds_open(self, monkeypatch):
+        """A full session (authentication, a grant, a tunnel stream, a re-grant,
+        a client that fails, revocation). After each step, once its segments
+        have landed, each node's table names exactly the flows ``SimNet`` holds
+        open for it. The one allowed difference is an inbound initiation the
+        node declined: ``SimNet`` keeps it in ``syn-sent``, as its initiator
+        is never answered."""
+        dep = authed_deployment(
+            clients=[
+                {"id": "aa" * 16, "host": "client", "services": ["echo-cloud"]},
+                {"id": "dd" * 16, "host": "client2", "services": ["echo-cloud"]},
+            ],
+            topology=TWO_CLIENT_TOPOLOGY,
+            timing={"validation_interval": 2.0},
+        )
+        net, gw, ctl = dep.net, dep.gateway(), dep.controller
+        client, other = dep.clients["aa" * 16], dep.clients["dd" * 16]
+        failing = ClientNode(
+            "client2", other.identity, other.ca_public, spa.SpaKey(other.spa_key.client_id, b"\xee" * 32), "gateway",
+            rng=net.node_rng("client2"),
+        )
+        tables = {gw.name: gw.flows, ctl.name: ctl.links, client.name: client.flows, failing.name: failing.flows}
+
+        def step(until):
+            assert run_until(net, until, deadline=net.clock + 60.0)
+            net.run(until=net.clock + 1.0)  # the step's segments land
+            for name, table in tables.items():
+                held = net._by_local.get(name, {})
+                open_ = {f for f, flow in held.items() if not (flow.acc_node == name and flow.state == "syn-sent")}
+                assert set(table) == open_, name
+
+        step(lambda: gw.registered)
+        net.add_node(client)
+        step(lambda: client.ready)
+        net.act(client, client.open_service("echo-cloud", net.clock))
+        step(lambda: client.requests[1].state == "granted")
+        net.act(client, client.open_tunnel_stream("echo-cloud"))
+        tunnel = client.tunnels["echo-cloud"]
+        step(lambda: tunnel.established)
+        net.act(client, client.open_service("echo-cloud", net.clock))
+        step(lambda: client.requests[2].state == "granted")
+        net.act(client, client.tunnel_send("echo-cloud", b"ping"))
+        step(lambda: bytes(tunnel.rx) == b"ping")
+        assert list(flows_of(client, Tunnel)) == [tunnel.flow]
+        net.add_node(failing)
+        step(lambda: failing.failed)
+        assert failing.flows == {}
+        monkeypatch.setattr(client, "_on_validate", lambda fields, now: [])
+        step(lambda: client.revoked)
+        assert client.flows == {} and flows_of(gw, _Relay) == {} and ctl.session_count() == 0
