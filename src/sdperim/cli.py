@@ -26,8 +26,6 @@ import random
 import sys
 from typing import TYPE_CHECKING
 
-import yaml
-
 # module attributes, so that a traced perimbench run can wrap the node builders
 from .deploy import build_client, build_controller, build_gateway
 
@@ -43,11 +41,20 @@ def _config_dir(path: str) -> str:
     return os.path.dirname(os.path.abspath(path))
 
 
-def _load(path: str):
-    from .config import load_config, load_material
+def _load_host(path: str, section: str, host_id: str | None):
+    """The config, this host's entry in ``section`` (the first one unless
+    ``host_id`` names another) and only this host's material."""
+    from .config import load_config, load_host_material
     cfg = load_config(path)
-    material = load_material(cfg, _config_dir(path))
-    return cfg, material
+    entries = getattr(cfg, section)
+    entry = next(e for e in entries if e.id == (host_id or entries[0].id))
+    return cfg, entry, load_host_material(cfg, _config_dir(path), entry)
+
+
+def _load_yaml(path: str):
+    import yaml
+    with open(path, "r", encoding="utf-8") as fh:
+        return yaml.safe_load(fh)
 
 
 async def _run_forever(host: RealHost) -> int:
@@ -97,25 +104,21 @@ def gateway_main(argv=None) -> int:
     parser.add_argument("--log", help="JSON-lines verdict log path")
     args = parser.parse_args(argv)
     try:
-        cfg, material = _load(args.config)
-        gw_id = args.id or cfg.gateways[0].id
-        entry = next(g for g in cfg.gateways if g.id == gw_id)
+        cfg, entry, material = _load_host(args.config, "gateways", args.id)
     except (ConfigError, FileNotFoundError, StopIteration, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_AUTH
-    node = build_gateway(cfg, material, gw_id, random.Random())
-    print(f"gateway {gw_id[:8]} on {entry.host} (spa {cfg.ports.spa}, relay {cfg.ports.control})")
+    node = build_gateway(cfg, material, entry.id, random.Random())
+    print(f"gateway {entry.id[:8]} on {entry.host} (spa {cfg.ports.spa}, relay {cfg.ports.control})")
     try:
         return asyncio.run(_run_forever(RealHost(node, entry.host, log_path=args.log)))
     except KeyboardInterrupt:
         return EXIT_OK
 
 
-async def _client_session(cfg, material, args) -> int:
+async def _client_session(cfg, entry, material, args) -> int:
     from .transport.real import RealHost
-    client_id = args.id or cfg.clients[0].id
-    entry = next(c for c in cfg.clients if c.id == client_id)
-    node = build_client(cfg, material, client_id, random.Random())
+    node = build_client(cfg, material, entry.id, random.Random())
     host = RealHost(node, entry.host)
     await host.start()
     try:
@@ -205,12 +208,12 @@ def client_main(argv=None) -> int:
     parser.add_argument("--id", help="client id (hex); defaults to the first configured client")
     args = parser.parse_args(argv)
     try:
-        cfg, material = _load(args.config)
-    except (ConfigError, FileNotFoundError) as exc:
+        cfg, entry, material = _load_host(args.config, "clients", args.id)
+    except (ConfigError, FileNotFoundError, StopIteration, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_AUTH
     try:
-        return asyncio.run(_client_session(cfg, material, args))
+        return asyncio.run(_client_session(cfg, entry, material, args))
     except KeyboardInterrupt:
         return EXIT_OK
 
@@ -291,10 +294,7 @@ def attack_main(argv=None) -> int:
 
     from .harness.experiment import ExperimentSpec, run_experiment
 
-    overrides = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            overrides = yaml.safe_load(fh) or {}
+    overrides = (_load_yaml(args.config) or {}) if args.config else {}
     overrides.setdefault("seed", args.seed)
     if args.no_sdp:
         overrides["with_sdp"] = False
@@ -328,8 +328,7 @@ def delaycalc_main(argv=None) -> int:
     parser.add_argument("--params", required=True, help="YAML/JSON parameter file")
     parser.add_argument("--trace", help="JSON-lines trace from a simulated run")
     args = parser.parse_args(argv)
-    with open(args.params, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+    raw = _load_yaml(args.params)
     params = DelayParams.from_dict(raw)
     report = {
         "sdp_overhead": sdp_overhead(params),

@@ -1,10 +1,13 @@
 """Deployment configuration and key provisioning.
 
 One YAML document describes a whole deployment; every binary reads the same
-file and uses only its role section. Secrets never live in the YAML: they
-are provisioned into a material directory, one file per host and kind. The
-controller's records of authorized hosts are built from this file and that
-material at start-up (``deploy.controller_records``).
+file and uses only its role section. A file that is JSON (also YAML) is read
+with ``json``, so PyYAML is imported only for other YAML. Secrets never live
+in the config: they are provisioned into a material directory, one file per
+host and kind. The controller reads all of it and builds its records of
+authorized hosts from this file and that material at start-up
+(``deploy.controller_records``); a gateway or client reads only ``ca.pub``
+and its own ``.cert``, ``.key`` and ``.spa``.
 
 Example::
 
@@ -32,12 +35,12 @@ Topology links are directed; omit the section to get a default full chain.
 
 from __future__ import annotations
 
+import json
+import math
 import os
 import random
 from dataclasses import asdict, dataclass, field
 
-import yaml
-from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from . import spa
@@ -108,6 +111,11 @@ class DeploymentConfig:
         return out
 
     def validate(self) -> None:
+        for name in ("rule_ttl", "validation_interval"):
+            value = getattr(self.timing, name)
+            # YAML 1.1 reads a number like 3e1 as a string; a bool is no duration either
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
+                raise ConfigError(f"timing.{name} must be a positive number of seconds, not {value!r}")
         ids = set()
         for entry in [self.controller, *self.gateways, *self.clients]:
             if len(entry.id) != 32:
@@ -172,13 +180,19 @@ def config_from_dict(raw: dict) -> DeploymentConfig:
 
 def load_config(path) -> DeploymentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+        text = fh.read()
+    try:
+        raw = json.loads(text)
+    except ValueError:  # not JSON: other YAML
+        import yaml
+        raw = yaml.safe_load(text)
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
     return config_from_dict(raw)
 
 
 def dump_config(cfg: DeploymentConfig) -> str:
+    import yaml
     return yaml.safe_dump(cfg.to_dict(), sort_keys=True)
 
 
@@ -187,12 +201,14 @@ def dump_config(cfg: DeploymentConfig) -> str:
 
 @dataclass
 class Material:
-    """Everything secret for one deployment: the issuing authority, per-host
-    identities and first-contact keys."""
+    """Everything secret for one deployment, or for one of its hosts: the
+    issuing authority's public key, per-host identities and first-contact
+    keys, and the authority itself where it was read."""
 
-    ca: CertificateAuthority
+    ca_public: bytes
     identities: dict[str, Identity]  # hex id -> identity
     spa_keys: dict[str, spa.SpaKey]
+    ca: CertificateAuthority | None = None  # None in one host's material
 
 
 def generate_material(cfg: DeploymentConfig, rng: random.Random | None = None) -> Material:
@@ -207,12 +223,11 @@ def generate_material(cfg: DeploymentConfig, rng: random.Random | None = None) -
     for entry, role in roles:
         seed = rand.randbytes(32)
         key = Ed25519PrivateKey.from_private_bytes(seed)
-        pub = key.public_key().public_bytes(serialization.Encoding.Raw, serialization.PublicFormat.Raw)
-        cert = ca.issue(entry.id_bytes, role, pub)
+        cert = ca.issue(entry.id_bytes, role, key.public_key().public_bytes_raw())
         identities[entry.id] = Identity(cert, key)
         if role != PeerRole.CONTROLLER:
             keys[entry.id] = spa.SpaKey(entry.id_bytes, rand.randbytes(spa.SECRET_LEN))
-    return Material(ca, identities, keys)
+    return Material(ca.public_bytes, identities, keys, ca)
 
 
 # -- provisioning to disk -------------------------------------------------------
@@ -225,7 +240,7 @@ def provision(cfg: DeploymentConfig, base_dir, force: bool = False) -> str:
         raise ConfigError(f"material already exists in {material_dir}; use force to replace")
     os.makedirs(material_dir, exist_ok=True)
     material = generate_material(cfg)
-    _write(material_dir, "ca.pub", material.ca.public_bytes.hex())
+    _write(material_dir, "ca.pub", material.ca_public.hex())
     _write(material_dir, "ca.key", material.ca.private_bytes().hex())
     for hex_id, identity in material.identities.items():
         _write(material_dir, f"{hex_id}.cert", identity.cert.encode().hex())
@@ -245,16 +260,35 @@ def _read(d, name) -> str:
         return fh.read().strip()
 
 
+def _identity(material_dir, hex_id) -> Identity:
+    return Identity.from_material(
+        bytes.fromhex(_read(material_dir, f"{hex_id}.cert")), bytes.fromhex(_read(material_dir, f"{hex_id}.key"))
+    )
+
+
+def _spa_key(material_dir, entry: HostEntry) -> spa.SpaKey:
+    return spa.SpaKey(entry.id_bytes, bytes.fromhex(_read(material_dir, f"{entry.id}.spa")))
+
+
 def load_material(cfg: DeploymentConfig, base_dir) -> Material:
+    """The whole deployment's material, as the controller reads it."""
     material_dir = os.path.join(base_dir, cfg.material_dir)
     ca = CertificateAuthority.from_seed(bytes.fromhex(_read(material_dir, "ca.key")))
     identities = {}
     keys = {}
     for entry in [cfg.controller, *cfg.gateways, *cfg.clients]:
-        identities[entry.id] = Identity.from_material(
-            bytes.fromhex(_read(material_dir, f"{entry.id}.cert")),
-            bytes.fromhex(_read(material_dir, f"{entry.id}.key")),
-        )
+        identities[entry.id] = _identity(material_dir, entry.id)
         if entry is not cfg.controller:
-            keys[entry.id] = spa.SpaKey(entry.id_bytes, bytes.fromhex(_read(material_dir, f"{entry.id}.spa")))
-    return Material(ca, identities, keys)
+            keys[entry.id] = _spa_key(material_dir, entry)
+    return Material(ca.public_bytes, identities, keys, ca)
+
+
+def load_host_material(cfg: DeploymentConfig, base_dir, entry: HostEntry) -> Material:
+    """What one gateway or client reads: ``ca.pub`` and its own ``.cert``,
+    ``.key`` and ``.spa``, so a host holds no other host's secret."""
+    material_dir = os.path.join(base_dir, cfg.material_dir)
+    return Material(
+        bytes.fromhex(_read(material_dir, "ca.pub")),
+        {entry.id: _identity(material_dir, entry.id)},
+        {entry.id: _spa_key(material_dir, entry)},
+    )

@@ -26,7 +26,6 @@ import enum
 from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
-from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -50,16 +49,6 @@ class PeerRole(enum.IntEnum):
 
 class CredentialError(Exception):
     pass
-
-
-def _raw_public(key: Ed25519PublicKey | X25519PublicKey) -> bytes:
-    return key.public_bytes(serialization.Encoding.Raw, serialization.PublicFormat.Raw)
-
-
-def _raw_private(key: Ed25519PrivateKey) -> bytes:
-    return key.private_bytes(
-        serialization.Encoding.Raw, serialization.PrivateFormat.Raw, serialization.NoEncryption()
-    )
 
 
 @dataclass(frozen=True)
@@ -113,10 +102,10 @@ class CertificateAuthority:
 
     @property
     def public_bytes(self) -> bytes:
-        return _raw_public(self._key.public_key())
+        return self._key.public_key().public_bytes_raw()
 
     def private_bytes(self) -> bytes:
-        return _raw_private(self._key)
+        return self._key.private_bytes_raw()
 
     def issue(self, subject_id: bytes, role: PeerRole, public_key: bytes, issued_at: int = 0) -> Certificate:
         self._serial += 1
@@ -153,7 +142,7 @@ class Identity:
         return cls(Certificate.decode(cert_blob), Ed25519PrivateKey.from_private_bytes(signing_seed))
 
     def signing_seed(self) -> bytes:
-        return _raw_private(self._signing_key)
+        return self._signing_key.private_bytes_raw()
 
     def sign(self, message: bytes) -> bytes:
         return self._signing_key.sign(message)
@@ -224,7 +213,7 @@ class HandshakeResponder:
         self.initiator_nonce = initiator_nonce
         self.nonce = nonce
         self._eph = X25519PrivateKey.from_private_bytes(eph_seed)
-        self.eph_pub = _raw_public(self._eph.public_key())
+        self.eph_pub = self._eph.public_key().public_bytes_raw()
         self.signature = identity.sign(accept_transcript(initiator_nonce, nonce, self.eph_pub))
 
     def accept_fields(self) -> list[tuple[int, bytes]]:
@@ -264,7 +253,7 @@ class HandshakeInitiator:
         self.ca_public = ca_public
         self.initiator_nonce = initiator_nonce
         self._eph = X25519PrivateKey.from_private_bytes(eph_seed)
-        self.eph_pub = _raw_public(self._eph.public_key())
+        self.eph_pub = self._eph.public_key().public_bytes_raw()
 
     def hello(self, subject_id: bytes) -> bytes:
         """CHANNEL_HELLO naming the first-contact datagram's subject, which the gates match."""

@@ -57,7 +57,7 @@ def build_controller(cfg: DeploymentConfig, material: Material, rng) -> Controll
     return ControllerNode(
         cfg.controller.host,
         material.identities[cfg.controller.id],
-        material.ca.public_bytes,
+        material.ca_public,
         clients=clients,
         services=services,
         gateways=gateways,
@@ -79,7 +79,7 @@ def build_gateway(cfg: DeploymentConfig, material: Material, gw_id: str, rng) ->
     return GatewayNode(
         entry.host,
         material.identities[gw_id],
-        material.ca.public_bytes,
+        material.ca_public,
         material.spa_keys[gw_id],
         (cfg.controller.host, cfg.ports.control),
         bindings,
@@ -96,7 +96,7 @@ def build_client(cfg: DeploymentConfig, material: Material, client_id: str, rng)
     return ClientNode(
         entry.host,
         material.identities[client_id],
-        material.ca.public_bytes,
+        material.ca_public,
         material.spa_keys[client_id],
         gw_host,
         rng=rng,

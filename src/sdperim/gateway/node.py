@@ -441,6 +441,12 @@ class GatewayNode(Node):
                 actions += self._close(gate.flow, "hello-timeout")
             for flow in [f for f, r in self.flows.items() if isinstance(r, _Relay) and r.dead and r.deadline <= now]:
                 actions += self._close(flow, "dead")
+            if idled:  # a splice whose conntrack entry idled out closes with it
+                for flow in [
+                    f for f, r in self.flows.items()
+                    if isinstance(r, _Splice) and f == r.client_flow and self.engine.conntrack_client(*r.five) is None
+                ]:
+                    actions += self._close(flow, "idle")
             if expired or idled:
                 actions.append(Log({"event": "sweep", "rules_expired": expired, "conns_idled": idled}))
             return actions

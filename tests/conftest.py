@@ -1,7 +1,6 @@
 import random
 
 import pytest
-from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from sdperim import spa
@@ -29,8 +28,7 @@ def client_key():
 
 def issue_identity(ca, subject_id, role):
     key = Ed25519PrivateKey.generate()
-    public = key.public_key().public_bytes(serialization.Encoding.Raw, serialization.PublicFormat.Raw)
-    return Identity(ca.issue(subject_id, role, public), key)
+    return Identity(ca.issue(subject_id, role, key.public_key().public_bytes_raw()), key)
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ import asyncio
 import importlib
 import json
 import os
+import shutil
 import socket
 import subprocess
 import sys
@@ -47,10 +48,22 @@ services:
 IDS = dict(ctrl="cc" * 16, gw="bb" * 16, client="aa" * 16)
 
 
-def write_config(tmp_path, base):
-    path = tmp_path / "deploy.yaml"
-    path.write_text(CONFIG.format(spa=base + 1, control=base, svc=base + 2, public=base + 3, **IDS))
+def write_config(tmp_path, base, name="deploy.yaml"):
+    """The test deployment's config on ports from ``base``; a ``.json`` name writes it as JSON."""
+    text = CONFIG.format(spa=base + 1, control=base, svc=base + 2, public=base + 3, **IDS)
+    path = tmp_path / name
+    path.write_text(json.dumps(yaml.safe_load(text)) if name.endswith(".json") else text)
     return path
+
+
+def host_copy(cfg, hex_id, dest):
+    """A directory holding ``cfg`` and, of its provisioned material, only what
+    host ``hex_id`` needs: ``ca.pub`` and its own certificate, key and SPA secret."""
+    material = dest / "material"
+    material.mkdir(parents=True)
+    for name in ("ca.pub", f"{hex_id}.cert", f"{hex_id}.key", f"{hex_id}.spa"):
+        shutil.copy(cfg.parent / "material" / name, material / name)
+    return Path(shutil.copy(cfg, dest))
 
 
 def cmd(args):
@@ -110,42 +123,48 @@ def test_local_forwarder_keeps_no_written_bytes():
     assert tunnel.rx == bytearray()
 
 
-# Runs one binary's main with the given arguments in a fresh interpreter (a
-# node role's with --help, then builds its node) and prints every module then
-# loaded.
+# Runs one binary's main with the given arguments in a fresh interpreter and
+# prints its exit code and every module then loaded. A node binary returns once
+# it has loaded its config and material and built its node, before it binds a socket.
 IMPORT_PROBE = """
-import contextlib, io, json, random, sys
+import contextlib, io, json, sys
 import sdperim.cli
+
+async def built(host):
+    return 0
+
+sdperim.cli._run_forever = built
 role, args = sys.argv[1], sys.argv[2:]
-with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
-    getattr(sdperim.cli, role + "_main")(args)
-if role in ("gateway", "controller"):
-    from sdperim import config, deploy
-    cfg = deploy.default_config()
-    material = config.generate_material(cfg, random.Random(1))
-    if role == "gateway":
-        deploy.build_gateway(cfg, material, cfg.gateways[0].id, random.Random(2))
-    else:
-        deploy.build_controller(cfg, material, random.Random(2))
-print(json.dumps(sorted(sys.modules)))
+with contextlib.redirect_stdout(io.StringIO()):
+    code = getattr(sdperim.cli, role + "_main")(args)
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
 NOT_LIVE = {"sdperim.transport.sim", "sdperim.client", "sdperim.delay_model", "sdperim.services", "sdperim.scenarios"}
+# what a node binary needs only for a config that is not JSON, or not at all
+NOT_AT_START = {"yaml", "cryptography.hazmat.primitives.serialization"}
 
 
 def loaded(code, *args):
     result = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=60, env=ENV)
     assert result.returncode == 0, result.stderr
-    return set(json.loads(result.stdout))
+    out = json.loads(result.stdout)
+    assert out["code"] == 0
+    return set(out["modules"])
 
 
 def test_live_binaries_load_only_their_own_role(tmp_path):
+    json_cfg = write_config(tmp_path, 31600, "deploy.json")
+    yaml_cfg = write_config(tmp_path, 31600)  # the same deployment as YAML, beside the same material
+    assert run(["controller", "--config", str(json_cfg), "--provision"]).returncode == 0
     for role, own, other in (("gateway", "sdperim.gateway.node", "sdperim.controller"),
                              ("controller", "sdperim.controller", "sdperim.gateway.node")):
-        modules = loaded(IMPORT_PROBE, role, "--help")
+        modules = loaded(IMPORT_PROBE, role, "--config", str(json_cfg))
         assert own in modules and "sdperim.transport.real" in modules
-        assert modules.isdisjoint(NOT_LIVE | {other}), modules & (NOT_LIVE | {other})
+        assert modules.isdisjoint(NOT_LIVE | NOT_AT_START | {other}), modules & (NOT_LIVE | NOT_AT_START | {other})
         assert not any(m.startswith("sdperim.harness") for m in modules)
+        modules = loaded(IMPORT_PROBE, role, "--config", str(yaml_cfg))
+        assert own in modules and "yaml" in modules
     # the binaries that build no node load no key material code
     params = tmp_path / "params.yaml"
     params.write_text(yaml.safe_dump(dict(alpha_bits=[720.0] * 8, beta_m=[50.0] * 8, rate_bps=1.0e6, speed_mps=2.0e8)))
@@ -155,7 +174,7 @@ def test_live_binaries_load_only_their_own_role(tmp_path):
         modules = loaded(IMPORT_PROBE, *args)
         assert own in modules and "sdperim.config" not in modules
         assert not any(m.startswith(("cryptography", "sdperim.credentials")) for m in modules)
-    modules = loaded('import json, sys, sdperim.transport.real; print(json.dumps(list(sys.modules)))')
+    modules = loaded('import json, sys, sdperim.transport.real; print(json.dumps({"code": 0, "modules": list(sys.modules)}))')
     assert "sdperim.transport.real" in modules and "sdperim.transport.sim" not in modules
 
 
@@ -177,9 +196,13 @@ def test_client_rejects_missing_material(tmp_path):
 
 
 def test_full_binary_session(tmp_path):
+    """The controller runs on all the material, the gateway and the client
+    each on a directory with only their own files."""
     base = 31200
     cfg = write_config(tmp_path, base)
     assert run(["controller", "--config", str(cfg), "--provision"]).returncode == 0
+    gw_cfg = host_copy(cfg, IDS["gw"], tmp_path / "gateway")
+    client_cfg = host_copy(cfg, IDS["client"], tmp_path / "client")
 
     echo_code = (
         "import asyncio\n"
@@ -201,14 +224,14 @@ def test_full_binary_session(tmp_path):
         time.sleep(0.5)
         procs.append(
             subprocess.Popen(
-                cmd(["gateway", "--config", str(cfg), "--log", str(tmp_path / "gw.jsonl")]),
+                cmd(["gateway", "--config", str(gw_cfg), "--log", str(tmp_path / "gw.jsonl")]),
                 stdout=subprocess.DEVNULL,
                 env=ENV,
             )
         )
         time.sleep(0.7)
         client = subprocess.Popen(
-            cmd(["client", "--config", str(cfg), "--service", "echo-cloud", "--local-port", str(base + 9)]),
+            cmd(["client", "--config", str(client_cfg), "--service", "echo-cloud", "--local-port", str(base + 9)]),
             stdout=subprocess.DEVNULL,
             env=ENV,
         )

@@ -1,5 +1,6 @@
 """Deployment config: round trip, validation, provisioning."""
 
+import json
 import os
 
 import pytest
@@ -10,6 +11,7 @@ from sdperim.config import (
     config_from_dict,
     dump_config,
     load_config,
+    load_host_material,
     load_material,
     provision,
 )
@@ -29,6 +31,26 @@ def test_load_from_file(tmp_path):
     path.write_text(dump_config(default_config()))
     cfg = load_config(path)
     assert cfg.services[0].public_port == 4444
+    path.write_text(json.dumps(default_config().to_dict()))  # JSON text is read the same
+    assert load_config(path).to_dict() == cfg.to_dict()
+
+
+def test_timing_values_are_numbers(tmp_path):
+    # YAML 1.1 reads 3e1 as a string, which would fail at every login; JSON reads it as a number
+    path = tmp_path / "deploy.yaml"
+    path.write_text(dump_config(default_config()).replace("validation_interval: 30.0", "validation_interval: 3e1"))
+    with pytest.raises(ConfigError, match="validation_interval"):
+        load_config(path)
+    path.write_text(json.dumps(default_config().to_dict()).replace('"validation_interval": 30.0', '"validation_interval": 3e1'))
+    assert load_config(path).timing.validation_interval == 30.0
+
+
+@pytest.mark.parametrize("value", ["60", True, 0, -1.0, None, float("inf"), float("nan")])
+def test_validation_rejects_a_rule_ttl_that_is_no_positive_number(value):
+    raw = default_config().to_dict()
+    raw["timing"]["rule_ttl"] = value
+    with pytest.raises(ConfigError, match="rule_ttl"):
+        config_from_dict(raw)
 
 
 @pytest.mark.parametrize(
@@ -67,6 +89,23 @@ def test_provision_writes_material_and_refuses_overwrite(tmp_path):
     with pytest.raises(ConfigError, match="force"):
         provision(cfg, tmp_path)
     provision(cfg, tmp_path, force=True)  # explicit override allowed
+
+
+def test_a_host_reads_only_its_own_material(tmp_path):
+    cfg = default_config()
+    material_dir = provision(cfg, tmp_path)
+    gw = cfg.gateways[0]
+    full = load_material(cfg, tmp_path)
+    for name in os.listdir(material_dir):
+        if name not in ("ca.pub", f"{gw.id}.cert", f"{gw.id}.key", f"{gw.id}.spa"):
+            os.remove(os.path.join(material_dir, name))
+    own = load_host_material(cfg, tmp_path, gw)
+    assert own.ca is None and own.ca_public == full.ca.public_bytes
+    assert list(own.identities) == list(own.spa_keys) == [gw.id]
+    assert own.identities[gw.id].cert == full.identities[gw.id].cert
+    assert own.spa_keys[gw.id] == full.spa_keys[gw.id]
+    with pytest.raises(FileNotFoundError):
+        load_material(cfg, tmp_path)
 
 
 def test_provisioned_material_loads_and_matches_records(tmp_path):

@@ -22,7 +22,7 @@ from sdperim import spa, wire
 from sdperim.client import ClientNode, Tunnel
 from sdperim.credentials import CredentialError, SecureChannel
 from sdperim.deploy import build_sim, default_config
-from sdperim.gateway.node import SWEEP_TICK, _Relay, _RelayGate
+from sdperim.gateway.node import CONNTRACK_IDLE, SWEEP_TICK, _Relay, _RelayGate, _Splice
 from sdperim.spa import GATE_CAP, GATE_WINDOW
 from sdperim.transport.base import AcceptStream, Close, Log, Node, OpenStream, Send, SendDatagram
 from sdperim.transport.sim import PROTOCOL_CLASSES, two_way
@@ -419,6 +419,22 @@ class TestTunnelAndTtl:
         assert tunnel_streams == [tunnel.flow]
         assert dep.gateway().engine.conntrack_count() == 1
         assert len(dep.net._by_local["cloud"]) == 1  # the echo service's open connections
+
+    def test_an_idle_splice_closes_with_its_conntrack_entry(self):
+        dep = authed_deployment()
+        client = connect_client(dep)
+        gw = dep.gateway()
+        dep.net.act(client, client.open_service("echo-cloud", dep.net.clock))
+        assert run_until(dep.net, lambda: client.requests[1].state == "granted")
+        dep.net.act(client, client.open_tunnel_stream("echo-cloud"))
+        tunnel = client.tunnels["echo-cloud"]
+        assert run_until(dep.net, lambda: tunnel.established)
+        assert len(flows_of(gw, _Splice)) == 2 and len(dep.net._by_local["cloud"]) == 1
+        dep.net.run(until=dep.net.clock + CONNTRACK_IDLE + 100.0)
+        assert gw.engine.conntrack_count() == 0
+        assert flows_of(gw, _Splice) == {}
+        assert len(dep.net._by_local["cloud"]) == 0  # the echo service's open connections
+        assert tunnel.closed
 
 
 class TestSpliceIsolation:
