@@ -87,7 +87,7 @@ def controller_main(argv=None) -> int:
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_AUTH
-    node = build_controller(cfg, material, random.Random())
+    node = build_controller(cfg, material, random.SystemRandom())
     print(f"controller {cfg.controller.id[:8]} on {cfg.controller.host}:{cfg.ports.control}")
     try:
         return asyncio.run(_run_forever(RealHost(node, cfg.controller.host)))
@@ -108,7 +108,7 @@ def gateway_main(argv=None) -> int:
     except (ConfigError, FileNotFoundError, StopIteration, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_AUTH
-    node = build_gateway(cfg, material, entry.id, random.Random())
+    node = build_gateway(cfg, material, entry.id, random.SystemRandom())
     print(f"gateway {entry.id[:8]} on {entry.host} (spa {cfg.ports.spa}, relay {cfg.ports.control})")
     try:
         return asyncio.run(_run_forever(RealHost(node, entry.host, log_path=args.log)))
@@ -116,10 +116,9 @@ def gateway_main(argv=None) -> int:
         return EXIT_OK
 
 
-async def _client_session(cfg, entry, material, args) -> int:
+async def _client_session(node, bind_host: str, args) -> int:
     from .transport.real import RealHost
-    node = build_client(cfg, material, entry.id, random.Random())
-    host = RealHost(node, entry.host)
+    host = RealHost(node, bind_host)
     await host.start()
     try:
         for _ in range(int(20 / 0.05)):
@@ -152,7 +151,7 @@ async def _client_session(cfg, entry, material, args) -> int:
         print(f"granted; forwarding {tunnel.endpoint[0]}:{tunnel.endpoint[1]}")
         server = await asyncio.start_server(
             lambda r, w: _serve_local(host, node, args.service, r, w),
-            host=entry.host,
+            host=bind_host,
             port=args.local_port,
         )
         addr = server.sockets[0].getsockname()
@@ -212,8 +211,9 @@ def client_main(argv=None) -> int:
     except (ConfigError, FileNotFoundError, StopIteration, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_AUTH
+    node = build_client(cfg, material, entry.id, random.SystemRandom())
     try:
-        return asyncio.run(_client_session(cfg, entry, material, args))
+        return asyncio.run(_client_session(node, entry.host, args))
     except KeyboardInterrupt:
         return EXIT_OK
 

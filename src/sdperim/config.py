@@ -111,6 +111,12 @@ class DeploymentConfig:
         return out
 
     def validate(self) -> None:
+        ports = [("ports.spa", self.ports.spa), ("ports.control", self.ports.control)]
+        for s in self.services:
+            ports += [(f"{s.service_id}.protected_port", s.protected_port), (f"{s.service_id}.public_port", s.public_port)]
+        for name, value in ports:
+            if isinstance(value, bool) or not isinstance(value, int) or not 0 < value < 65536:
+                raise ConfigError(f"{name} must be a port number from 1 to 65535, not {value!r}")
         for name in ("rule_ttl", "validation_interval"):
             value = getattr(self.timing, name)
             # YAML 1.1 reads a number like 3e1 as a string; a bool is no duration either
@@ -118,9 +124,12 @@ class DeploymentConfig:
                 raise ConfigError(f"timing.{name} must be a positive number of seconds, not {value!r}")
         ids = set()
         for entry in [self.controller, *self.gateways, *self.clients]:
-            if len(entry.id) != 32:
+            try:
+                hex_id = len(entry.id) == 32 and bytes.fromhex(entry.id)
+            except (TypeError, ValueError):
+                hex_id = False
+            if not hex_id:
                 raise ConfigError(f"id {entry.id!r} must be 32 hex chars")
-            bytes.fromhex(entry.id)
             if entry.id in ids:
                 raise ConfigError(f"duplicate id {entry.id}")
             ids.add(entry.id)
@@ -172,7 +181,7 @@ def config_from_dict(raw: dict) -> DeploymentConfig:
             services=[ServiceEntry(**s) for s in raw.get("services", [])],
             topology_links=(raw.get("topology") or {}).get("links") if "topology" in raw else None,
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad config: {exc}") from exc
     cfg.validate()
     return cfg
@@ -185,7 +194,10 @@ def load_config(path) -> DeploymentConfig:
         raw = json.loads(text)
     except ValueError:  # not JSON: other YAML
         import yaml
-        raw = yaml.safe_load(text)
+        try:
+            raw = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path}: neither JSON nor YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
     return config_from_dict(raw)
@@ -212,8 +224,9 @@ class Material:
 
 
 def generate_material(cfg: DeploymentConfig, rng: random.Random | None = None) -> Material:
-    """Fresh material; a seeded RNG makes it reproducible (simulated runs)."""
-    rand = rng or random.Random(os.urandom(16).hex())
+    """Fresh material, drawn from the OS by default; a seeded RNG makes it
+    reproducible (simulated runs)."""
+    rand = rng or random.SystemRandom()
     ca = CertificateAuthority.from_seed(rand.randbytes(32))
     identities: dict[str, Identity] = {}
     keys: dict[str, spa.SpaKey] = {}

@@ -6,13 +6,12 @@ rules stay meaningful). Outbound connections bind the host address as their
 source. Framed ports run a frame splitter so nodes always see whole frames;
 raw ports pass chunks through.
 
-The socket callbacks call the node inline and execute the actions it
-returns before they return. Nodes are synchronous and the event loop is
-single-threaded, so events need no queue, task or lock; the only tasks a
-host creates are outbound connects and the hand-over of accepted sockets
-to asyncio transports.
+Every socket is a plain non-blocking one that the host owns and watches
+with the loop's ``add_reader`` and ``add_writer``; the host uses no asyncio
+transport, task or future. The socket callbacks call the node inline and
+execute the actions it returns before they return. Nodes are synchronous
+and the event loop is single-threaded, so events need no queue or lock.
 
-UDP listeners are plain non-blocking sockets watched with ``add_reader``.
 Each datagram is read into one host-owned 64 KiB buffer and the node gets
 an exact-size copy. asyncio's datagram transport instead receives into a
 fresh 256 KiB ``bytes`` and shrinks it, and the result keeps a private 4 KiB
@@ -24,19 +23,28 @@ an ephemeral port, in one ``sendto`` each; an ``OSError`` (a full buffer, a
 queued ICMP error) loses that datagram, as the network could. asyncio's
 datagram transport would silently skip an empty one.
 
-TCP listeners are watched the same way. Each accept takes the connection as
+A TCP listener is watched the same way. Each accept takes the connection as
 a bare descriptor (``socket._accept``, which ``socket.accept`` wraps) and
 asks the node with the peer address it returned. A declined stream (or one
 whose hook raised) costs one ``os.close``, before any payload byte, with no
-socket object, transport, task or selector registration. Only an accepted
-stream gets a socket and an asyncio transport, whose ``connection_made``
-reports ``on_connected``. Writes the node issues on a stream before its
-transport exists, inbound or outbound, wait on the stream and go out before
+socket object or selector registration. The kernel still completes the
+handshake and sends the SYN-ACK for every source, so a SYN scan sees the
+port open; a socket filter (``SO_ATTACH_FILTER``) could withhold it, and
+none is attached yet.
+
+An accepted stream gets a socket object and is connected at once; an
+outbound one is a ``connect_ex`` from the host address, watched for
+writability, and ``SO_ERROR`` then decides between ``on_connected`` and
+``on_connect_failed``. Every stream has ``TCP_NODELAY``. A stream's reads
+go into the same buffer as datagrams, and the node gets an exact-size copy
+(a ``FRAMED`` stream's splitter copies the bytes into whole frames). A write
+goes out at once with ``send``; only what the kernel did not take waits on
+the stream, watched for room until it drains. Writes the node issues on a
+stream before it is connected wait there too and go out before
 ``on_connected`` runs, as the contract in ``base.Node`` says; a ``Close`` on
-an outbound stream still connecting cancels its connect, and the node hears
-nothing more of it. The kernel still completes the handshake and sends the
-SYN-ACK for every source, so a SYN scan sees the port open; a socket filter
-(``SO_ATTACH_FILTER``) could withhold it, and none is attached yet.
+an outbound stream still connecting closes its socket, and the node hears
+nothing more of it. A ``Close`` of a connected stream sends what is queued
+and then closes the socket; so does the end of a stream the peer closed.
 
 A quiet listener is handled one item (a datagram or an accept) per selector
 wakeup, with no added delay. A busy one is polled instead, because the same
@@ -132,71 +140,26 @@ else:
         return "".join(_c_encode(record, 0))
 
 
-class _Stream(asyncio.Protocol):
-    """One TCP stream of one flow: an inbound one is made when its socket is
-    accepted (``sock`` until a transport takes it over), an outbound one when
-    the node opens it (its connect task in ``connecting``). Writes issued
-    before the transport exists wait in ``pending``; a close before then
-    drops them and closes ``sock`` or cancels the connect."""
+class _Stream:
+    """One TCP stream of one flow. An inbound one is made when its connection
+    is accepted and gets ``sock`` only once the node takes it; an outbound one
+    gets ``sock`` when the node opens it. ``connected`` once the handshake is
+    done. Bytes the kernel has not taken wait in ``out``; while a connected
+    stream holds some, its writer is watched. ``closed`` once the node is
+    done with the flow: a connected stream then sends what ``out`` holds
+    before its socket closes."""
 
-    def __init__(self, host: "RealHost", mode: str, flow: int):
-        self.host = host
+    __slots__ = ("flow", "sock", "fd", "splitter", "out", "accepted", "connected", "closed")
+
+    def __init__(self, mode: str, flow: int):
         self.flow = flow
         self.sock: socket.socket | None = None
-        self.transport = None
-        self.connecting: asyncio.Task | None = None
-        self.pending: list[bytes] = []
+        self.fd = -1
         self.splitter = FrameSplitter() if mode == FRAMED else None
+        self.out = bytearray()
         self.accepted = False
+        self.connected = False
         self.closed = False
-
-    def connection_made(self, transport):
-        self.transport, self.connecting = transport, None
-        if self.closed or self.host._stopped:
-            transport.close()
-            return
-        for data in self.pending:
-            transport.write(data)
-        self.pending.clear()
-        self.host._execute(self.host.node.on_connected(self.flow, time.time()))
-
-    def data_received(self, data):
-        host = self.host
-        if self.splitter is None:
-            host._execute(host.node.on_data(self.flow, data, time.time()))
-            return
-        try:
-            chunks = self.splitter.feed(data)
-        except WireError:
-            self.connection_lost(None)
-            return
-        for chunk in chunks:
-            host._drain_datagrams()
-            if self.closed:  # by the node, or by what those datagrams made it do
-                return
-            host._execute(host.node.on_data(self.flow, chunk, time.time()))
-
-    def connection_lost(self, exc):
-        host = self.host
-        if not self.closed and not host._stopped:
-            self.close()
-            host._execute(host.node.on_closed(self.flow, time.time()))
-
-    def write(self, data: bytes):
-        if self.transport is None:
-            self.pending.append(data)
-        else:
-            self.transport.write(data)
-
-    def close(self):
-        self.closed = True
-        self.host._flows.pop(self.flow, None)
-        if self.transport is not None:
-            self.transport.close()
-        elif self.sock is not None:
-            self.sock.close()
-        elif self.connecting is not None:
-            self.connecting.cancel()  # the node hears nothing more of this flow
 
 
 class _Listener:
@@ -238,7 +201,7 @@ class RealHost:
         self._recv_buf = bytearray(RECV_BUF)
         self._recv_view = memoryview(self._recv_buf)
         self._udp_send: socket.socket | None = None
-        self._tasks: set[asyncio.Task] = set()  # outbound connects, accepted-stream attaches
+        self._draining: set[_Stream] = set()  # closed by the node, still sending what they hold
         self._stopped = False
 
     # -- lifecycle ----------------------------------------------------------
@@ -271,12 +234,14 @@ class RealHost:
         for sock in self._listeners:
             loop.remove_reader(sock)
             sock.close()
-        for stream in list(self._flows.values()):
-            stream.close()
-        for task in self._tasks:
-            task.cancel()
-        if self._tasks:
-            await asyncio.gather(*self._tasks, return_exceptions=True)
+        for stream in [*self._flows.values(), *self._draining]:
+            stream.closed = True
+            if stream.sock is not None:
+                loop.remove_reader(stream.fd)
+                loop.remove_writer(stream.fd)
+                stream.sock.close()
+        self._flows.clear()
+        self._draining.clear()
         if self._log_fd is not None:
             os.close(self._log_fd)
             self._log_fd = None
@@ -388,7 +353,7 @@ class RealHost:
         return True
 
     def _accept(self, listener: _Listener) -> bool:
-        # the node decides before asyncio builds anything for the stream
+        # the node decides before the host builds anything for the stream
         try:
             fd, peer = listener.sock._accept()  # what socket.accept calls, less the socket object
         except BlockingIOError:
@@ -406,7 +371,7 @@ class RealHost:
             self._loop.call_later(ACCEPT_RETRY_DELAY, self._watch, listener)
             return False
         flow = self.node.new_flow()
-        stream = _Stream(self, listener.mode, flow)
+        stream = _Stream(listener.mode, flow)
         self._flows[flow] = stream
         attach = False
         try:
@@ -418,18 +383,137 @@ class RealHost:
         finally:
             if not attach:
                 # declined, closed at once, or the hook raised: sever before any payload byte
-                stream.close()
+                self._close(stream)
                 os.close(fd)
         if attach:
-            stream.sock = socket.socket(listener.sock.family, listener.sock.type, listener.sock.proto, fileno=fd)
-            self._spawn(self._attach(stream))
+            lsock = listener.sock
+            stream.sock, stream.fd = socket.socket(lsock.family, lsock.type, lsock.proto, fileno=fd), fd
+            stream.sock.setblocking(False)
+            try:
+                self._connected(stream)
+            except Exception as exc:  # contained: the stream stays open
+                self._loop.call_exception_handler({"message": "on_connected failed", "exception": exc})
         return True
 
-    async def _attach(self, stream: _Stream):
-        sock, stream.sock = stream.sock, None
-        if stream.closed:  # closed before this task ran; close() took the socket
+    # -- streams ------------------------------------------------------------------
+
+    def _open(self, stream: _Stream, dst):
+        try:
+            stream.sock = socket.socket(self._udp_send.family, socket.SOCK_STREAM)  # the host address's family
+            stream.fd = stream.sock.fileno()
+            stream.sock.setblocking(False)
+            stream.sock.bind((self.bind_host, 0))
+            err = stream.sock.connect_ex(dst)
+            if err not in (0, errno.EINPROGRESS):
+                raise OSError(err, os.strerror(err))
+        except OSError as exc:  # reported on the next loop pass, as a refused connect is
+            self._loop.call_soon(self._connect_failed, stream, str(exc))
             return
-        await asyncio.get_running_loop().connect_accepted_socket(lambda: stream, sock)
+        self._loop.add_writer(stream.fd, self._on_connect, stream)
+
+    def _on_connect(self, stream: _Stream):
+        err = stream.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+        if err:
+            self._connect_failed(stream, str(OSError(err, os.strerror(err))))
+            return
+        self._loop.remove_writer(stream.fd)
+        self._connected(stream)
+
+    def _connect_failed(self, stream: _Stream, reason: str):
+        if not stream.closed:  # (a Close or stop came first)
+            self._close(stream)
+            self._execute(self.node.on_connect_failed(stream.flow, reason, time.time()))
+
+    def _connected(self, stream: _Stream):
+        """Watch a connected stream, send what waited for it, then report it."""
+        stream.connected = True
+        stream.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._loop.add_reader(stream.fd, self._on_stream_readable, stream)
+        if stream.out:
+            waiting, stream.out = stream.out, bytearray()
+            self._send(stream, waiting)
+        self._execute(self.node.on_connected(stream.flow, time.time()))
+
+    def _on_stream_readable(self, stream: _Stream):
+        try:
+            n = stream.sock.recv_into(self._recv_buf)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:  # a reset
+            n = 0
+        if not n:
+            self._lost(stream)
+            return
+        if stream.splitter is None:
+            self._on_data(stream, bytes(self._recv_view[:n]))
+            return
+        try:
+            chunks = stream.splitter.feed(self._recv_view[:n])
+        except WireError:
+            self._lost(stream)
+            return
+        for chunk in chunks:
+            self._drain_datagrams()
+            if stream.closed:  # by the node, or by what those datagrams made it do
+                return
+            self._on_data(stream, chunk)
+
+    def _on_data(self, stream: _Stream, data: bytes):
+        try:
+            self._execute(self.node.on_data(stream.flow, data, time.time()))
+        except Exception as exc:  # contained: the stream closes, and the node hears of it
+            self._loop.call_exception_handler({"message": "on_data failed", "exception": exc})
+            self._lost(stream)
+
+    def _send(self, stream: _Stream, data: bytes):
+        if stream.out or not stream.connected:  # behind what already waits
+            stream.out += data
+            return
+        try:
+            n = stream.sock.send(data)
+        except (BlockingIOError, InterruptedError):
+            n = 0
+        except OSError:  # a reset: the node hears of it from the loop, not inside this action
+            self._loop.call_soon(self._lost, stream)
+            return
+        if n < len(data):
+            stream.out += memoryview(data)[n:]
+            self._loop.add_writer(stream.fd, self._on_writable, stream)
+
+    def _on_writable(self, stream: _Stream):
+        try:
+            del stream.out[:stream.sock.send(stream.out)]
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:  # a reset: what waits is lost
+            stream.out.clear()
+            self._loop.call_soon(self._lost, stream)
+        if not stream.out:
+            self._loop.remove_writer(stream.fd)
+            if stream.closed:
+                self._draining.discard(stream)
+                stream.sock.close()
+
+    def _close(self, stream: _Stream):
+        """End a flow for the node; its socket closes once ``out`` is sent."""
+        stream.closed = True
+        self._flows.pop(stream.flow, None)
+        if stream.sock is None:  # an inbound stream not taken (_accept closes it), or a failed open
+            return
+        if not stream.connected:
+            self._loop.remove_writer(stream.fd)  # the connect ends with the socket
+        else:
+            self._loop.remove_reader(stream.fd)
+            if stream.out:  # _on_writable closes it when it drains
+                self._draining.add(stream)
+                return
+        stream.sock.close()
+
+    def _lost(self, stream: _Stream):
+        """The stream ended without the node's ``Close``: close it and report it."""
+        if not stream.closed:
+            self._close(stream)
+            self._execute(self.node.on_closed(stream.flow, time.time()))
 
     # -- actions ----------------------------------------------------------------
 
@@ -448,9 +532,8 @@ class RealHost:
                     except OSError:
                         pass  # lost, as on the network
             elif isinstance(action, OpenStream):
-                stream = _Stream(self, action.mode, action.flow)
-                self._flows[action.flow] = stream
-                stream.connecting = self._spawn(self._connect(stream, action.dst))
+                stream = self._flows[action.flow] = _Stream(action.mode, action.flow)
+                self._open(stream, action.dst)
             elif isinstance(action, AcceptStream):
                 stream = self._flows.get(action.flow)
                 if stream is not None:
@@ -458,11 +541,11 @@ class RealHost:
             elif isinstance(action, Send):
                 stream = self._flows.get(action.flow)
                 if stream is not None:
-                    stream.write(action.data)
+                    self._send(stream, action.data)
             elif isinstance(action, Close):
                 stream = self._flows.get(action.flow)
                 if stream is not None:
-                    stream.close()
+                    self._close(stream)
             elif isinstance(action, SetTimer):
                 self._set_timer(action.key, action.delay)
             elif isinstance(action, CancelTimer):
@@ -479,12 +562,6 @@ class RealHost:
             line = line[n:]
             n = os.write(self._log_fd, line)
 
-    def _spawn(self, coro) -> asyncio.Task:
-        task = asyncio.ensure_future(coro)
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
-        return task
-
     def _set_timer(self, key, delay):
         old = self._timers.pop(key, None)
         if old is not None:
@@ -495,12 +572,3 @@ class RealHost:
             self._execute(self.node.on_timer(key, time.time()))
 
         self._timers[key] = asyncio.get_running_loop().call_later(delay, fire)
-
-    async def _connect(self, stream: _Stream, dst):
-        try:
-            await asyncio.get_running_loop().create_connection(
-                lambda: stream, dst[0], dst[1], local_addr=(self.bind_host, 0)
-            )
-        except OSError as exc:
-            self._flows.pop(stream.flow, None)
-            self._execute(self.node.on_connect_failed(stream.flow, str(exc), time.time()))

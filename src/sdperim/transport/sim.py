@@ -153,6 +153,7 @@ class _Flow:
     spoofed_host: str | None = None
     since: float = 0.0  # when the acceptor answered
     timeout_seq: int = 0  # sequence number of its handshake timeout while the ack is awaited, else 0
+    closer: str | None = None  # the node whose Close ended it; its data in flight still arrives
 
 
 class SimNet:
@@ -348,7 +349,7 @@ class SimNet:
         if flow is None or flow.state == "closed":
             return
         peer = self._peer(flow, name)
-        flow.state = "closed"
+        flow.state, flow.closer = "closed", name
         self._forget(flow)  # the close segment in flight carries the flow itself
         if name == flow.acc_node:
             self._settle(flow)
@@ -450,7 +451,7 @@ class SimNet:
         self.act(node, node.on_connected(flow.acc_local, self.clock))
 
     def _on_data(self, flow: _Flow, sender: str, data: bytes) -> None:
-        if flow.state == "closed":
+        if flow.state == "closed" and flow.closer != sender:
             return
         peer = self._peer(flow, sender)
         if peer is None:

@@ -4,6 +4,7 @@ Each binary runs as ``python -m sdperim <name>`` from the checkout under
 test, so no install or console script on ``PATH`` is needed.
 """
 
+import ast
 import asyncio
 import importlib
 import json
@@ -19,6 +20,7 @@ import pytest
 import yaml
 
 import sdperim
+import sdperim.cli
 from sdperim.__main__ import BINARIES
 from sdperim.cli import _serve_local
 from sdperim.client import Tunnel
@@ -130,14 +132,22 @@ IMPORT_PROBE = """
 import contextlib, io, json, sys
 import sdperim.cli
 
+rngs = []
+
 async def built(host):
+    rngs.append(type(host.node.rng).__name__)
+    return 0
+
+async def session(node, bind_host, args):
+    rngs.append(type(node.rng).__name__)
     return 0
 
 sdperim.cli._run_forever = built
+sdperim.cli._client_session = session
 role, args = sys.argv[1], sys.argv[2:]
 with contextlib.redirect_stdout(io.StringIO()):
     code = getattr(sdperim.cli, role + "_main")(args)
-print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+print(json.dumps({"code": code, "modules": sorted(sys.modules), "rngs": rngs}))
 """
 
 NOT_LIVE = {"sdperim.transport.sim", "sdperim.client", "sdperim.delay_model", "sdperim.services", "sdperim.scenarios"}
@@ -145,12 +155,16 @@ NOT_LIVE = {"sdperim.transport.sim", "sdperim.client", "sdperim.delay_model", "s
 NOT_AT_START = {"yaml", "cryptography.hazmat.primitives.serialization"}
 
 
-def loaded(code, *args):
+def probe(code, *args) -> dict:
     result = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=60, env=ENV)
     assert result.returncode == 0, result.stderr
     out = json.loads(result.stdout)
     assert out["code"] == 0
-    return set(out["modules"])
+    return out
+
+
+def loaded(code, *args):
+    return set(probe(code, *args)["modules"])
 
 
 def test_live_binaries_load_only_their_own_role(tmp_path):
@@ -159,12 +173,15 @@ def test_live_binaries_load_only_their_own_role(tmp_path):
     assert run(["controller", "--config", str(json_cfg), "--provision"]).returncode == 0
     for role, own, other in (("gateway", "sdperim.gateway.node", "sdperim.controller"),
                              ("controller", "sdperim.controller", "sdperim.gateway.node")):
-        modules = loaded(IMPORT_PROBE, role, "--config", str(json_cfg))
+        out = probe(IMPORT_PROBE, role, "--config", str(json_cfg))
+        modules = set(out["modules"])
+        assert out["rngs"] == ["SystemRandom"]  # every nonce and ephemeral key from the OS
         assert own in modules and "sdperim.transport.real" in modules
         assert modules.isdisjoint(NOT_LIVE | NOT_AT_START | {other}), modules & (NOT_LIVE | NOT_AT_START | {other})
         assert not any(m.startswith("sdperim.harness") for m in modules)
         modules = loaded(IMPORT_PROBE, role, "--config", str(yaml_cfg))
         assert own in modules and "yaml" in modules
+    assert probe(IMPORT_PROBE, "client", "--config", str(json_cfg))["rngs"] == ["SystemRandom"]
     # the binaries that build no node load no key material code
     params = tmp_path / "params.yaml"
     params.write_text(yaml.safe_dump(dict(alpha_bits=[720.0] * 8, beta_m=[50.0] * 8, rate_bps=1.0e6, speed_mps=2.0e8)))
@@ -176,6 +193,22 @@ def test_live_binaries_load_only_their_own_role(tmp_path):
         assert not any(m.startswith(("cryptography", "sdperim.credentials")) for m in modules)
     modules = loaded('import json, sys, sdperim.transport.real; print(json.dumps({"code": 0, "modules": list(sys.modules)}))')
     assert "sdperim.transport.real" in modules and "sdperim.transport.sim" not in modules
+
+
+def test_binaries_build_no_seedable_generator():
+    # a Mersenne Twister's state can be recovered from its outputs, and the nodes publish nonces
+    tree = ast.parse(Path(sdperim.cli.__file__).read_text(encoding="utf-8"))
+    calls = [ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert "random.SystemRandom" in calls and "random.Random" not in calls
+
+
+def test_unparsable_config_exits_2_without_a_traceback(tmp_path):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("seed: [1")
+    for binary in ("gateway", "controller", "client"):
+        result = run([binary, "--config", str(bad)])
+        assert result.returncode == 2, (binary, result.stderr)
+        assert "Traceback" not in result.stderr and "error:" in result.stderr
 
 
 def test_provision_and_force(tmp_path):

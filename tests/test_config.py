@@ -58,6 +58,13 @@ def test_timing_values_are_numbers(tmp_path):
         (lambda d: d["timing"].update(rule_ttl=float("nan")), "nan rule_ttl"),
         (lambda d: d["timing"].update(validation_interval=0), "zero validation_interval"),
         (lambda d: d["timing"].update(validation_interval=float("inf")), "infinite validation_interval"),
+        (lambda d: d["ports"].update(spa="x"), "string port"),
+        (lambda d: d["ports"].update(spa=0), "port 0"),
+        (lambda d: d["ports"].update(control=70000), "port past 65535"),
+        (lambda d: d["ports"].update(control=True), "bool port"),
+        (lambda d: d["services"][0].update(public_port=-1), "negative service port"),
+        (lambda d: d["clients"][0].update(id="zz" * 16), "32 chars, not hex"),
+        (lambda d: d.update(seed="x"), "string seed"),
     ],
 )
 def test_validation_rejects_bad_configs(mutate, message):
@@ -65,6 +72,13 @@ def test_validation_rejects_bad_configs(mutate, message):
     mutate(raw)
     with pytest.raises(ConfigError):
         config_from_dict(raw)
+
+
+def test_text_neither_json_nor_yaml_is_a_config_error(tmp_path):
+    path = tmp_path / "bad.yaml"
+    path.write_text("seed: [1")
+    with pytest.raises(ConfigError, match="neither JSON nor YAML"):
+        load_config(path)
 
 
 def test_port_collision_rejected():

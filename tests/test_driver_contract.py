@@ -9,6 +9,8 @@ differ by design, the case says so and asserts each side.
 """
 
 import asyncio
+import os
+import socket
 import time
 
 import pytest
@@ -166,6 +168,14 @@ class Sim(Driver):
     def held(self, node):
         return set(self.net._by_local[node.name])
 
+    async def late_reader(self, port, delay, size):
+        """A peer on ``B:port`` that takes one stream and keeps what it
+        receives; returns a function giving the bytes so far. ``SimNet``
+        delivers each ``Send`` whole, so here the peer has no pace of its own."""
+        peer = Toy(B, tcp={port: RAW})
+        await self.add(peer)
+        return lambda: b"".join(e[2] for e in peer.events if e[0] == "data")
+
     def logs(self, node):
         return self.net.logs[node.name]
 
@@ -176,6 +186,7 @@ class Real(Driver):
     def __init__(self):
         super().__init__()
         self.hosts = {}
+        self.peers = []  # (task, listening socket) of each late reader
 
     async def add(self, *nodes):
         for node in nodes:
@@ -197,12 +208,37 @@ class Real(Driver):
     def held(self, node):
         return set(self.hosts[node.name]._flows)
 
+    async def late_reader(self, port, delay, size):
+        """A plain socket on ``B:port`` with a small receive buffer that takes
+        one stream, waits ``delay`` seconds and then reads it ``size`` bytes
+        at a time; returns a function giving the bytes so far."""
+        loop, got = asyncio.get_running_loop(), bytearray()
+        lsock = socket.socket()
+        lsock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 16384)  # an accepted socket inherits it
+        lsock.bind((B, port))
+        lsock.listen()
+        lsock.setblocking(False)
+
+        async def serve():
+            conn, _ = await loop.sock_accept(lsock)
+            with conn:
+                await asyncio.sleep(delay)
+                while data := await loop.sock_recv(conn, size):
+                    got.extend(data)
+
+        self.peers.append((asyncio.ensure_future(serve()), lsock))
+        return lambda: bytes(got)
+
     def logs(self, node):
         return self.hosts[node.name].logs
 
     async def stop(self):
         for host in self.hosts.values():
             await host.stop()
+        for task, lsock in self.peers:
+            task.cancel()
+            await asyncio.gather(task, return_exceptions=True)
+            lsock.close()
 
 
 @pytest.fixture(params=[Sim, Real], ids=["sim", "real"])
@@ -262,27 +298,36 @@ def test_stream_closed_before_it_connects_reports_nothing(driver):
     driver.run(case)
 
 
+def open_descriptors() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
 def test_close_cancels_a_pending_connect_on_real_sockets():
     a = Toy(A)
 
-    async def hang(*args, **kwargs):
-        await asyncio.Event().wait()  # a host that drops the initiation
-
     async def main():
-        asyncio.get_running_loop().create_connection = hang
         host = RealHost(a, A)
         await host.start()
-        try:
-            flow = a.new_flow()
-            await host.call(lambda now: [OpenStream(flow, (B, 23253), RAW)])
-            await asyncio.sleep(0)
-            assert len(host._tasks) == 1
-            await host.call(lambda now: [Close(flow)])
-            for _ in range(3):  # the cancelled task ends, then its done callback runs
-                await asyncio.sleep(0)
-            assert host._tasks == set() and host._flows == {} and a.events == []
-        finally:
-            await host.stop()
+        # a listener whose accept queue is full drops the next SYN, so a
+        # connect toward it stays pending
+        with socket.socket() as full, socket.socket() as filler:
+            full.bind((B, 23253))
+            full.listen(0)
+            filler.connect((B, 23253))
+            before = open_descriptors()
+            try:
+                flow = a.new_flow()
+                await host.call(lambda now: [OpenStream(flow, (B, 23253), RAW)])
+                await asyncio.sleep(0.3)
+                assert a.events == [] and set(host._flows) == {flow}
+                assert open_descriptors() == before + 1  # the pending connect's socket
+                await host.call(lambda now: [Close(flow)])
+                await asyncio.sleep(0.2)
+                assert host._flows == {} and a.events == []
+                assert open_descriptors() == before
+            finally:
+                await host.stop()
 
     asyncio.run(main())
 
@@ -351,6 +396,47 @@ def test_close_reaches_the_peer_once(driver, closer):
         assert other.hooks(theirs).count("closed") == 1
         assert "closed" not in node.hooks(own)  # a node hears of no close it made
         assert driver.held(a) == driver.held(b) == set()
+
+    driver.run(case)
+
+
+def test_a_large_send_then_close_arrives_whole_before_the_close(driver):
+    # more than the kernel takes at once, so most of it waits in the driver when the Close comes
+    data = bytes(range(256)) * (4 * 4096)  # 4 MiB
+    a, b = Toy(A), Toy(B, tcp={23551: RAW})
+
+    async def case():
+        await driver.add(a, b)
+        flow = a.new_flow()
+        await driver.act(a, [OpenStream(flow, (B, 23551), RAW)])
+        assert await driver.wait(lambda: a.events and len(b.events) == 2)
+        (peer,) = b.requests()
+        await driver.act(a, [Send(flow, data), Close(flow)])
+        assert await driver.wait(lambda: "closed" in b.hooks(peer), 20.0)
+        await driver.settle(0.2)
+        assert b"".join(b.chunks(peer)) == data
+        hooks = b.hooks(peer)
+        assert hooks[:2] == ["request", "connected"] and hooks[-1] == "closed" and hooks.count("closed") == 1
+        assert a.hooks(flow) == ["connected"]
+        assert driver.held(a) == driver.held(b) == set()
+
+    driver.run(case)
+
+
+def test_a_peer_that_reads_late_and_slowly_gets_a_large_send_in_order(driver):
+    data = bytes(range(256)) * (3 * 4096)  # 3 MiB
+    a = Toy(A)
+
+    async def case():
+        await driver.add(a)
+        received = await driver.late_reader(23561, delay=0.3, size=4096)
+        flow = a.new_flow()
+        await driver.act(a, [OpenStream(flow, (B, 23561), RAW)])
+        assert await driver.wait(lambda: a.events)
+        await driver.act(a, [Send(flow, data)])
+        assert await driver.wait(lambda: len(received()) >= len(data), 20.0)
+        assert received() == data
+        assert a.hooks(flow) == ["connected"]
 
     driver.run(case)
 

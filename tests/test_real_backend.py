@@ -609,11 +609,20 @@ def test_queued_datagrams_reach_the_node_before_a_stream_and_its_frame():
 
 class EvictingNode(OrderNode):
     """Closes its newest stream when a datagram says ``evict``, as a gateway
-    closes a stream awaiting its hello when that stream's gate is evicted."""
+    closes a stream awaiting its hello when that stream's gate is evicted;
+    records the flow of each stream it hears is connected."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.connected = []
 
     def on_datagram(self, port, src, data, now):
         super().on_datagram(port, src, data, now)
         return [Close(self._next_flow - 1)] if data == b"evict" else []
+
+    def on_connected(self, flow, now):
+        self.connected.append(flow)
+        return []
 
 
 def test_a_frame_whose_stream_the_queued_datagrams_closed_is_dropped():
@@ -625,7 +634,7 @@ def test_a_frame_whose_stream_the_queued_datagrams_closed_is_dropped():
         with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sender:
             sender.bind((OTHER_IP, 0))
             with socket.create_connection((ip, port_tcp), timeout=5.0, source_address=(OTHER_IP, 0)) as stream:
-                assert await wait_for(lambda: host._flows and next(iter(host._flows.values())).transport, 5.0)
+                assert await wait_for(lambda: node.connected, 5.0)  # the host reads the stream
                 # both queued before the host wakes, the frame's stream readable first
                 stream.sendall(frame)
                 sender.sendto(b"evict", (ip, port_udp))
