@@ -70,8 +70,7 @@ async def _run_forever(host: RealHost) -> int:
 
 
 def controller_main(argv=None) -> int:
-    from .config import ConfigError, load_config, load_material, provision
-    from .transport.real import RealHost
+    from .config import ConfigError, load_config, load_controller_material, provision
     parser = argparse.ArgumentParser(prog="controller", description="Run the control-plane node.")
     parser.add_argument("--config", required=True)
     parser.add_argument("--provision", action="store_true", help="generate key material and records, then exit")
@@ -83,10 +82,11 @@ def controller_main(argv=None) -> int:
             path = provision(cfg, _config_dir(args.config), force=args.force)
             print(f"material written to {path}")
             return EXIT_OK
-        material = load_material(cfg, _config_dir(args.config))
+        material = load_controller_material(cfg, _config_dir(args.config))
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_AUTH
+    from .transport.real import RealHost  # only here: provisioning, which perimbench runs in-process, needs no driver
     node = build_controller(cfg, material, random.SystemRandom())
     print(f"controller {cfg.controller.id[:8]} on {cfg.controller.host}:{cfg.ports.control}")
     try:

@@ -213,14 +213,16 @@ def dump_config(cfg: DeploymentConfig) -> str:
 
 @dataclass
 class Material:
-    """Everything secret for one deployment, or for one of its hosts: the
-    issuing authority's public key, per-host identities and first-contact
-    keys, and the authority itself where it was read."""
+    """Everything secret for one deployment, or what one of its hosts reads:
+    the issuing authority's public key, per-host identities, first-contact
+    keys and encoded certificates, and the authority itself where it was
+    read."""
 
     ca_public: bytes
     identities: dict[str, Identity]  # hex id -> identity
     spa_keys: dict[str, spa.SpaKey]
     ca: CertificateAuthority | None = None  # None in one host's material
+    certs: dict[str, bytes] = field(default_factory=dict)  # hex id -> encoded certificate; the controller's clients
 
 
 def generate_material(cfg: DeploymentConfig, rng: random.Random | None = None) -> Material:
@@ -230,6 +232,7 @@ def generate_material(cfg: DeploymentConfig, rng: random.Random | None = None) -
     ca = CertificateAuthority.from_seed(rand.randbytes(32))
     identities: dict[str, Identity] = {}
     keys: dict[str, spa.SpaKey] = {}
+    certs: dict[str, bytes] = {}
     roles = [(cfg.controller, PeerRole.CONTROLLER)]
     roles += [(g, PeerRole.GATEWAY) for g in cfg.gateways]
     roles += [(c, PeerRole.CLIENT) for c in cfg.clients]
@@ -238,9 +241,10 @@ def generate_material(cfg: DeploymentConfig, rng: random.Random | None = None) -
         key = Ed25519PrivateKey.from_private_bytes(seed)
         cert = ca.issue(entry.id_bytes, role, key.public_key().public_bytes_raw())
         identities[entry.id] = Identity(cert, key)
+        certs[entry.id] = cert.encode()
         if role != PeerRole.CONTROLLER:
             keys[entry.id] = spa.SpaKey(entry.id_bytes, rand.randbytes(spa.SECRET_LEN))
-    return Material(ca.public_bytes, identities, keys, ca)
+    return Material(ca.public_bytes, identities, keys, ca, certs)
 
 
 # -- provisioning to disk -------------------------------------------------------
@@ -284,7 +288,9 @@ def _spa_key(material_dir, entry: HostEntry) -> spa.SpaKey:
 
 
 def load_material(cfg: DeploymentConfig, base_dir) -> Material:
-    """The whole deployment's material, as the controller reads it."""
+    """The whole deployment's material, signing keys included (perimbench's
+    load clients read it; the controller binary reads less, see
+    ``load_controller_material``)."""
     material_dir = os.path.join(base_dir, cfg.material_dir)
     ca = CertificateAuthority.from_seed(bytes.fromhex(_read(material_dir, "ca.key")))
     identities = {}
@@ -293,7 +299,21 @@ def load_material(cfg: DeploymentConfig, base_dir) -> Material:
         identities[entry.id] = _identity(material_dir, entry.id)
         if entry is not cfg.controller:
             keys[entry.id] = _spa_key(material_dir, entry)
-    return Material(ca.public_bytes, identities, keys, ca)
+    return Material(ca.public_bytes, identities, keys, ca, {i: ident.cert.encode() for i, ident in identities.items()})
+
+
+def load_controller_material(cfg: DeploymentConfig, base_dir) -> Material:
+    """What the controller reads: ``ca.pub``, its own ``.cert`` and ``.key``,
+    every client's ``.cert`` and every gateway's and client's ``.spa``. It
+    signs nothing after provisioning, so it reads no ``ca.key`` and no other
+    host's ``.key``."""
+    material_dir = os.path.join(base_dir, cfg.material_dir)
+    return Material(
+        bytes.fromhex(_read(material_dir, "ca.pub")),
+        {cfg.controller.id: _identity(material_dir, cfg.controller.id)},
+        {entry.id: _spa_key(material_dir, entry) for entry in [*cfg.gateways, *cfg.clients]},
+        certs={c.id: bytes.fromhex(_read(material_dir, f"{c.id}.cert")) for c in cfg.clients},
+    )
 
 
 def load_host_material(cfg: DeploymentConfig, base_dir, entry: HostEntry) -> Material:

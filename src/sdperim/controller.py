@@ -129,6 +129,7 @@ class ControllerNode(Node):
         for g in gateways:
             self.store.register(g.spa_key)
         self.udp_ports = [spa_port]
+        self.udp_shapes = {spa_port: spa.SHAPE}  # a driver may drop the malformed before this node sees them
         self.tcp_ports = {control_port: "framed"}
         self.gated = spa.Gates()  # source host -> _GateEntry
         self.links: dict[int, _GatewayLink] = {}

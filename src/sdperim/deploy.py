@@ -40,7 +40,7 @@ def controller_records(cfg: DeploymentConfig, material: Material) -> tuple[list[
         ClientRecord(
             client_id=c.id_bytes,
             spa_key=material.spa_keys[c.id],
-            certificate=material.identities[c.id].cert.encode(),
+            certificate=material.certs[c.id],
             authorized_services=list(c.services),
             validation_interval=cfg.timing.validation_interval,
         )

@@ -98,6 +98,15 @@ class FilterEngine:
         with self._lock:
             return len(self._rules)
 
+    def admitted(self):
+        """Public port -> the frozenset of source hosts an initiation to it may
+        match a rule from; a port no rule names is absent."""
+        with self._lock:
+            hosts = {}
+            for src_ip, port in self._by_source:
+                hosts.setdefault(port, set()).add(src_ip)
+            return {port: frozenset(ips) for port, ips in hosts.items()}
+
     # -- verdicts --------------------------------------------------------
 
     def verdict_initiation(self, src_ip, src_port, dst_port, now):

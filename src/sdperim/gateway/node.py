@@ -19,6 +19,14 @@ hello, closed by a newer stream (a retrying client left it), eviction or expiry.
 
 Rules expire after their TTL; tracked connections survive rule expiry.
 Every verdict is logged as one structured record.
+
+The node tells its driver what it would drop anyway: the SPA port takes only
+datagrams of the SPA packet's shape (``udp_shapes``), and each public port
+only the source hosts holding a rule for it (an ``Admit`` at start, and
+whenever a rule install, expiry or revocation changes that set; the one for
+a grant goes out before its ``AH_ACK``). A driver that filters in the kernel
+spares the node those packets; the node's own checks stay the decider. The
+relay port is not filtered: any sender can write its gates.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from ..transport.base import (
     FRAMED,
     RAW,
     AcceptStream,
+    Admit,
     Close,
     Log,
     Node,
@@ -108,10 +117,12 @@ class GatewayNode(Node):
         self.services = {s.service_id: s for s in services}
         self.by_public_port = {s.public_port: s for s in services}
         self.udp_ports = [spa_port]
+        self.udp_shapes = {spa_port: spa.SHAPE}
         self.tcp_ports = {relay_port: FRAMED}
         for s in services:
             self.tcp_ports[s.public_port] = RAW
         self.engine = FilterEngine()
+        self._admitted: dict[int, frozenset[str]] = {}  # public port -> the hosts its last Admit named
         self.client_store = spa.SpaKeyStore()
         self.relay_gate = spa.Gates()  # source host -> _RelayGate
         self.data_gate: dict[bytes, str] = {}
@@ -128,7 +139,7 @@ class GatewayNode(Node):
     # -- upstream channel -----------------------------------------------------
 
     def start(self, now):
-        return self._begin_register(now)
+        return self._admit() + self._begin_register(now)
 
     def _begin_register(self, now):
         nonce = self.rng.randbytes(spa.NONCE_LEN)
@@ -206,7 +217,7 @@ class GatewayNode(Node):
             }
         )
         if verdict != FORWARD:
-            return [log]
+            return [log]  # (a rule found expired here leaves the admitted set at the next sweep)
         service_flow = self.new_flow()
         splice = _Splice(
             client_flow=flow,
@@ -358,6 +369,7 @@ class GatewayNode(Node):
                     "expires_at": expires_at,
                 }
             ),
+            *self._admit(),  # before the grant leaves, so the client's first initiation gets through
             self._upstream(Kind.AH_ACK, [(F.REQUEST_ID, u32(token)), (F.OK, u8(1)), (F.RULE_ID, u32(rule_id))]),
         ]
 
@@ -378,7 +390,7 @@ class GatewayNode(Node):
             actions += self._close(flow)
         self.data_gate.pop(client_id, None)
         self.client_store.remove(client_id)
-        return actions
+        return actions + self._admit()
 
     # -- the data plane ----------------------------------------------------------------
 
@@ -391,6 +403,18 @@ class GatewayNode(Node):
         # return path from the protected service
         self.engine.touch(*splice.five, now)
         return [Send(splice.client_flow, data)]
+
+    def _admit(self):
+        """An ``Admit`` for each public port whose set of sources holding a rule
+        differs from the one its last ``Admit`` named (every port, the first time)."""
+        admitted = self.engine.admitted()
+        actions = []
+        for port in self.by_public_port:
+            hosts = admitted.get(port, frozenset())
+            if self._admitted.get(port) != hosts:
+                self._admitted[port] = hosts
+                actions.append(Admit(port, hosts))
+        return actions
 
     # -- the flow table: every open stream has one record in ``flows`` ----------------
 
@@ -436,7 +460,7 @@ class GatewayNode(Node):
         if key == "sweep":
             expired = self.engine.expire_rules(now)
             idled = self.engine.expire_idle(now, CONNTRACK_IDLE)
-            actions = [SetTimer("sweep", SWEEP_TICK)]
+            actions = [SetTimer("sweep", SWEEP_TICK), *self._admit()]
             for _, gate in self.relay_gate.expire(now):
                 actions += self._close(gate.flow, "hello-timeout")
             for flow in [f for f, r in self.flows.items() if isinstance(r, _Relay) and r.dead and r.deadline <= now]:

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import asyncio
+import errno
+import socket
+import struct
 import time
 from dataclasses import dataclass
 
 # Frame bytes of a simulated flood SYN: under capture.ATTACK_FRAME_LIMIT, so
 # labeling tells flood segments from legitimate 64-byte handshake segments.
 SYN_SIZE = 40
+LINGER_ABORT = struct.pack("ii", 1, 0)  # a close resets the stream and leaves no TIME_WAIT
 
 
 @dataclass
@@ -64,30 +68,30 @@ def sim_flood(net, spec: FloodSpec, attacker: str, start: float) -> FloodStats:
 
 
 async def real_flood(spec: FloodSpec, bind_ips: list[str] | None = None) -> FloodStats:
-    """Loopback flood: rapid aborted connection attempts. A user-space sender
+    """Loopback flood: connection initiations at ``spec.rate`` on a fixed
+    schedule. Each is a non-blocking connect closed at once with a reset, so a
+    target that never answers does not slow the sender. A user-space sender
     cannot forge raw sources, so this falls back to many ephemeral sources
     across the given bind addresses; the stats record that mode."""
     stats = FloodStats(mode="real-ephemeral-sources", started_at=time.time())
     bind_ips = bind_ips or ["127.0.0.1"]
-    deadline = time.time() + spec.duration
-    period = 1.0 / spec.rate
-    i = 0
-    next_at = time.time()
-    while time.time() < deadline:
-        ip = bind_ips[i % len(bind_ips)]
-        i += 1
+    family, _, _, _, target = socket.getaddrinfo(spec.target_host, spec.target_port, type=socket.SOCK_STREAM)[0]
+    start = time.monotonic()
+    while (due := start + stats.sent / spec.rate) < start + spec.duration:
+        if due > time.monotonic():
+            await asyncio.sleep(due - time.monotonic())
+        sock = socket.socket(family, socket.SOCK_STREAM)
         try:
-            conn = asyncio.open_connection(spec.target_host, spec.target_port, local_addr=(ip, 0))
-            _, writer = await asyncio.wait_for(conn, timeout=0.2)
-            writer.transport.abort()
-            stats.sent += 1
-        except (OSError, asyncio.TimeoutError):
+            sock.setblocking(False)
+            sock.bind((bind_ips[stats.sent % len(bind_ips)], 0))
+            if sock.connect_ex(target) not in (0, errno.EINPROGRESS):
+                stats.errors += 1
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, LINGER_ABORT)
+        except OSError:
             stats.errors += 1
-            stats.sent += 1
-        next_at += period
-        delay = next_at - time.time()
-        if delay > 0:
-            await asyncio.sleep(delay)
+        finally:
+            sock.close()
+        stats.sent += 1
     stats.sources = len(bind_ips)
     stats.finished_at = time.time()
     return stats

@@ -32,6 +32,10 @@ VERSION = 1
 PACKET_LEN = 90
 _SIGNED_LEN = 58
 _LAYOUT = struct.Struct("!4sBB16sQQ16s4s")
+# What every well-formed packet shares: its length, magic and version, and the
+# zero reserved bytes. A receiving node declares it as its ``udp_shapes``
+# (``transport.base.Node``), so a driver may drop any other datagram early.
+SHAPE = (PACKET_LEN, ((0, MAGIC + bytes([VERSION])), (_SIGNED_LEN - 4, bytes(4))))
 
 SECRET_LEN = 32
 CLIENT_ID_LEN = 16

@@ -70,7 +70,13 @@ class Log:
     record: dict
 
 
-Action = SendDatagram | OpenStream | AcceptStream | Send | Close | SetTimer | CancelTimer | Log
+@dataclass(frozen=True)
+class Admit:
+    port: int
+    hosts: frozenset[str]
+
+
+Action = SendDatagram | OpenStream | AcceptStream | Send | Close | SetTimer | CancelTimer | Log | Admit
 
 
 class Node:
@@ -79,6 +85,22 @@ class Node:
 
     ``udp_ports`` and ``tcp_ports`` declare listeners; drivers bind them.
     ``tcp_ports`` maps port -> stream mode.
+
+    Two declarations let a driver drop traffic the node would drop anyway,
+    before the node sees it. The node's own checks stay the decider, since
+    a driver may not filter at all:
+
+    - ``udp_shapes`` maps a UDP port to ``(length, ((offset, bytes), ...))``:
+      the node wants only datagrams that long with those bytes at those
+      offsets.
+    - ``Admit(port, hosts)``: only ``hosts`` may open a stream to the
+      listener on ``port``. A node emits it again whenever the set changes;
+      a port no ``Admit`` named admits every source.
+
+    ``RealHost`` enforces both in the kernel on Linux and IPv4, and admits
+    every source where it cannot (see ``transport.real``). ``SimNet``
+    ignores both, by design: every datagram and initiation still reaches
+    the node there, so the simulated traces do not depend on them.
 
     A ``Send`` on a stream the node opened, issued before its
     ``on_connected`` (in the same action list as the ``OpenStream``, or
@@ -114,6 +136,7 @@ class Node:
         self.name = name
         self.udp_ports: list[int] = []
         self.tcp_ports: dict[int, str] = {}
+        self.udp_shapes: dict[int, tuple[int, tuple[tuple[int, bytes], ...]]] = {}
         self._next_flow = 1
 
     def new_flow(self) -> int:

@@ -27,10 +27,34 @@ A TCP listener is watched the same way. Each accept takes the connection as
 a bare descriptor (``socket._accept``, which ``socket.accept`` wraps) and
 asks the node with the peer address it returned. A declined stream (or one
 whose hook raised) costs one ``os.close``, before any payload byte, with no
-socket object or selector registration. The kernel still completes the
-handshake and sends the SYN-ACK for every source, so a SYN scan sees the
-port open; a socket filter (``SO_ATTACH_FILTER``) could withhold it, and
-none is attached yet.
+socket object or selector registration. The kernel completes the handshake,
+and sends the SYN-ACK, for every source that its filter lets reach the
+listener.
+
+What a node declares it would drop anyway (``base.Node``) the kernel drops,
+on Linux and IPv4, with a classic BPF socket filter (``SO_ATTACH_FILTER``;
+McCanne and Jacobson, "The BSD Packet Filter", 1993; Linux
+``Documentation/networking/filter.rst``), so such a packet never wakes the
+process:
+
+- ``Admit(port, hosts)`` puts a program on that TCP listener that loads the
+  IPv4 source address and passes only the listed hosts. Another source's
+  SYN gets no SYN-ACK, so a SYN scan sees the port filtered. A new
+  ``Admit`` swaps the program atomically. An accepted stream keeps the
+  program its listener had (the kernel shares it with the child socket and
+  runs it on every segment), so an open stream outlives its source leaving
+  the set. A program passes a packet by returning 0xFFFFFFFF; a smaller
+  value is a length, and would truncate data segments.
+- A ``udp_shapes`` entry puts a program on that UDP listener that passes
+  only datagrams of that length with those bytes in place. The program sees
+  the 8-byte UDP header first, and the length it loads includes it.
+
+A filter fails open, never closed: where it cannot hold (not Linux, not
+IPv4, more than ``ADMIT_MAX`` hosts, which would exceed the kernel's
+``BPF_MAXINSNS``, a host that is not an IPv4 address, or a refused
+``setsockopt``), the listener has none and every source reaches the node.
+Each socket's kernel drop count (``SK_MEMINFO_DROPS``, in ``ss -tlm`` and
+the drops column of ``/proc/net/udp``) includes what its filter dropped.
 
 An accepted stream gets a socket object and is connected at once; an
 outbound one is a ``connect_ex`` from the host address, watched for
@@ -78,11 +102,14 @@ it is in the file before the next event runs.
 
 from __future__ import annotations
 
+import array
 import asyncio
 import errno
 import json
 import os
 import socket
+import struct
+import sys
 import time
 from collections import deque
 from collections.abc import Hashable
@@ -91,6 +118,7 @@ from .base import (
     FRAMED,
     LOG_KEEP,
     AcceptStream,
+    Admit,
     CancelTimer,
     Close,
     Log,
@@ -124,6 +152,64 @@ POLL_BUDGET = 64
 # node gets what was queued, and a sender faster than the node cannot hold
 # the loop there.
 DRAIN_LIMIT = 256
+
+# Classic BPF socket filters (see the module docstring). Opcodes are from
+# linux/filter.h; a program is a list of (code, jt, jf, k).
+FILTERS = sys.platform.startswith("linux")
+SO_ATTACH_FILTER, SO_DETACH_FILTER = 26, 27
+BPF_MAXINSNS = 4096
+ADMIT_MAX = (BPF_MAXINSNS - 2) // 2  # one load and one drop, then a compare and a pass per host: 2,047
+_LD_W, _LD_B, _LD_LEN = 0x20, 0x30, 0x80  # BPF_LD | BPF_W|BPF_ABS, BPF_B|BPF_ABS, BPF_W|BPF_LEN
+_JEQ, _RET = 0x15, 0x06  # BPF_JMP|BPF_JEQ|BPF_K, BPF_RET|BPF_K
+_NET_SRC = (-0x100000 + 12) & 0xFFFFFFFF  # SKF_NET_OFF + 12: the IPv4 source address
+_UDP_HEADER = 8
+_PASS, _DROP = 0xFFFFFFFF, 0
+_INSN, _FPROG = struct.Struct("@HBBI"), struct.Struct("@HP")  # struct sock_filter, struct sock_fprog
+
+
+def _admit_program(hosts) -> list | None:
+    """Pass only packets from ``hosts``; None (no filter) past ``ADMIT_MAX``
+    hosts or for one that is not an IPv4 address."""
+    if len(hosts) > ADMIT_MAX:
+        return None
+    insns = [(_LD_W, 0, 0, _NET_SRC)]
+    try:
+        for host in sorted(hosts):
+            insns += [(_JEQ, 0, 1, int.from_bytes(socket.inet_pton(socket.AF_INET, host), "big")),
+                      (_RET, 0, 0, _PASS)]
+    except OSError:
+        return None
+    return insns + [(_RET, 0, 0, _DROP)]
+
+
+def _shape_program(length: int, fields) -> list:
+    """Pass only datagrams of ``length`` payload bytes that hold each
+    ``(offset, bytes)`` of ``fields``."""
+    checks = [(_LD_LEN, 0, _UDP_HEADER + length)]  # (load, its k, the value wanted), then byte by byte
+    checks += [(_LD_B, _UDP_HEADER + offset + i, byte) for offset, value in fields for i, byte in enumerate(value)]
+    insns = []
+    for i, (load, k, want) in enumerate(checks):  # a mismatch jumps to the last instruction
+        insns += [(load, 0, 0, k), (_JEQ, 0, 2 * (len(checks) - i) - 1, want)]
+    return insns + [(_RET, 0, 0, _PASS), (_RET, 0, 0, _DROP)]
+
+
+def _attach(sock: socket.socket, insns: list | None):
+    """Replace the filter of ``sock`` with ``insns``. None, or an attach the
+    kernel refuses, leaves it with none: a filter fails open."""
+    if not FILTERS or sock.family != socket.AF_INET:
+        return
+    if insns is not None:
+        code = array.array("B", b"".join(_INSN.pack(*insn) for insn in insns))
+        try:
+            sock.setsockopt(socket.SOL_SOCKET, SO_ATTACH_FILTER, _FPROG.pack(len(insns), code.buffer_info()[0]))
+            return
+        except OSError:
+            pass
+    try:
+        sock.setsockopt(socket.SOL_SOCKET, SO_DETACH_FILTER, 0)
+    except OSError:
+        pass  # none was attached
+
 
 # The one encoder of every log line (see the module docstring). Records are
 # flat, so the C encoder skips the circular-reference check.
@@ -193,6 +279,7 @@ class RealHost:
         self._flows: dict[int, _Stream] = {}
         self._timers: dict[Hashable, asyncio.TimerHandle] = {}
         self._listeners: list[socket.socket] = []  # every bound socket, closed by stop
+        self._stream_listeners: dict[int, socket.socket] = {}  # TCP port -> its listener, for Admit
         self._datagram_listeners: list[_Listener] = []
         self._parked: list[_Listener] = []  # off the selector, datagram listeners first
         self._tick: asyncio.Handle | None = None  # scheduled while any listener is parked
@@ -211,7 +298,10 @@ class RealHost:
         if self._log_path is not None:
             self._log_fd = os.open(self._log_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o666)
         for port in self.node.udp_ports:
-            self._listen(self._bind(port, socket.SOCK_DGRAM), port, None)
+            sock = self._bind(port, socket.SOCK_DGRAM)
+            if port in self.node.udp_shapes:
+                _attach(sock, _shape_program(*self.node.udp_shapes[port]))
+            self._listen(sock, port, None)
         # outbound datagrams (a host need not listen to send); kept with the
         # listeners, so stop closes it
         self._udp_send = self._bind(0, socket.SOCK_DGRAM)
@@ -276,6 +366,8 @@ class RealHost:
         listener = _Listener(sock, port, mode)
         if mode is None:
             self._datagram_listeners.append(listener)
+        else:
+            self._stream_listeners[port] = sock
         self._watch(listener)
 
     def _watch(self, listener: _Listener):
@@ -552,6 +644,10 @@ class RealHost:
                 handle = self._timers.pop(action.key, None)
                 if handle is not None:
                     handle.cancel()
+            elif isinstance(action, Admit):
+                sock = self._stream_listeners.get(action.port)
+                if sock is not None:
+                    _attach(sock, _admit_program(action.hosts))
 
     def _write_log(self, record: dict):
         # one write per line, straight to the kernel, so the line is in the

@@ -32,7 +32,9 @@ number it drew at accept, so expiries fall among other events, and trace
 sequence numbers run, exactly as with one timeout event per flow. A spoofed
 flow keeps only its source host (its port is the flow's initiator port) and
 is forgotten once declined or timed out. Both endpoints forget a real flow
-once it is closed: by either side, by a refused or timed-out handshake.
+once it is closed by a refused or timed-out handshake. A node that closes a
+flow forgets it at once; its peer forgets it when the close segment lands,
+and hears ``on_closed`` then, unless it closed the flow itself meanwhile.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .base import (
     LOG_KEEP,
     RAW,
     AcceptStream,
+    Admit,
     Address,
     CancelTimer,
     Close,
@@ -277,6 +280,8 @@ class SimNet:
             self._timers.pop((name, action.key), None)
         elif isinstance(action, Log):
             self.logs[name].append({"ts": self.clock, **action.record})
+        elif isinstance(action, Admit):
+            pass  # every initiation reaches the node here (see ``base.Node``)
         else:
             raise TypeError(f"unknown action {action!r}")
 
@@ -346,11 +351,14 @@ class SimNet:
 
     def _close(self, name: str, local: int) -> None:
         flow = self._by_local[name].get(local)
-        if flow is None or flow.state == "closed":
+        if flow is None:
             return
+        self._by_local[name].pop(local)
+        self._early.pop((name, local), None)
+        if flow.state == "closed":
+            return  # the peer closed it first; its close segment, still in flight, reports nothing now
         peer = self._peer(flow, name)
         flow.state, flow.closer = "closed", name
-        self._forget(flow)  # the close segment in flight carries the flow itself
         if name == flow.acc_node:
             self._settle(flow)
         if peer is None:
@@ -407,7 +415,7 @@ class SimNet:
         self._by_local[host][flow.acc_local] = flow
         src = (flow.spoofed_host if flow.spoofed_host is not None else flow.init_node, flow.init_port)
         self.act(node, node.on_stream_request(flow.acc_local, port, src, self.clock))
-        if flow.state == "closed" or (flow.spoofed_host is not None and flow.state == "syn-sent"):
+        if flow.closer == flow.init_node or (flow.spoofed_host is not None and flow.state == "syn-sent"):
             # closed by its initiator before the syn arrived, or a spoofed
             # flow declined, which no real initiator can close
             self._forget(flow)
@@ -467,8 +475,11 @@ class SimNet:
             return
         peer_node, peer_local, _ = peer
         flow.state = "closed"
+        if self._by_local.get(peer_node, {}).pop(peer_local, None) is not flow:
+            return  # the peer closed it too, or never held it
+        self._early.pop((peer_node, peer_local), None)
         node = self.nodes.get(peer_node)
-        if node is not None and peer_local is not None and peer_local >= 0:
+        if node is not None and peer_local >= 0:
             self.act(node, node.on_closed(peer_local, self.clock))
 
     # -- trace utilities ----------------------------------------------------

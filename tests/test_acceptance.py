@@ -35,9 +35,11 @@ def test_criterion_1_port_scan_darkness():
             ports = sorted({*range(1, 2049), *stack.gw.tcp_ports})  # the gateway's own listeners too
             report = await real_port_scan(GW_IP, ports, timeout=0.5, bind_ip=OTHER_IP)
             assert report.covers(ports) and len(ports) == 2050
-            # each of the gateway's listeners was reached and declined the probe
-            drops = [r for r in stack.hosts[1].logs if r.get("src") == OTHER_IP and r["verdict"] == "drop"]
-            assert {r.get("port", r.get("dst_port")) for r in drops} == set(stack.gw.tcp_ports)
+            # the relay port was reached and declined the probe; the service port
+            # admits no source without a rule, so the probe's SYN never reached the node
+            seen = [r for r in stack.hosts[1].logs if r.get("src") == OTHER_IP]
+            assert {r.get("port", r.get("dst_port")) for r in seen} == {stack.cfg.ports.control}
+            assert all(r["verdict"] == "drop" for r in seen)
             return report
 
     report = asyncio.run(protected())

@@ -58,14 +58,23 @@ def write_config(tmp_path, base, name="deploy.yaml"):
     return path
 
 
-def host_copy(cfg, hex_id, dest):
-    """A directory holding ``cfg`` and, of its provisioned material, only what
-    host ``hex_id`` needs: ``ca.pub`` and its own certificate, key and SPA secret."""
+def host_copy(cfg, dest, names):
+    """A directory holding ``cfg`` and, of its provisioned material, only the files ``names``."""
     material = dest / "material"
     material.mkdir(parents=True)
-    for name in ("ca.pub", f"{hex_id}.cert", f"{hex_id}.key", f"{hex_id}.spa"):
+    for name in names:
         shutil.copy(cfg.parent / "material" / name, material / name)
     return Path(shutil.copy(cfg, dest))
+
+
+def own_files(hex_id):
+    """What a gateway or client reads: ``ca.pub`` and its own certificate, key and SPA secret."""
+    return ["ca.pub", f"{hex_id}.cert", f"{hex_id}.key", f"{hex_id}.spa"]
+
+
+# what the controller reads: its own certificate and key, each client's certificate, every SPA secret
+CONTROLLER_FILES = ["ca.pub", f"{IDS['ctrl']}.cert", f"{IDS['ctrl']}.key", f"{IDS['client']}.cert",
+                    f"{IDS['gw']}.spa", f"{IDS['client']}.spa"]
 
 
 def cmd(args):
@@ -195,6 +204,14 @@ def test_live_binaries_load_only_their_own_role(tmp_path):
     assert "sdperim.transport.real" in modules and "sdperim.transport.sim" not in modules
 
 
+def test_provisioning_loads_no_socket_driver(tmp_path):
+    # perimbench provisions in the process whose peak memory it reports
+    modules = loaded(IMPORT_PROBE, "controller", "--config", str(write_config(tmp_path, 31650, "deploy.json")),
+                     "--provision")
+    assert (tmp_path / "material" / "ca.key").exists()
+    assert "sdperim.config" in modules and "sdperim.transport.real" not in modules
+
+
 def test_binaries_build_no_seedable_generator():
     # a Mersenne Twister's state can be recovered from its outputs, and the nodes publish nonces
     tree = ast.parse(Path(sdperim.cli.__file__).read_text(encoding="utf-8"))
@@ -229,13 +246,14 @@ def test_client_rejects_missing_material(tmp_path):
 
 
 def test_full_binary_session(tmp_path):
-    """The controller runs on all the material, the gateway and the client
-    each on a directory with only their own files."""
+    """The controller, the gateway and the client each run on a directory
+    holding only the files it reads: no CA key, and no other host's key."""
     base = 31200
     cfg = write_config(tmp_path, base)
     assert run(["controller", "--config", str(cfg), "--provision"]).returncode == 0
-    gw_cfg = host_copy(cfg, IDS["gw"], tmp_path / "gateway")
-    client_cfg = host_copy(cfg, IDS["client"], tmp_path / "client")
+    ctrl_cfg = host_copy(cfg, tmp_path / "controller", CONTROLLER_FILES)
+    gw_cfg = host_copy(cfg, tmp_path / "gateway", own_files(IDS["gw"]))
+    client_cfg = host_copy(cfg, tmp_path / "client", own_files(IDS["client"]))
 
     echo_code = (
         "import asyncio\n"
@@ -253,7 +271,7 @@ def test_full_binary_session(tmp_path):
     procs = []
     try:
         procs.append(subprocess.Popen([sys.executable, "-c", echo_code]))
-        procs.append(subprocess.Popen(cmd(["controller", "--config", str(cfg)]), stdout=subprocess.DEVNULL, env=ENV))
+        procs.append(subprocess.Popen(cmd(["controller", "--config", str(ctrl_cfg)]), stdout=subprocess.DEVNULL, env=ENV))
         time.sleep(0.5)
         procs.append(
             subprocess.Popen(

@@ -11,6 +11,7 @@ from sdperim.config import (
     config_from_dict,
     dump_config,
     load_config,
+    load_controller_material,
     load_host_material,
     load_material,
     provision,
@@ -115,6 +116,23 @@ def test_a_host_reads_only_its_own_material(tmp_path):
     assert list(own.identities) == list(own.spa_keys) == [gw.id]
     assert own.identities[gw.id].cert == full.identities[gw.id].cert
     assert own.spa_keys[gw.id] == full.spa_keys[gw.id]
+    with pytest.raises(FileNotFoundError):
+        load_material(cfg, tmp_path)
+
+
+def test_the_controller_reads_only_its_own_material(tmp_path):
+    cfg = default_config()
+    material_dir = provision(cfg, tmp_path)
+    ctrl, gw, client = cfg.controller, cfg.gateways[0], cfg.clients[0]
+    full = load_material(cfg, tmp_path)
+    for name in os.listdir(material_dir):
+        if name not in ("ca.pub", f"{ctrl.id}.cert", f"{ctrl.id}.key", f"{client.id}.cert", f"{gw.id}.spa",
+                        f"{client.id}.spa"):
+            os.remove(os.path.join(material_dir, name))
+    own = load_controller_material(cfg, tmp_path)
+    assert own.ca is None and own.ca_public == full.ca.public_bytes
+    assert list(own.identities) == [ctrl.id] and own.identities[ctrl.id].cert == full.identities[ctrl.id].cert
+    assert controller_records(cfg, own) == controller_records(cfg, full)
     with pytest.raises(FileNotFoundError):
         load_material(cfg, tmp_path)
 

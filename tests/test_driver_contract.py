@@ -400,6 +400,25 @@ def test_close_reaches_the_peer_once(driver, closer):
     driver.run(case)
 
 
+def test_a_node_that_closes_while_the_peers_close_is_in_flight_hears_nothing(driver):
+    a, b = Toy(A), Toy(B, tcp={23521: RAW})
+
+    async def case():
+        await driver.add(a, b)
+        flow = a.new_flow()
+        await driver.act(a, [OpenStream(flow, (B, 23521), RAW)])
+        assert await driver.wait(lambda: a.events and len(b.events) == 2)
+        (peer,) = b.requests()
+        # B closes before its driver has delivered A's close to it
+        await driver.act(a, [Close(flow)])
+        await driver.act(b, [Close(peer)])
+        await driver.settle(0.2)
+        assert b.hooks(peer) == ["request", "connected"] and a.hooks(flow) == ["connected"]
+        assert driver.held(a) == driver.held(b) == set()
+
+    driver.run(case)
+
+
 def test_a_large_send_then_close_arrives_whole_before_the_close(driver):
     # more than the kernel takes at once, so most of it waits in the driver when the Close comes
     data = bytes(range(256)) * (4 * 4096)  # 4 MiB

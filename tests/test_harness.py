@@ -1,13 +1,14 @@
 """Attack harness: flood generation, capture series, scanning, experiments."""
 
 import asyncio
+import socket
 
 import pytest
 
 from sdperim.gateway.filtering import FORWARD, FilterEngine
 from sdperim.harness.capture import CaptureSeries, is_attack_segment
 from sdperim.harness.experiment import ExperimentSpec, run_experiment
-from sdperim.harness.flood import FloodSpec, sim_flood
+from sdperim.harness.flood import FloodSpec, real_flood, sim_flood
 from sdperim.harness.scan import CLOSED, CONCURRENCY, OPEN, ScannerNode, ScanReport, real_port_scan
 from sdperim.services import EchoNode
 from sdperim.transport.base import RAW, Node
@@ -29,6 +30,18 @@ class TestFloodSpec:
         expected = 200 * 3
         assert stats.sent == expected  # exact on the simulated backend
         assert abs(stats.sent - expected) <= 0.05 * expected
+
+
+class TestRealFlood:
+    def test_keeps_its_rate_when_syns_go_unanswered(self):
+        # a listener whose accept queue is full drops every further SYN
+        with socket.socket() as full, socket.socket() as filler:
+            full.bind(("127.0.0.48", 25601))
+            full.listen(0)
+            filler.connect(("127.0.0.48", 25601))
+            spec = FloodSpec("127.0.0.48", 25601, rate=400.0, duration=0.5)
+            stats = asyncio.run(real_flood(spec, ["127.0.0.49"]))
+        assert stats.sent >= 180 and stats.errors == 0
 
 
 class TestCaptureSeries:

@@ -24,7 +24,7 @@ from sdperim.credentials import CredentialError, SecureChannel
 from sdperim.deploy import build_sim, default_config
 from sdperim.gateway.node import CONNTRACK_IDLE, SWEEP_TICK, _Relay, _RelayGate, _Splice
 from sdperim.spa import GATE_CAP, GATE_WINDOW
-from sdperim.transport.base import AcceptStream, Close, Log, Node, OpenStream, Send, SendDatagram
+from sdperim.transport.base import AcceptStream, Admit, Close, Log, Node, OpenStream, Send, SendDatagram
 from sdperim.transport.sim import PROTOCOL_CLASSES, two_way
 from sdperim.wire import F, Kind, encode_frame
 
@@ -245,6 +245,37 @@ class TestAuthorization:
         assert expiry > dep.net.clock
         assert expiry - dep.net.clock <= 60.0
         assert gw.engine.rule_count() == 1
+
+    def test_the_gateway_admits_exactly_the_sources_holding_a_rule(self, monkeypatch):
+        """One ``Admit`` per change of the set of sources holding a rule for the
+        public port: at start, at a grant (before its ``AH_ACK``), at expiry and
+        at revocation; none for a re-grant that changes nothing."""
+        dep = build_sim(default_config(seed=7, timing={"rule_ttl": 10.0, "validation_interval": 2.0}))
+        gw, admits = dep.gateway(), []  # (hook, Admit, the actions after it)
+        for hook in ("start", "on_data", "on_timer", "on_stream_request"):
+            def tap(*args, original=getattr(gw, hook), hook=hook):
+                actions = original(*args)
+                admits.extend((hook, a, actions[i + 1:]) for i, a in enumerate(actions) if isinstance(a, Admit))
+                return actions
+
+            setattr(gw, hook, tap)
+        dep.net.run(until=1.0)
+        client = connect_client(dep)
+        for n in (1, 2):
+            dep.net.act(client, client.open_service("echo-cloud", dep.net.clock))
+            assert run_until(dep.net, lambda: client.requests[n].state == "granted", deadline=dep.net.clock + 5.0)
+        assert run_until(dep.net, lambda: gw.engine.rule_count() == 0, deadline=dep.net.clock + 15.0)
+        dep.net.act(client, client.open_service("echo-cloud", dep.net.clock))
+        assert run_until(dep.net, lambda: client.requests[3].state == "granted", deadline=dep.net.clock + 5.0)
+        monkeypatch.setattr(client, "_on_validate", lambda fields, now: [])
+        assert run_until(dep.net, lambda: client.revoked, deadline=dep.net.clock + 8.0)
+        none, only = frozenset(), frozenset({"client"})
+        assert [(hook, a.port, a.hosts) for hook, a, _ in admits] == [
+            ("start", 4444, none), ("on_data", 4444, only), ("on_timer", 4444, none),
+            ("on_data", 4444, only), ("on_data", 4444, none),
+        ]
+        for _, _, after in (admits[1], admits[3]):  # the grant's AH_ACK follows it
+            assert [(type(x), x.flow) for x in after] == [(Send, gw.upstream_flow)]
 
     def test_unauthorized_service_denied_without_gateway_change(self):
         dep = authed_deployment()

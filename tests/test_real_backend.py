@@ -25,8 +25,8 @@ from sdperim.config import generate_material
 from sdperim.deploy import build_client, build_controller, build_gateway, build_sim, default_config
 from sdperim.services import EchoNode
 from sdperim.transport.base import Send, SendDatagram
-from sdperim.transport.base import FRAMED, LOG_KEEP, RAW, AcceptStream, Close, Log, Node
-from sdperim.transport.real import POLL_INTERVAL, RealHost
+from sdperim.transport.base import FRAMED, LOG_KEEP, RAW, AcceptStream, Admit, Close, Log, Node
+from sdperim.transport.real import ADMIT_MAX, POLL_INTERVAL, RealHost
 from sdperim.wire import MAX_FRAME_LEN, F, Kind, encode_frame
 
 CTRL_IP, GW_IP, CLOUD_IP, CLIENT_IP, OTHER_IP = (
@@ -38,7 +38,7 @@ CTRL_IP, GW_IP, CLOUD_IP, CLIENT_IP, OTHER_IP = (
 )
 
 
-def loopback_config(base: int, seed: int = 7):
+def loopback_config(base: int, seed: int = 7, **overrides):
     return default_config(
         seed=seed,
         ports={"spa": base + 1, "control": base},
@@ -54,6 +54,7 @@ def loopback_config(base: int, seed: int = 7):
                 "public_port": base + 3,
             }
         ],
+        **overrides,
     )
 
 
@@ -68,8 +69,8 @@ async def wait_for(cond, timeout=10.0, step=0.01):
 class Stack:
     """Controller + gateway + echo on loopback; clients join per test."""
 
-    def __init__(self, base: int, seed: int = 7):
-        self.cfg = loopback_config(base, seed)
+    def __init__(self, base: int, seed: int = 7, **overrides):
+        self.cfg = loopback_config(base, seed, **overrides)
         self.material = generate_material(self.cfg, random.Random(f"material:{seed}"))
         self.ctrl = build_controller(self.cfg, self.material, random.Random(seed + 1))
         self.gw = build_gateway(self.cfg, self.material, "bb" * 16, random.Random(seed + 2))
@@ -94,6 +95,37 @@ class Stack:
         self.hosts.append(host)
         await host.start()
         return client, host
+
+
+async def connects(src, dst, timeout=0.5) -> bool:
+    """Whether a stream from ``src`` to ``dst`` connects within ``timeout``
+    (a SYN the kernel drops is never answered)."""
+    try:
+        _, writer = await asyncio.wait_for(asyncio.open_connection(*dst, local_addr=src), timeout)
+    except asyncio.TimeoutError:
+        return False
+    writer.close()
+    return True
+
+
+async def grant(stack):
+    """Join the client and get it a rule for the echo service."""
+    client, host = await stack.join_client()
+    assert await wait_for(lambda: client.ready)
+    await host.call(lambda now: client.open_service("echo-cloud", now))
+    assert await wait_for(lambda: client.requests[1].state == "granted")
+    return client, host
+
+
+async def echoes(client, host, data):
+    """Open the client's tunnel stream if none is up, and send ``data`` through it."""
+    tunnel = client.tunnels["echo-cloud"]
+    if not tunnel.established:
+        await host.call(lambda now: client.open_tunnel_stream("echo-cloud"))
+        assert await wait_for(lambda: tunnel.established)
+    tunnel.rx.clear()
+    await host.call(lambda now: client.tunnel_send("echo-cloud", data))
+    return await wait_for(lambda: bytes(tunnel.rx) == data, 5.0)
 
 
 def frame_tap(node, record):
@@ -194,18 +226,66 @@ def test_unauthorized_connection_severed_before_any_byte():
             assert await wait_for(lambda: client.ready)
             await host.call(lambda now: client.open_service("echo-cloud", now))
             assert await wait_for(lambda: client.requests[1].state == "granted")
-            # a different source hits the authorized public port
+            # a different source hits the authorized public port: its SYN is never answered
             public = stack.cfg.services[0].public_port
-            reader, writer = await asyncio.open_connection(GW_IP, public, local_addr=(OTHER_IP, 0))
-            try:
-                writer.write(b"probe")
-                data = await asyncio.wait_for(reader.read(64), timeout=2.0)
-                assert data == b""  # severed cleanly: end of stream
-            except ConnectionError:
-                pass  # severed with a reset: equally no service bytes
-            finally:
-                writer.close()
+            assert not await connects((OTHER_IP, 0), (GW_IP, public))
             assert stack.echo.stats.origins.get(OTHER_IP) is None
+
+    asyncio.run(main())
+
+
+def test_only_sources_holding_a_rule_reach_a_service_port():
+    async def main():
+        async with Stack(25000) as stack:
+            public = stack.cfg.services[0].public_port
+            heard = []
+            on_stream_request = stack.gw.on_stream_request
+
+            def record(flow, port, src, now):
+                heard.append((port, src[0]))
+                return on_stream_request(flow, port, src, now)
+
+            stack.gw.on_stream_request = record
+            assert not await connects((CLIENT_IP, 0), (GW_IP, public))  # no rule yet, not even the client's
+            client, host = await grant(stack)
+            assert await echoes(client, host, b"admitted")
+            # the accepted stream runs every segment through the filter, which must pass it whole
+            assert await echoes(client, host, bytes(range(256)) * 4096)
+            assert not await connects((OTHER_IP, 0), (GW_IP, public))
+            assert (public, CLIENT_IP) in heard and all(p != public or ip == CLIENT_IP for p, ip in heard)
+            assert not any(r.get("src") == OTHER_IP for r in stack.hosts[1].logs)  # the node logged nothing of it
+            assert set(stack.echo.stats.origins) == {GW_IP}
+
+    asyncio.run(main())
+
+
+@pytest.mark.parametrize("end", ["revoked", "expired"])
+def test_a_source_whose_rule_ended_gets_no_answer(end):
+    timing = {"rule_ttl": 1.0} if end == "expired" else {"validation_interval": 0.5}
+
+    async def main():
+        async with Stack(25100 if end == "revoked" else 25110, timing=timing) as stack:
+            public = stack.cfg.services[0].public_port
+            client, host = await grant(stack)
+            assert await connects((CLIENT_IP, 0), (GW_IP, public))
+            if end == "revoked":
+                client._on_validate = lambda fields, now: []  # the device stops answering its challenges
+                assert await wait_for(lambda: client.revoked, 5.0)
+            assert await wait_for(lambda: stack.gw.engine.rule_count() == 0, 5.0)  # (the sweep, when expired)
+            assert not await connects((CLIENT_IP, 0), (GW_IP, public))
+
+    asyncio.run(main())
+
+
+def test_an_open_splice_survives_a_filter_swap():
+    async def main():
+        async with Stack(25200) as stack:
+            public = stack.cfg.services[0].public_port
+            client, host = await grant(stack)
+            assert await echoes(client, host, b"before")
+            await stack.hosts[1].call(lambda now: [Admit(public, frozenset())])  # now nobody is admitted
+            assert not await connects((CLIENT_IP, 0), (GW_IP, public))
+            assert await echoes(client, host, b"after the swap")
 
     asyncio.run(main())
 
@@ -403,6 +483,9 @@ def test_spa_with_trailing_byte_is_a_malformed_drop():
         async with Stack(21900) as stack:
             key = build_client(stack.cfg, stack.material, "aa" * 16, random.Random(1)).spa_key
             data = spa.build_spa(key, 1, spa.TargetRole.GATEWAY, time.time()).encode() + b"\x00"
+            # a well-formed packet from a client the gateway does not know yet, sent after it
+            forged = spa.build_spa(spa.SpaKey(key.client_id, b"\xee" * 32), 2, spa.TargetRole.GATEWAY,
+                                   time.time()).encode()
             seen = []
             on_datagram = stack.gw.on_datagram
 
@@ -414,15 +497,57 @@ def test_spa_with_trailing_byte_is_a_malformed_drop():
             with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sender:
                 sender.bind((CLIENT_IP, 0))
                 sender.sendto(data, (GW_IP, stack.cfg.ports.spa))
+                sender.sendto(forged, (GW_IP, stack.cfg.ports.spa))
                 assert await wait_for(lambda: seen, 5.0)
-            assert seen == [data]
-            gw_logs = stack.hosts[1].logs
-            assert {"event": "spa", "verdict": "drop", "reason": "malformed", "src": CLIENT_IP} in [
-                {k: v for k, v in r.items() if k != "ts"} for r in gw_logs
-            ]
+            assert seen == [forged]  # the kernel dropped the 91-byte datagram before it
+            records = [{k: v for k, v in r.items() if k != "ts"} for r in stack.hosts[1].logs if r.get("src") == CLIENT_IP]
+            assert records == [{"event": "spa", "verdict": "unknown-client", "src": CLIENT_IP}]
             assert not stack.gw.data_gate and not stack.gw.relay_gate
 
     asyncio.run(main())
+
+
+def test_datagrams_of_another_shape_never_reach_the_node():
+    ip, port = "127.0.0.46", 25401
+    node = ContractNode(udp_ports=[port])
+    node.udp_shapes = {port: spa.SHAPE}
+    good = spa.build_spa(spa.SpaKey(b"\x01" * 16, b"\x02" * 32), 1, spa.TargetRole.GATEWAY, time.time()).encode()
+    bad = [
+        b"", good[:-1], good + b"\x00",  # short and long
+        b"SDP2" + good[4:], good[:4] + b"\x02" + good[5:],  # magic, version
+        good[:54] + b"\x00\x00\x00\x01" + good[58:],  # reserved
+    ]
+    assert all(spa.parse_spa(data) is None for data in bad)
+
+    async def body(host, errors):
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sender:
+            sender.bind((OTHER_IP, 0))
+            for data in [*bad, good]:
+                sender.sendto(data, (ip, port))
+            assert await wait_for(lambda: node.datagrams, 5.0)
+        assert node.datagrams == [good]
+        # the kernel counts what the filter dropped in the socket's drops column
+        local = "%08X:%04X" % (int.from_bytes(socket.inet_aton(ip), sys.byteorder), port)
+        with open("/proc/net/udp") as fh:
+            (line,) = [f for f in map(str.split, fh) if f[1] == local]
+        assert int(line[-1]) == len(bad)
+        assert errors == []
+
+    asyncio.run(run_contract(node, ip, body))
+
+
+@pytest.mark.parametrize("count", [ADMIT_MAX, ADMIT_MAX + 1])
+def test_past_the_program_cap_a_listener_is_left_unfiltered(count):
+    ip, port = "127.0.0.47", 25501
+    node = ContractNode(tcp_ports={port: RAW})
+    hosts = frozenset(f"10.0.{i >> 8}.{i & 255}" for i in range(count))  # OTHER_IP is none of them
+
+    async def body(host, errors):
+        await host.call(lambda now: [Admit(port, hosts)])
+        # 2,047 hosts fill the kernel's 4,096 instructions; one more fails open
+        assert await connects((OTHER_IP, 0), (ip, port)) == (count > ADMIT_MAX)
+
+    asyncio.run(run_contract(node, ip, body))
 
 
 class ScriptedNode(ContractNode):
