@@ -222,7 +222,7 @@ class Material:
     identities: dict[str, Identity]  # hex id -> identity
     spa_keys: dict[str, spa.SpaKey]
     ca: CertificateAuthority | None = None  # None in one host's material
-    certs: dict[str, bytes] = field(default_factory=dict)  # hex id -> encoded certificate; the controller's clients
+    certs: dict[str, bytes] = field(default_factory=dict)  # hex id -> encoded certificate (the controller reads its clients')
 
 
 def generate_material(cfg: DeploymentConfig, rng: random.Random | None = None) -> Material:

@@ -350,10 +350,9 @@ class SimNet:
                        self._on_data, (flow, name, data))
 
     def _close(self, name: str, local: int) -> None:
-        flow = self._by_local[name].get(local)
+        flow = self._by_local[name].pop(local, None)
         if flow is None:
             return
-        self._by_local[name].pop(local)
         self._early.pop((name, local), None)
         if flow.state == "closed":
             return  # the peer closed it first; its close segment, still in flight, reports nothing now
