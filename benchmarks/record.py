@@ -38,6 +38,7 @@ import datetime
 import json
 import os
 import re
+import signal
 import statistics
 import subprocess
 import sys
@@ -210,6 +211,10 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", help="checkout of the parent commit to run in alternation")
     parser.add_argument("--note", default="", help="free text stored with the entries")
     args = parser.parse_args(argv)
+    # A shell without job control starts a background job with SIGINT
+    # ignored, and exec keeps that; caught here, it is back at its default in
+    # each run.py and the servers it starts, which it stops with SIGINT.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
 
     roles = {os.path.abspath(args.parent): "parent", ROOT: "change"} if args.parent else {ROOT: "baseline"}
     checkouts = list(roles)

@@ -129,7 +129,8 @@ class ControllerNode(Node):
         for g in gateways:
             self.store.register(g.spa_key)
         self.udp_ports = [spa_port]
-        self.udp_shapes = {spa_port: spa.SHAPE}  # a driver may drop the malformed before this node sees them
+        # a driver may drop what on_datagram refuses unread: the malformed, and every id but a gateway's
+        self.udp_shapes = {spa_port: (*spa.SHAPE, (spa.CLIENT_ID_OFFSET, frozenset(self.gateway_records)))}
         self.tcp_ports = {control_port: "framed"}
         self.gated = spa.Gates()  # source host -> _GateEntry
         self.links: dict[int, _GatewayLink] = {}

@@ -83,6 +83,7 @@ def build_gateway(cfg: DeploymentConfig, material: Material, gw_id: str, rng) ->
         material.spa_keys[gw_id],
         (cfg.controller.host, cfg.ports.control),
         bindings,
+        [c.id_bytes for c in cfg.clients],
         rng=rng,
         spa_port=cfg.ports.spa,
         relay_port=cfg.ports.control,

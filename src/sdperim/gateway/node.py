@@ -13,20 +13,25 @@ Default posture is drop-everything. Three kinds of traffic get through:
   byte-for-byte onto a gateway-originated connection to the protected
   service and tracked until closed or idle.
 
-Any sender can write a relay gate (``relay_gate`` is a ``spa.Gates``), and the
-hello it admits spends it. A gate holds its source's one stream awaiting a
-hello, closed by a newer stream (a retrying client left it), eviction or expiry.
+Any sender naming a provisioned id can write a relay gate (``relay_gate`` is
+a ``spa.Gates``), and the hello it admits spends it. A gate holds its
+source's one stream awaiting a hello, closed by a newer stream (a retrying
+client left it), eviction or expiry. An SPA naming a client id the node was
+not given (``client_ids``, the provisioned clients) is dropped for either
+target and logged ``unknown-client``.
 
 Rules expire after their TTL; tracked connections survive rule expiry.
 Every verdict is logged as one structured record.
 
 The node tells its driver what it would drop anyway: the SPA port takes only
-datagrams of the SPA packet's shape (``udp_shapes``), and each public port
-only the source hosts holding a rule for it (an ``Admit`` at start, and
-whenever a rule install, expiry or revocation changes that set; the one for
-a grant goes out before its ``AH_ACK``). A driver that filters in the kernel
-spares the node those packets; the node's own checks stay the decider. The
-relay port is not filtered: any sender can write its gates.
+datagrams of the SPA packet's shape that name one of ``client_ids``
+(``udp_shapes``), and each public port only the source hosts holding a rule
+for it (an ``Admit`` at start, and whenever a rule install, expiry or
+revocation changes that set; the one for a grant goes out before its
+``AH_ACK``). A driver that filters in the kernel spares the node those
+packets; the node's own checks stay the decider. The relay port is not
+filtered: every source's initiation reaches the node, which takes it only
+from a source holding a live gate.
 """
 
 from __future__ import annotations
@@ -102,6 +107,7 @@ class GatewayNode(Node):
         spa_key: spa.SpaKey,
         controller_addr: tuple[str, int],
         services: list[ServiceBinding],
+        client_ids,
         rng,
         spa_port: int = 62201,
         relay_port: int = 5000,
@@ -116,8 +122,9 @@ class GatewayNode(Node):
         self.relay_port = relay_port
         self.services = {s.service_id: s for s in services}
         self.by_public_port = {s.public_port: s for s in services}
+        self.client_ids = frozenset(client_ids)
         self.udp_ports = [spa_port]
-        self.udp_shapes = {spa_port: spa.SHAPE}
+        self.udp_shapes = {spa_port: (*spa.SHAPE, (spa.CLIENT_ID_OFFSET, self.client_ids))}
         self.tcp_ports = {relay_port: FRAMED}
         for s in services:
             self.tcp_ports[s.public_port] = RAW
@@ -174,6 +181,8 @@ class GatewayNode(Node):
         pkt = spa.parse_spa(data)
         if pkt is None:
             return [Log({"event": "spa", "verdict": "drop", "reason": "malformed", "src": src[0]})]
+        if pkt.client_id not in self.client_ids:
+            return [Log({"event": "spa", "verdict": spa.SpaVerdict.UNKNOWN_CLIENT.value, "src": src[0]})]
         if pkt.target == spa.TargetRole.CONTROLLER:
             # structural gate only; the controller is the verifier of record
             gate = self.relay_gate.get(src[0]) or _RelayGate(src[0])  # a re-sent SPA keeps the stream its gate holds

@@ -36,6 +36,9 @@ _LAYOUT = struct.Struct("!4sBB16sQQ16s4s")
 # zero reserved bytes. A receiving node declares it as its ``udp_shapes``
 # (``transport.base.Node``), so a driver may drop any other datagram early.
 SHAPE = (PACKET_LEN, ((0, MAGIC + bytes([VERSION])), (_SIGNED_LEN - 4, bytes(4))))
+# Where the client id starts; a node adds the ids it knows to its shape as
+# ``(*SHAPE, (CLIENT_ID_OFFSET, ids))``.
+CLIENT_ID_OFFSET = 6
 
 SECRET_LEN = 32
 CLIENT_ID_LEN = 16

@@ -90,9 +90,11 @@ class Node:
     before the node sees it. The node's own checks stay the decider, since
     a driver may not filter at all:
 
-    - ``udp_shapes`` maps a UDP port to ``(length, ((offset, bytes), ...))``:
-      the node wants only datagrams that long with those bytes at those
-      offsets.
+    - ``udp_shapes`` maps a UDP port to ``(length, ((offset, bytes), ...))``
+      or ``(length, ((offset, bytes), ...), (offset, values))``: the node
+      wants only datagrams that long with those bytes at those offsets and,
+      if the third part is given, one of ``values`` (byte strings of one
+      length, a multiple of four) at its offset.
     - ``Admit(port, hosts)``: only ``hosts`` may open a stream to the
       listener on ``port``. A node emits it again whenever the set changes;
       a port no ``Admit`` named admits every source.
@@ -136,7 +138,7 @@ class Node:
         self.name = name
         self.udp_ports: list[int] = []
         self.tcp_ports: dict[int, str] = {}
-        self.udp_shapes: dict[int, tuple[int, tuple[tuple[int, bytes], ...]]] = {}
+        self.udp_shapes: dict[int, tuple] = {}  # port -> (length, fields[, (offset, values)])
         self._next_flow = 1
 
     def new_flow(self) -> int:

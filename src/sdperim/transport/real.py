@@ -47,14 +47,26 @@ process:
   value is a length, and would truncate data segments.
 - A ``udp_shapes`` entry puts a program on that UDP listener that passes
   only datagrams of that length with those bytes in place. The program sees
-  the 8-byte UDP header first, and the length it loads includes it.
+  the 8-byte UDP header first, and the length it loads includes it. An
+  entry's id part (``(offset, values)``) follows those checks: the
+  packet's words there are loaded once into scratch memory (the kernel
+  turns each packet load into about a dozen instructions, and charges a
+  program's size to its socket), then one block per value compares them
+  word by word, jumping to the next block on a mismatch, and passes; a
+  drop follows the last block. Every jump is short (a conditional jump
+  reaches at most 255 instructions ahead): a failed shape check drops at
+  a local drop, which an unconditional jump leads the rest over.
 
 A filter fails open, never closed: where it cannot hold (not Linux, not
 IPv4, more than ``ADMIT_MAX`` hosts, which would exceed the kernel's
 ``BPF_MAXINSNS``, a host that is not an IPv4 address, or a refused
 ``setsockopt``), the listener has none and every source reaches the node.
-Each socket's kernel drop count (``SK_MEMINFO_DROPS``, in ``ss -tlm`` and
-the drops column of ``/proc/net/udp``) includes what its filter dropped.
+Where the kernel refuses a program with an id part (longer than
+``BPF_MAXINSNS``, past ``ID_MAX`` ids on an SPA port, or larger than the
+socket's option memory, ``net.core.optmem_max``, to which a filter is
+charged), the socket gets the shape checks alone. Each socket's kernel drop
+count (``SK_MEMINFO_DROPS``, in ``ss -tlm`` and the drops column of
+``/proc/net/udp``) includes what its filter dropped.
 
 An accepted stream gets a socket object and is connected at once; an
 outbound one is a ``connect_ex`` from the host address, watched for
@@ -159,8 +171,12 @@ FILTERS = sys.platform.startswith("linux")
 SO_ATTACH_FILTER, SO_DETACH_FILTER = 26, 27
 BPF_MAXINSNS = 4096
 ADMIT_MAX = (BPF_MAXINSNS - 2) // 2  # one load and one drop, then a compare and a pass per host: 2,047
-_LD_W, _LD_B, _LD_LEN = 0x20, 0x30, 0x80  # BPF_LD | BPF_W|BPF_ABS, BPF_B|BPF_ABS, BPF_W|BPF_LEN
-_JEQ, _RET = 0x15, 0x06  # BPF_JMP|BPF_JEQ|BPF_K, BPF_RET|BPF_K
+# An id part takes nine instructions per 16-byte id (four word compares and a
+# pass); after the SPA shape's ten checks, a jump, a drop, the eight that
+# keep the id's words and the last drop, 451 fit in BPF_MAXINSNS.
+ID_MAX = (BPF_MAXINSNS - 31) // 9
+_LD_W, _LD_B, _LD_LEN, _LD_MEM = 0x20, 0x30, 0x80, 0x60  # BPF_LD | BPF_W|BPF_ABS, BPF_B|BPF_ABS, BPF_W|BPF_LEN, BPF_W|BPF_MEM
+_ST, _JA, _JEQ, _RET = 0x02, 0x05, 0x15, 0x06  # BPF_ST, BPF_JMP|BPF_JA, BPF_JMP|BPF_JEQ|BPF_K, BPF_RET|BPF_K
 _NET_SRC = (-0x100000 + 12) & 0xFFFFFFFF  # SKF_NET_OFF + 12: the IPv4 source address
 _UDP_HEADER = 8
 _PASS, _DROP = 0xFFFFFFFF, 0
@@ -182,23 +198,38 @@ def _admit_program(hosts) -> list | None:
     return insns + [(_RET, 0, 0, _DROP)]
 
 
-def _shape_program(length: int, fields) -> list:
+def _shape_program(length: int, fields, ids=None) -> list:
     """Pass only datagrams of ``length`` payload bytes that hold each
-    ``(offset, bytes)`` of ``fields``."""
+    ``(offset, bytes)`` of ``fields`` and, given ``ids`` = ``(offset,
+    values)``, one of ``values`` there."""
     checks = [(_LD_LEN, 0, _UDP_HEADER + length)]  # (load, its k, the value wanted), then byte by byte
     checks += [(_LD_B, _UDP_HEADER + offset + i, byte) for offset, value in fields for i, byte in enumerate(value)]
     insns = []
-    for i, (load, k, want) in enumerate(checks):  # a mismatch jumps to the last instruction
+    for i, (load, k, want) in enumerate(checks):  # a mismatch jumps to the drop after the checks
         insns += [(load, 0, 0, k), (_JEQ, 0, 2 * (len(checks) - i) - 1, want)]
-    return insns + [(_RET, 0, 0, _PASS), (_RET, 0, 0, _DROP)]
+    if ids is None:
+        return insns + [(_RET, 0, 0, _PASS), (_RET, 0, 0, _DROP)]
+    insns += [(_JA, 0, 0, 1), (_RET, 0, 0, _DROP)]
+    offset, values = ids
+    n = len(next(iter(values), b"")) // 4  # words per value
+    for j in range(n):  # the packet's words, once, into scratch memory
+        insns += [(_LD_W, 0, 0, _UDP_HEADER + offset + 4 * j), (_ST, 0, 0, j)]
+    for value in sorted(values):  # a mismatch jumps over the rest of its block, to the next
+        for j in range(n):
+            insns += [(_LD_MEM, 0, 0, j), (_JEQ, 0, 2 * (n - j) - 1, int.from_bytes(value[4 * j:4 * j + 4], "big"))]
+        insns.append((_RET, 0, 0, _PASS))
+    return insns + [(_RET, 0, 0, _DROP)]
 
 
-def _attach(sock: socket.socket, insns: list | None):
-    """Replace the filter of ``sock`` with ``insns``. None, or an attach the
-    kernel refuses, leaves it with none: a filter fails open."""
+def _attach(sock: socket.socket, *programs: list | None):
+    """Replace the filter of ``sock`` with the first of ``programs`` the
+    kernel takes. A None, or none taken, leaves it with none: a filter fails
+    open."""
     if not FILTERS or sock.family != socket.AF_INET:
         return
-    if insns is not None:
+    for insns in programs:
+        if insns is None:
+            break
         code = array.array("B", b"".join(_INSN.pack(*insn) for insn in insns))
         try:
             sock.setsockopt(socket.SOL_SOCKET, SO_ATTACH_FILTER, _FPROG.pack(len(insns), code.buffer_info()[0]))
@@ -300,7 +331,8 @@ class RealHost:
         for port in self.node.udp_ports:
             sock = self._bind(port, socket.SOCK_DGRAM)
             if port in self.node.udp_shapes:
-                _attach(sock, _shape_program(*self.node.udp_shapes[port]))
+                shape = self.node.udp_shapes[port]  # without its id part where the kernel refuses that
+                _attach(sock, _shape_program(*shape), _shape_program(*shape[:2]))
             self._listen(sock, port, None)
         # outbound datagrams (a host need not listen to send); kept with the
         # listeners, so stop closes it

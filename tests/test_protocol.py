@@ -589,9 +589,10 @@ class TestDeviceValidation:
         assert dep.controller.session_count() == 0
 
 
-def forged_spa(now, client_id=b"\x99" * 16):
-    """A controller-target SPA under a made-up key: it passes the gateway's
-    structural gate, so it writes a relay gate for its source."""
+def forged_spa(now, client_id=b"\xaa" * 16):
+    """A controller-target SPA naming a provisioned client (the default's
+    ``aa`` id) under a made-up key: it passes the gateway's structural gate,
+    so it writes a relay gate for its source."""
     key = spa.SpaKey(client_id, b"\x98" * 32)
     return spa.build_spa(key, 1, spa.TargetRole.CONTROLLER, now, b"\x00" * spa.NONCE_LEN).encode()
 
@@ -713,7 +714,7 @@ class TestDarkness:
             closed = []
 
             def on_connected(self, flow, now):
-                return [Send(flow, encode_frame(Kind.CHANNEL_HELLO, [(F.SUBJECT_ID, b"\x99" * 16)]))]
+                return [Send(flow, encode_frame(Kind.CHANNEL_HELLO, [(F.SUBJECT_ID, b"\xaa" * 16)]))]
 
             def on_closed(self, flow, now):
                 self.closed.append(flow)
@@ -728,7 +729,7 @@ class TestDarkness:
         dep.net.run(until=dep.net.clock + 1.0)
         (opened,) = [r["ts"] for r in dep.net.logs["gateway"] if r.get("event") == "relay" and r["verdict"] == "open"]
         refused = [r["verdict"] for r in dep.net.logs["controller"] if r.get("event") == "client-spa"]
-        assert refused == ["unknown-client"]
+        assert refused == ["bad-tag"]  # a provisioned id under a made-up key
         dep.net.run(until=opened + GATE_WINDOW - 0.01)
         assert knocker.closed == [] and len(dep.net._by_local["client"]) == 1  # held before its deadline
         dep.net.run(until=opened + GATE_WINDOW + SWEEP_TICK + 0.01)
@@ -752,6 +753,26 @@ class TestDarkness:
 
 
 class TestRelayGate:
+    def test_an_spa_naming_no_provisioned_client_writes_no_gate(self):
+        dep = authed_deployment()
+        gw = dep.gateway()
+        stranger = Node("client")
+        dep.net.add_node(stranger)
+        before = len(dep.net.trace)
+        dep.net.act(stranger, [SendDatagram(("gateway", gw.spa_port), forged_spa(dep.net.clock, b"\x99" * 16))])
+        dep.net.run(until=dep.net.clock + 0.5)
+        dep.net.act(stranger, [OpenStream(stranger.new_flow(), ("gateway", gw.relay_port))])
+        dep.net.run(until=dep.net.clock + 2.0)
+        records = [{k: v for k, v in r.items() if k != "ts"} for r in dep.net.logs["gateway"] if r.get("src") == "client"]
+        assert records == [
+            {"event": "spa", "verdict": "unknown-client", "src": "client"},
+            {"event": "stream", "verdict": "drop", "reason": "ungated", "src": "client", "port": gw.relay_port},
+        ]
+        assert not gw.relay_gate and hello_waits(gw) == {}
+        relay = [f.state for f in dep.net._by_local["gateway"].values() if f.acc_addr == ("gateway", gw.relay_port)]
+        assert relay == ["syn-sent"]  # declined: never answered
+        assert [r for r in dep.net.trace[before:] if r.dst == "client"] == []
+
     def test_forged_gates_are_capped_oldest_first(self):
         dep = authed_deployment()
         gw = dep.gateway()
@@ -830,8 +851,10 @@ class TestRelayGate:
         # relay streams (some closed by their source) from a pool of sources
         # (so sources repeat; the streams' pool is the first sources, which a
         # burst of SPAs most likely gated), clock advances and sweeps
-        gw = authed_deployment().gateway()
-        packets = [forged_spa(0.0, bytes([i]) * 16) for i in range(8)]
+        ids = [bytes([i]) * 16 for i in range(8)]
+        clients = [{"id": cid.hex(), "host": f"client{i}", "services": ["echo-cloud"]} for i, cid in enumerate(ids)]
+        gw = authed_deployment(clients=clients).gateway()
+        packets = [forged_spa(0.0, cid) for cid in ids]
         step = st.one_of(
             st.tuples(st.just("spa"), st.integers(1, 2000), st.integers(1, 4000), st.integers(0, 2**16)),
             st.tuples(st.just("streams"), st.integers(1, 200), st.integers(1, 64), st.integers(0, 2**16)),

@@ -26,7 +26,7 @@ from sdperim.deploy import build_client, build_controller, build_gateway, build_
 from sdperim.services import EchoNode
 from sdperim.transport.base import Send, SendDatagram
 from sdperim.transport.base import FRAMED, LOG_KEEP, RAW, AcceptStream, Admit, Close, Log, Node
-from sdperim.transport.real import ADMIT_MAX, POLL_INTERVAL, RealHost
+from sdperim.transport.real import ADMIT_MAX, ID_MAX, POLL_INTERVAL, RealHost
 from sdperim.wire import MAX_FRAME_LEN, F, Kind, encode_frame
 
 CTRL_IP, GW_IP, CLOUD_IP, CLIENT_IP, OTHER_IP = (
@@ -526,14 +526,46 @@ def test_datagrams_of_another_shape_never_reach_the_node():
                 sender.sendto(data, (ip, port))
             assert await wait_for(lambda: node.datagrams, 5.0)
         assert node.datagrams == [good]
-        # the kernel counts what the filter dropped in the socket's drops column
-        local = "%08X:%04X" % (int.from_bytes(socket.inet_aton(ip), sys.byteorder), port)
-        with open("/proc/net/udp") as fh:
-            (line,) = [f for f in map(str.split, fh) if f[1] == local]
-        assert int(line[-1]) == len(bad)
+        assert udp_drops(ip, port) == len(bad)
         assert errors == []
 
     asyncio.run(run_contract(node, ip, body))
+
+
+def udp_drops(ip, port) -> int:
+    """The kernel's drop count of the UDP socket bound to ``(ip, port)``;
+    it includes what the socket's filter dropped."""
+    local = "%08X:%04X" % (int.from_bytes(socket.inet_aton(ip), sys.byteorder), port)
+    with open("/proc/net/udp") as fh:
+        (line,) = [f for f in map(str.split, fh) if f[1] == local]
+    return int(line[-1])
+
+
+def spa_naming(client_id: bytes) -> bytes:
+    return spa.build_spa(spa.SpaKey(client_id, b"\x02" * 32), 1, spa.TargetRole.GATEWAY, time.time()).encode()
+
+
+def through_id_filter(ids, sent, arrive) -> tuple[list, int]:
+    """Send ``sent`` in order to a UDP port that declares the SPA shape with
+    ``ids`` at the client id, and wait until ``arrive`` datagrams reached the
+    node; what reached it, and the kernel's drop count. A caller sends what
+    should pass last, so that every drop is counted once it arrives."""
+    ip, port = "127.0.0.50", 25701
+    node = ContractNode(udp_ports=[port])
+    node.udp_shapes = {port: (*spa.SHAPE, (spa.CLIENT_ID_OFFSET, frozenset(ids)))}
+    drops = []
+
+    async def body(host, errors):
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sender:
+            sender.bind((OTHER_IP, 0))
+            for data in sent:
+                sender.sendto(data, (ip, port))
+            await wait_for(lambda: len(node.datagrams) >= arrive, 5.0)
+        drops.append(udp_drops(ip, port))
+        assert errors == []
+
+    asyncio.run(run_contract(node, ip, body))
+    return node.datagrams, drops[0]
 
 
 @pytest.mark.parametrize("count", [ADMIT_MAX, ADMIT_MAX + 1])
@@ -548,6 +580,70 @@ def test_past_the_program_cap_a_listener_is_left_unfiltered(count):
         assert await connects((OTHER_IP, 0), (ip, port)) == (count > ADMIT_MAX)
 
     asyncio.run(run_contract(node, ip, body))
+
+
+@pytest.mark.parametrize("count", [33, 300])
+def test_spas_naming_no_declared_id_never_reach_the_node(count):
+    # 33 ids take 328 instructions and 300 take 2,731: far past the 255 a conditional jump reaches
+    rng = random.Random(count)
+    ids = [rng.randbytes(16) for _ in range(count)]
+    known = [spa_naming(i) for i in ids[::count // 30] + ids[-1:]]  # fewer than a receive queue holds
+    unknown = [spa_naming(rng.randbytes(16)) for _ in range(40)]
+    assert through_id_filter(ids, unknown + known, len(known)) == (known, len(unknown))
+
+
+def test_an_id_must_match_in_every_byte():
+    ids = [bytes([i]) * 16 for i in range(1, 9)]
+    near = [
+        ids[0][:12] + b"\xff" * 4,  # equal in its first 12 bytes
+        ids[3][:15] + b"\x00",
+        b"\x00" + ids[7][1:],
+        ids[5][:8] + ids[6][8:],  # half of one id, half of another
+    ]
+    known = [spa_naming(i) for i in ids]
+    near_spas = [spa_naming(i) for i in near]
+    assert through_id_filter(ids, near_spas + known, len(known)) == (known, len(near))
+
+
+@pytest.mark.parametrize("count", [ID_MAX, ID_MAX + 1])
+def test_past_the_program_cap_the_id_check_is_left_out(count):
+    rng = random.Random(count)
+    ids = [rng.randbytes(16) for _ in range(count)]
+    known, unknown = spa_naming(ids[-1]), spa_naming(rng.randbytes(16))
+    malformed = known[:-1]
+    # ID_MAX ids still fit in the kernel's 4,096 instructions; past them it refuses the program,
+    # and the socket gets the shape checks alone
+    expect = [known] if count == ID_MAX else [unknown, known]
+    assert through_id_filter(ids, [malformed, unknown, known], len(expect)) == (expect, 3 - len(expect))
+
+
+def test_only_a_gateway_id_reaches_the_controllers_spa_port():
+    async def main():
+        async with Stack(25800) as stack:
+            ctl, now = stack.ctrl, time.time()
+            client_key = build_client(stack.cfg, stack.material, "aa" * 16, random.Random(1)).spa_key
+            gw_key = stack.gw.spa_key
+            client_spa = spa.build_spa(client_key, 1, spa.TargetRole.CONTROLLER, now).encode()
+            gw_spa = spa.build_spa(gw_key, ctl.store.last_counter(gw_key.client_id) + 1, spa.TargetRole.CONTROLLER,
+                                   now).encode()
+            seen = []
+            on_datagram = ctl.on_datagram
+
+            def record(port, src, d, now):
+                seen.append(d)
+                return on_datagram(port, src, d, now)
+
+            ctl.on_datagram = record
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sender:
+                sender.bind((OTHER_IP, 0))
+                sender.sendto(client_spa, (CTRL_IP, stack.cfg.ports.spa))
+                sender.sendto(gw_spa, (CTRL_IP, stack.cfg.ports.spa))
+                assert await wait_for(lambda: seen, 5.0)
+            assert seen == [gw_spa]  # a client's SPA reaches the controller only through its gateway
+            assert udp_drops(CTRL_IP, stack.cfg.ports.spa) == 1
+            assert ctl.gated[OTHER_IP].subject_id == gw_key.client_id
+
+    asyncio.run(main())
 
 
 class ScriptedNode(ContractNode):
