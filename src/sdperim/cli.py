@@ -12,7 +12,11 @@ Six binaries share one deployment config (see ``sdperim.config``):
 Each is installed as a console script of that name; from a source checkout
 ``python -m sdperim <binary> ...`` runs the same function (see
 ``sdperim.__main__``). Exit codes follow the shared contract: 0 success,
-2 authorization or configuration failure, 3 timeout.
+2 authorization or configuration failure (a bad input file prints ``error:
+...``, with no traceback), 3 timeout.
+
+Every socket of a node binary belongs to a ``RealHost``; the client binary
+runs a second one for its local endpoint, a ``ForwardNode``.
 """
 
 from __future__ import annotations
@@ -20,72 +24,91 @@ from __future__ import annotations
 import argparse
 import asyncio
 import dataclasses
+import functools
 import json
 import os
 import random
 import sys
-from typing import TYPE_CHECKING
+import time
 
 # module attributes, so that a traced perimbench run can wrap the node builders
 from .deploy import build_client, build_controller, build_gateway
-
-if TYPE_CHECKING:
-    from .transport.real import RealHost
 
 EXIT_OK = 0
 EXIT_AUTH = 2
 EXIT_TIMEOUT = 3
 
 
-def _config_dir(path: str) -> str:
-    return os.path.dirname(os.path.abspath(path))
+class _BadInput(Exception):
+    """A config or parameter file that cannot be read or is not valid, or a service not granted."""
+
+
+def _load(load, *args, **kw):
+    """``load(*args, **kw)``, which reads an input file; what a bad one raises becomes ``_BadInput``."""
+    try:
+        return load(*args, **kw)
+    except (ValueError, OSError) as exc:  # ConfigError and DelayDomainError are ValueErrors
+        raise _BadInput(exc) from exc
+
+
+def _main(main):
+    """A binary's entry point that prints a ``_BadInput`` as ``error: ...`` and exits ``EXIT_AUTH``."""
+    @functools.wraps(main)
+    def run(argv=None) -> int:
+        try:
+            return main(argv)
+        except _BadInput as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_AUTH
+    return run
 
 
 def _load_host(path: str, section: str, host_id: str | None):
     """The config, this host's entry in ``section`` (the first one unless
     ``host_id`` names another) and only this host's material."""
-    from .config import load_config, load_host_material
+    from .config import ConfigError, load_config, load_host_material
     cfg = load_config(path)
-    entries = getattr(cfg, section)
-    entry = next(e for e in entries if e.id == (host_id or entries[0].id))
-    return cfg, entry, load_host_material(cfg, _config_dir(path), entry)
+    entry = next((e for e in getattr(cfg, section) if host_id in (None, e.id)), None)
+    if entry is None:
+        raise ConfigError(f"{path}: {section} has no entry with id {host_id}" if host_id else f"{path}: no {section}")
+    return cfg, entry, load_host_material(cfg, os.path.dirname(os.path.abspath(path)), entry)
 
 
-def _load_yaml(path: str):
+def _load_yaml(path: str) -> dict:
+    """A YAML mapping (an empty file is an empty one)."""
     import yaml
     with open(path, "r", encoding="utf-8") as fh:
-        return yaml.safe_load(fh)
+        try:
+            raw = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ValueError(f"{path}: not YAML: {exc}") from exc
+    if not isinstance(raw, (dict, type(None))):
+        raise ValueError(f"{path}: the root must be a mapping")
+    return raw or {}
 
 
-async def _run_forever(host: RealHost) -> int:
+async def _run_forever(host):
     await host.start()
-    stop = asyncio.Event()
     try:
-        await stop.wait()
-    except (KeyboardInterrupt, asyncio.CancelledError):
-        pass
+        await asyncio.Event().wait()  # until interrupted: the caller's KeyboardInterrupt handler gives the exit code
     finally:
         await host.stop()
-    return EXIT_OK
 
 
+@_main
 def controller_main(argv=None) -> int:
-    from .config import ConfigError, load_config, load_controller_material, provision
+    from .config import load_config, load_controller_material, provision
     parser = argparse.ArgumentParser(prog="controller", description="Run the control-plane node.")
     parser.add_argument("--config", required=True)
     parser.add_argument("--provision", action="store_true", help="generate key material and records, then exit")
     parser.add_argument("--force", action="store_true", help="overwrite existing material when provisioning")
     args = parser.parse_args(argv)
-    try:
-        cfg = load_config(args.config)
-        if args.provision:
-            path = provision(cfg, _config_dir(args.config), force=args.force)
-            print(f"material written to {path}")
-            return EXIT_OK
-        material = load_controller_material(cfg, _config_dir(args.config))
-    except (ConfigError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_AUTH
+    cfg, base_dir = _load(load_config, args.config), os.path.dirname(os.path.abspath(args.config))
+    if args.provision:
+        path = _load(provision, cfg, base_dir, force=args.force)
+        print(f"material written to {path}")
+        return EXIT_OK
+    material = _load(load_controller_material, cfg, base_dir)
     from .transport.real import RealHost  # only here: provisioning, which perimbench runs in-process, needs no driver
     node = build_controller(cfg, material, random.SystemRandom())
     print(f"controller {cfg.controller.id[:8]} on {cfg.controller.host}:{cfg.ports.control}")
@@ -95,19 +118,15 @@ def controller_main(argv=None) -> int:
         return EXIT_OK
 
 
+@_main
 def gateway_main(argv=None) -> int:
-    from .config import ConfigError
     from .transport.real import RealHost
     parser = argparse.ArgumentParser(prog="gateway", description="Run an accepting-host node.")
     parser.add_argument("--config", required=True)
     parser.add_argument("--id", help="gateway id (hex); defaults to the first configured gateway")
     parser.add_argument("--log", help="JSON-lines verdict log path")
     args = parser.parse_args(argv)
-    try:
-        cfg, entry, material = _load_host(args.config, "gateways", args.id)
-    except (ConfigError, FileNotFoundError, StopIteration, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_AUTH
+    cfg, entry, material = _load(_load_host, args.config, "gateways", args.id)
     node = build_gateway(cfg, material, entry.id, random.SystemRandom())
     print(f"gateway {entry.id[:8]} on {entry.host} (spa {cfg.ports.spa}, relay {cfg.ports.control})")
     try:
@@ -117,13 +136,12 @@ def gateway_main(argv=None) -> int:
 
 
 async def _client_session(node, bind_host: str, args) -> int:
+    from .client import ForwardNode
     from .transport.real import RealHost
-    host = RealHost(node, bind_host)
-    await host.start()
+    hosts = [RealHost(node, bind_host)]
     try:
-        for _ in range(int(20 / 0.05)):
-            if node.ready or node.failed:
-                break
+        await hosts[0].start()
+        while not (node.ready or node.failed):  # the node's own SPA timeouts end the wait
             await asyncio.sleep(0.05)
         if not node.ready:
             print(f"authentication failed: {node.failure or 'timeout'}", file=sys.stderr)
@@ -131,15 +149,10 @@ async def _client_session(node, bind_host: str, args) -> int:
         print(f"authenticated; services: {[s[0] for s in node.services]}")
         if not args.service:
             return EXIT_OK
-        try:
-            await host.call(lambda now: node.open_service(args.service, now))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_AUTH
+        opening = _load(node.open_service, args.service, time.time())  # a service the session lacks is bad input
+        await hosts[0].call(lambda now: opening)
         request = node.requests[max(node.requests)]
-        for _ in range(200):
-            if request.state != "pending":
-                break
+        while request.state == "pending":  # the request's own timeout ends this wait
             await asyncio.sleep(0.05)
         if request.state == "timeout":
             print("connection request timed out", file=sys.stderr)
@@ -147,70 +160,26 @@ async def _client_session(node, bind_host: str, args) -> int:
         if request.state != "granted":
             print(f"denied: {request.reason}", file=sys.stderr)
             return EXIT_AUTH
-        tunnel = node.tunnels[args.service]
-        print(f"granted; forwarding {tunnel.endpoint[0]}:{tunnel.endpoint[1]}")
-        server = await asyncio.start_server(
-            lambda r, w: _serve_local(host, node, args.service, r, w),
-            host=bind_host,
-            port=args.local_port,
-        )
-        addr = server.sockets[0].getsockname()
-        print(f"local endpoint {addr[0]}:{addr[1]}")
-        async with server:
-            await server.serve_forever()
-        return EXIT_OK
+        endpoint = node.tunnels[args.service].endpoint
+        print(f"granted; forwarding {endpoint[0]}:{endpoint[1]}")
+        hosts.append(RealHost(ForwardNode(bind_host, args.local_port, endpoint), bind_host))
+        await hosts[1].start()
+        print(f"local endpoint {bind_host}:{hosts[1].stream_port(args.local_port)}")
+        await asyncio.Event().wait()
     finally:
-        await host.stop()
+        for host in hosts:
+            await host.stop()
 
 
-async def _serve_local(host: RealHost, node, service_id: str, reader, writer):
-    """Splice one local connection through the tunnel (one at a time)."""
-    await host.call(lambda now: node.open_tunnel_stream(service_id))
-    tunnel = node.tunnels[service_id]
-    for _ in range(100):
-        if tunnel.established or tunnel.closed:
-            break
-        await asyncio.sleep(0.02)
-    if not tunnel.established:
-        writer.close()
-        return
-    tunnel.rx.clear()  # bytes an earlier local connection left unread
-
-    async def pump_out():
-        while not tunnel.closed:
-            if tunnel.rx:
-                writer.write(bytes(tunnel.rx))
-                tunnel.rx.clear()  # written bytes are not kept
-                await writer.drain()
-            await asyncio.sleep(0.01)
-
-    out_task = asyncio.ensure_future(pump_out())
-    try:
-        while True:
-            data = await reader.read(65536)
-            if not data:
-                break
-            await host.call(lambda now, data=data: node.tunnel_send(service_id, data))
-    except (ConnectionError, OSError):
-        pass
-    finally:
-        out_task.cancel()
-        writer.close()
-
-
+@_main
 def client_main(argv=None) -> int:
-    from .config import ConfigError
     parser = argparse.ArgumentParser(prog="client", description="Authenticate and forward one service locally.")
     parser.add_argument("--config", required=True)
     parser.add_argument("--service", help="service id to open")
     parser.add_argument("--local-port", type=int, default=0)
     parser.add_argument("--id", help="client id (hex); defaults to the first configured client")
     args = parser.parse_args(argv)
-    try:
-        cfg, entry, material = _load_host(args.config, "clients", args.id)
-    except (ConfigError, FileNotFoundError, StopIteration, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_AUTH
+    cfg, entry, material = _load(_load_host, args.config, "clients", args.id)
     node = build_client(cfg, material, entry.id, random.SystemRandom())
     try:
         return asyncio.run(_client_session(node, entry.host, args))
@@ -218,6 +187,7 @@ def client_main(argv=None) -> int:
         return EXIT_OK
 
 
+@_main
 def attack_main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="attack", description="Adversarial harness.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -251,18 +221,18 @@ def attack_main(argv=None) -> int:
         from .harness.flood import FloodSpec, real_flood
 
         if args.target:
-            host, port = args.target.rsplit(":", 1)
-            port = int(port)
+            host, _, port = args.target.rpartition(":")
+            if not host or not port.isdigit():
+                p_flood.error(f"--target {args.target!r} is not HOST:PORT")
         elif args.config:
             from .config import load_config
-            cfg = load_config(args.config)
+            cfg = _load(load_config, args.config)
             svc = cfg.services[0]
             host = next(g.host for g in cfg.gateways if g.id == svc.gateway)
             port = svc.public_port
         else:
-            print("error: give --target or --config", file=sys.stderr)
-            return EXIT_AUTH
-        spec = FloodSpec(host, port, rate=args.rate, duration=args.duration)
+            p_flood.error("give --target or --config")
+        spec = FloodSpec(host, int(port), rate=args.rate, duration=args.duration)
         stats = asyncio.run(real_flood(spec, args.sources.split(",")))
         path = os.path.join(args.out, "flood.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -277,11 +247,12 @@ def attack_main(argv=None) -> int:
             target = args.target
         elif args.config:
             from .config import load_config
-            target = load_config(args.config).gateways[0].host
+            target = _load(load_config, args.config).gateways[0].host
         else:
-            print("error: give --target or --config", file=sys.stderr)
-            return EXIT_AUTH
-        a, b = args.ports.split("-")
+            p_scan.error("give --target or --config")
+        a, _, b = args.ports.partition("-")
+        if not (a.isdigit() and b.isdigit()):
+            p_scan.error(f"--ports {args.ports!r} is not A-B")
         ports = range(int(a), int(b) + 1)
         report = asyncio.run(real_port_scan(target, ports, timeout=args.timeout, bind_ip=args.bind))
         path = os.path.join(args.out, "scan.json")
@@ -294,11 +265,11 @@ def attack_main(argv=None) -> int:
 
     from .harness.experiment import ExperimentSpec, run_experiment
 
-    overrides = (_load_yaml(args.config) or {}) if args.config else {}
+    overrides = _load(_load_yaml, args.config) if args.config else {}
     overrides.setdefault("seed", args.seed)
     if args.no_sdp:
         overrides["with_sdp"] = False
-    spec = ExperimentSpec.from_dict(overrides)
+    spec = _load(ExperimentSpec.from_dict, overrides)
     result = run_experiment(spec)
     with open(os.path.join(args.out, "capture.csv"), "w", encoding="utf-8") as fh:
         fh.write(result.capture.to_csv())
@@ -321,6 +292,7 @@ def scenario_main(argv=None) -> int:
     return EXIT_OK
 
 
+@_main
 def delaycalc_main(argv=None) -> int:
     from .delay_model import DelayParams, e2e_delay, init_delay, lte_delay, reconcile, sdp_overhead
     from .transport.sim import PROTOCOL_CLASSES, TraceRecord
@@ -328,8 +300,8 @@ def delaycalc_main(argv=None) -> int:
     parser.add_argument("--params", required=True, help="YAML/JSON parameter file")
     parser.add_argument("--trace", help="JSON-lines trace from a simulated run")
     args = parser.parse_args(argv)
-    raw = _load_yaml(args.params)
-    params = DelayParams.from_dict(raw)
+    raw = _load(_load_yaml, args.params)
+    params = _load(DelayParams.from_dict, raw)
     report = {
         "sdp_overhead": sdp_overhead(params),
         "lte_delay": lte_delay(params),
@@ -339,9 +311,8 @@ def delaycalc_main(argv=None) -> int:
     if args.trace:
         hop_nodes = tuple(tuple(h) for h in raw.get("hop_nodes", ()))
         if len(hop_nodes) != 4:
-            print("error: trace reconciliation needs hop_nodes (4 pairs) in the params file", file=sys.stderr)
-            return EXIT_AUTH
-        with open(args.trace, "r", encoding="utf-8") as fh:
+            raise _BadInput("trace reconciliation needs hop_nodes (4 pairs) in the params file")
+        with _load(open, args.trace, "r", encoding="utf-8") as fh:
             records = [TraceRecord(**json.loads(line)) for line in fh if line.strip()]
         frames = [r for r in records if r.cls in PROTOCOL_CLASSES and not r.dropped]
         report["reconcile"] = reconcile(frames, params, hop_nodes).to_dict()

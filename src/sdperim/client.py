@@ -10,7 +10,7 @@ On any verification failure the far side stays silent, so failure here is
 always a timeout: the SPA phase retries up to ``MAX_SPA_ATTEMPTS`` times and
 then gives up. Each attempt starts a new conversation on a new relay stream:
 the channel, session id and service list of the last one are dropped with
-its stream.
+its stream. ``ForwardNode`` is the client binary's local endpoint.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from . import spa
 from .credentials import CredentialError, HandshakeInitiator, Identity, PeerRole, sign_validation
-from .transport.base import FRAMED, RAW, CancelTimer, Close, Log, Node, OpenStream, Send, SendDatagram, SetTimer
+from .transport.base import FRAMED, RAW, AcceptStream, CancelTimer, Close, Log, Node, OpenStream, Send, SendDatagram, SetTimer
 from .wire import encode_frame  # noqa: F401 -- unused, but perimbench/tracer.py wraps it in every node module
 from .wire import F, Kind, WireError, decode_frame, parse_service_entry, text, u32
 
@@ -266,3 +266,36 @@ class ClientNode(Node):
         if tunnel is None or tunnel.flow is None or tunnel.closed:
             raise ValueError("tunnel not open")
         return [Send(tunnel.flow, data)]  # before the stream connects, the driver holds it
+
+
+class ForwardNode(Node):
+    """Splices each stream accepted on ``port`` to a stream of its own toward
+    ``target``, from the node's address. Bytes sent before the far stream
+    connects wait in the driver. When either end closes, or the far one fails
+    to connect, the other is closed."""
+
+    def __init__(self, name: str, port: int, target: tuple[str, int]):
+        super().__init__(name)
+        self.tcp_ports = {port: RAW}
+        self.target = target
+        self.peers: dict[int, int] = {}  # each open flow -> the flow it is spliced to, both ways
+
+    def on_stream_request(self, flow, port, src, now):
+        far = self.new_flow()
+        self.peers[flow], self.peers[far] = far, flow
+        return [AcceptStream(flow), OpenStream(far, self.target, RAW)]
+
+    def on_data(self, flow, data, now):
+        return [Send(self.peers[flow], data)]
+
+    def on_closed(self, flow, now):
+        return self._close(flow)
+
+    def on_connect_failed(self, flow, reason, now):
+        return self._close(flow)
+
+    def _close(self, flow):
+        """Forgets the splice of ``flow``, which the driver ended; closes its other end."""
+        other = self.peers.pop(flow)
+        del self.peers[other]
+        return [Close(other)]

@@ -57,19 +57,17 @@ class DelayParams:
     def from_dict(cls, raw: dict) -> "DelayParams":
         """Build from a parameter mapping; packet sizes may be given in bytes
         (``alpha_bytes``) or bits (``alpha_bits``)."""
-        if "alpha_bits" in raw:
-            alphas = tuple(float(a) for a in raw["alpha_bits"])
-        elif "alpha_bytes" in raw:
-            alphas = tuple(float(a) * 8.0 for a in raw["alpha_bytes"])
-        else:
-            raise DelayDomainError("missing alpha_bits or alpha_bytes")
-        return cls(
-            alpha_bits=alphas,
-            beta_m=tuple(float(b) for b in raw["beta_m"]),
-            rate_bps=float(raw["rate_bps"]),
-            speed_mps=float(raw["speed_mps"]),
-            hop_counts=tuple(int(n) for n in raw.get("hop_counts", DEFAULT_HOP_COUNTS)),
-        )
+        scale, key = (8.0, "alpha_bytes") if "alpha_bytes" in raw and "alpha_bits" not in raw else (1.0, "alpha_bits")
+        try:
+            return cls(
+                alpha_bits=tuple(float(a) * scale for a in raw[key]),
+                beta_m=tuple(float(b) for b in raw["beta_m"]),
+                rate_bps=float(raw["rate_bps"]),
+                speed_mps=float(raw["speed_mps"]),
+                hop_counts=tuple(int(n) for n in raw.get("hop_counts", DEFAULT_HOP_COUNTS)),
+            )
+        except KeyError as exc:
+            raise DelayDomainError(f"missing {exc.args[0]}") from None
 
 
 def total_delay(alpha_bits: float, rate_bps: float, beta_m: float, speed_mps: float) -> float:

@@ -36,8 +36,6 @@ class FilterEngine:
         self._conntrack = {}  # (src_ip, src_port, dst_port) -> [established_at, last_activity, rule_id, client_id]
         self._next_rule_id = 1
         self.work_units = 0
-        self.forwarded = 0
-        self.dropped = 0
 
     # -- rule table ------------------------------------------------------
 
@@ -116,15 +114,12 @@ class FilterEngine:
             self.work_units += 1
             rid = self._by_source.get((src_ip, dst_port))
             if rid is None:
-                self.dropped += 1
                 return DROP, "no-rule"
             rule = self._rules[rid]
             if rule[4] <= now:
                 self._drop_rule(rid)
-                self.dropped += 1
                 return DROP, "rule-expired"
             self._conntrack[(src_ip, src_port, dst_port)] = [now, now, rid, rule[0]]
-            self.forwarded += 1
             return FORWARD, "rule-match"
 
     def verdict_segment(self, src_ip, src_port, dst_port, now):
@@ -133,10 +128,8 @@ class FilterEngine:
             self.work_units += 1
             entry = self._conntrack.get((src_ip, src_port, dst_port))
             if entry is None:
-                self.dropped += 1
                 return DROP, "no-conntrack"
             entry[1] = now
-            self.forwarded += 1
             return FORWARD, "conntrack"
 
     # -- connection tracking ----------------------------------------------

@@ -373,6 +373,10 @@ class RealHost:
         and execute its actions."""
         self._execute(fn(time.time()))
 
+    def stream_port(self, port: int) -> int:
+        """The port of the listener declared as TCP ``port`` (the kernel's choice for 0)."""
+        return self._stream_listeners[port].getsockname()[1]
+
     # -- listeners --------------------------------------------------------------
 
     def _bind(self, port: int, kind: int) -> socket.socket:

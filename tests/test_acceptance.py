@@ -234,10 +234,10 @@ def test_criterion_7_ttl_grandfathering():
     gw = dep.gateway()
     net.run(until=t0 + T + 1.0)
     trace_mark = len(net.trace)
-    drops_before = gw.engine.dropped
     net.inject_syn((OTHER_IP, 4321), ("gateway", 4444), attacker="client")
     net.run(until=t0 + T + 2.0)
-    assert gw.engine.dropped == drops_before + 1
+    (verdict,) = [r for r in net.logs["gateway"] if r.get("src_port") == 4321]
+    assert (verdict["event"], verdict["verdict"]) == ("filter", "drop")
     replies = [r for r in net.trace[trace_mark:] if r.src == "gateway" and r.dst_port == 4321]
     assert replies == []
 

@@ -5,7 +5,6 @@ test, so no install or console script on ``PATH`` is needed.
 """
 
 import ast
-import asyncio
 import importlib
 import json
 import os
@@ -22,8 +21,6 @@ import yaml
 import sdperim
 import sdperim.cli
 from sdperim.__main__ import BINARIES
-from sdperim.cli import _serve_local
-from sdperim.client import Tunnel
 
 # The directory holding the imported package goes first on the subprocesses'
 # path, so they run the code under test wherever pytest was started from.
@@ -84,54 +81,6 @@ def cmd(args):
 
 def run(args, **kw):
     return subprocess.run(cmd(args), capture_output=True, text=True, timeout=60, env=ENV, **kw)
-
-
-def test_local_forwarder_keeps_no_written_bytes():
-    """The client binary's local forwarder writes each echoed chunk once and
-    then drops it from the tunnel's receive buffer."""
-    chunks = [b"first chunk", b"second", b"third and last"]
-    tunnel = Tunnel(("gateway", 4444), rx=bytearray(b"left by an earlier connection"))
-
-    class Node:
-        tunnels = {"echo-cloud": tunnel}
-
-        def open_tunnel_stream(self, service_id):
-            tunnel.established = True
-            return []
-
-        def tunnel_send(self, service_id, data):
-            tunnel.rx.extend(data)  # the service echoes at once
-            return []
-
-    class Host:
-        async def call(self, fn):
-            return fn(0.0)
-
-    class Writer:
-        out = bytearray()
-
-        def write(self, data):
-            self.out.extend(data)
-
-        async def drain(self):
-            pass
-
-        def close(self):
-            pass
-
-    class Reader:
-        async def read(self, n):
-            if chunks:
-                return chunks.pop(0)
-            while len(writer.out) < expected:  # end of input once every echo is out
-                await asyncio.sleep(0.01)
-            return b""
-
-    expected = sum(map(len, chunks))
-    writer = Writer()
-    asyncio.run(asyncio.wait_for(_serve_local(Host(), Node(), "echo-cloud", Reader(), writer), 10))
-    assert bytes(writer.out) == b"first chunksecondthird and last"
-    assert tunnel.rx == bytearray()
 
 
 # Runs one binary's main with the given arguments in a fresh interpreter and
@@ -222,10 +171,37 @@ def test_binaries_build_no_seedable_generator():
 def test_unparsable_config_exits_2_without_a_traceback(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("seed: [1")
-    for binary in ("gateway", "controller", "client"):
-        result = run([binary, "--config", str(bad)])
-        assert result.returncode == 2, (binary, result.stderr)
-        assert "Traceback" not in result.stderr and "error:" in result.stderr
+    good = write_config(tmp_path, 31700)
+    no_clients = yaml.safe_load(good.read_text())
+    no_clients["clients"] = []
+    (tmp_path / "no-clients.yaml").write_text(yaml.safe_dump(no_clients))
+    unknown = tmp_path / "unknown.yaml"
+    unknown.write_text("window: 10.0\nno_such_setting: 1\n")
+    no_alpha = tmp_path / "no-alpha.yaml"
+    no_alpha.write_text(yaml.safe_dump(dict(beta_m=[50.0] * 8, rate_bps=1.0e6, speed_mps=2.0e8)))
+    missing = str(tmp_path / "nonexistent.yaml")
+    cases = [
+        *([binary, "--config", str(bad)] for binary in ("gateway", "controller", "client")),
+        ["gateway", "--config", str(good), "--id", "ee" * 16],  # no such host: it names the section and the id
+        ["client", "--config", str(good), "--id", "ee" * 16],
+        ["client", "--config", str(tmp_path / "no-clients.yaml")],
+        ["attack", "flood", "--config", missing, "--out", str(tmp_path)],
+        ["attack", "flood", "--config", str(bad), "--out", str(tmp_path)],
+        ["attack", "flood", "--target", "127.0.0.1", "--out", str(tmp_path)],
+        ["attack", "scan", "--config", missing, "--out", str(tmp_path)],
+        ["attack", "scan", "--target", "127.0.0.25", "--ports", "1:9", "--out", str(tmp_path)],
+        ["attack", "experiment", "--config", str(unknown), "--out", str(tmp_path)],
+        ["attack", "experiment", "--config", str(bad), "--out", str(tmp_path)],
+        ["delaycalc", "--params", str(no_alpha)],
+        ["delaycalc", "--params", str(bad)],
+        ["delaycalc", "--params", missing],
+    ]
+    for args in cases:
+        result = run(args)
+        assert result.returncode == 2, (args, result.stderr)
+        assert "Traceback" not in result.stderr and "error:" in result.stderr, (args, result.stderr)
+        if "--id" in args:
+            assert f"{args[0]}s has no entry with id {'ee' * 16}" in result.stderr
 
 
 def test_provision_and_force(tmp_path):
@@ -245,9 +221,29 @@ def test_client_rejects_missing_material(tmp_path):
     assert result.returncode == 2
 
 
+def echo(sock, data, expect=None):
+    """Sends ``data`` on ``sock``, reads as many bytes as ``expect`` (``data``
+    by default) holds and checks that they are ``expect``."""
+    expect = data if expect is None else expect
+    sock.sendall(data)
+    got = b""
+    while len(got) < len(expect):
+        chunk = sock.recv(65536)
+        assert chunk, got
+        got += chunk
+    assert got == expect
+
+
+def gw_records(log, event, verdict):
+    lines = [json.loads(l) for l in log.read_text().splitlines()]
+    return [l for l in lines if l.get("event") == event and l.get("verdict") == verdict]
+
+
 def test_full_binary_session(tmp_path):
     """The controller, the gateway and the client each run on a directory
-    holding only the files it reads: no CA key, and no other host's key."""
+    holding only the files it reads: no CA key, and no other host's key.
+    Each local connection is spliced on a tunnel stream of its own and
+    closed with it."""
     base = 31200
     cfg = write_config(tmp_path, base)
     assert run(["controller", "--config", str(cfg), "--provision"]).returncode == 0
@@ -290,21 +286,37 @@ def test_full_binary_session(tmp_path):
         deadline = time.time() + 15
         while time.time() < deadline:
             try:
-                s = socket.create_connection(("127.0.0.23", base + 9), timeout=0.5)
+                one = socket.create_connection(("127.0.0.23", base + 9), timeout=0.5)
                 break
             except OSError:
                 time.sleep(0.2)
         else:
             raise AssertionError("local endpoint never came up")
-        s.sendall(b"cli-tunnel-bytes")
-        s.settimeout(5)
-        assert s.recv(100) == b"cli-tunnel-bytes"
-        s.close()
-        # the verdict log exists and records the authorized forward
-        time.sleep(0.3)
-        lines = [json.loads(l) for l in (tmp_path / "gw.jsonl").read_text().splitlines()]
-        forwards = [l for l in lines if l.get("event") == "filter" and l.get("verdict") == "forward"]
-        assert forwards and forwards[0]["src"] == "127.0.0.23"
+        one.settimeout(5)
+        echo(one, b"cli-tunnel-bytes")
+        # a second local connection gets a splice of its own; neither disturbs the other
+        two = socket.create_connection(("127.0.0.23", base + 9), timeout=5)
+        echo(two, b"second-connection")
+        for sock, data in ((one, b"first-again"), (two, b"second-again"), (one, b"first-last")):
+            sock.sendall(data)
+        echo(two, b"", expect=b"second-again")
+        echo(one, b"", expect=b"first-againfirst-last")
+        log = tmp_path / "gw.jsonl"
+        forwards = gw_records(log, "filter", "forward")
+        assert [l["src"] for l in forwards] == ["127.0.0.23"] * 2
+        assert gw_records(log, "splice", "closed") == []
+        # closing one closes its splice at once; the other still echoes
+        one.close()
+        deadline = time.time() + 1.0
+        while not gw_records(log, "splice", "closed") and time.time() < deadline:
+            time.sleep(0.05)
+        assert len(gw_records(log, "splice", "closed")) == 1
+        echo(two, b"still-here")
+        two.close()
+        deadline = time.time() + 1.0
+        while len(gw_records(log, "splice", "closed")) < 2 and time.time() < deadline:
+            time.sleep(0.05)
+        assert len(gw_records(log, "splice", "closed")) == 2
     finally:
         for p in procs:
             p.terminate()

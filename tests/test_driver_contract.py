@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from sdperim.client import ForwardNode
 from sdperim.transport.base import (
     FRAMED,
     RAW,
@@ -33,7 +34,7 @@ from sdperim.transport.real import RealHost
 from sdperim.transport.sim import SimNet, Topology, two_way
 from sdperim.wire import MAX_FRAME_LEN, F, Kind, encode_frame
 
-A, B = "127.0.0.60", "127.0.0.61"
+A, B, C = "127.0.0.60", "127.0.0.61", "127.0.0.62"
 
 
 def frame(payload: bytes) -> bytes:
@@ -137,7 +138,7 @@ class Sim(Driver):
 
     def __init__(self):
         super().__init__()
-        self.net = SimNet(Topology(two_way(A, B)), seed=1)
+        self.net = SimNet(Topology(two_way(A, B) + two_way(C, A)), seed=1)
 
     async def add(self, *nodes):
         for node in nodes:
@@ -571,5 +572,59 @@ def test_raising_hook_is_reported_and_the_node_keeps_serving(driver):
         assert [str(e["exception"]) for e in errors] == ["hook failure"] * 2
         if driver.kind == "sim":  # the run stopped at each raising event
             assert [e["clock"] for e in errors] == [b.times[0], b.times[2]]
+
+    driver.run(case)
+
+
+def test_forward_node_splices_each_local_stream_to_its_own_far_stream(driver):
+    """``client.ForwardNode`` on A splices each stream from C to a stream of
+    its own toward B, from A's address, and ends each splice with either end."""
+    fwd, svc, user = ForwardNode(A, 24001, (B, 24002)), Toy(B, tcp={24002: RAW}, echo=True), Toy(C)
+
+    async def case():
+        await driver.add(fwd, svc, user)
+        one, two = user.new_flow(), user.new_flow()
+        # each sends before the forward node's far stream can have connected
+        await driver.act(user, [OpenStream(one, (A, 24001), RAW), Send(one, b"1a"),
+                                OpenStream(two, (A, 24001), RAW), Send(two, b"2a")])
+        assert await driver.wait(lambda: len(svc.requests()) == 2)
+        await driver.act(user, [Send(one, b"1b"), Send(two, b"2b"), Send(one, b"1c")])
+
+        def echoed(flow):
+            return b"".join(user.chunks(flow))
+
+        assert await driver.wait(lambda: echoed(one) == b"1a1b1c" and echoed(two) == b"2a2b")
+        far = svc.requests()
+        assert [e[2] for e in svc.events if e[0] == "request"] == [A, A]
+        by_bytes = {b"".join(svc.chunks(flow)): flow for flow in far}
+        assert set(by_bytes) == {b"1a1b1c", b"2a2b"}  # each far stream carries one local stream's bytes
+        far_one, far_two = by_bytes[b"1a1b1c"], by_bytes[b"2a2b"]
+        # a local close closes its far stream, and the other splice still echoes
+        await driver.act(user, [Close(one)])
+        assert await driver.wait(lambda: "closed" in svc.hooks(far_one))
+        await driver.act(user, [Send(two, b"2c")])
+        assert await driver.wait(lambda: echoed(two) == b"2a2b2c")
+        assert "closed" not in svc.hooks(far_two)
+        # a far close closes its local stream
+        await driver.act(svc, [Close(far_two)])
+        assert await driver.wait(lambda: "closed" in user.hooks(two))
+        await driver.settle(0.2)
+        assert user.hooks(two).count("closed") == 1 and "closed" not in user.hooks(one)
+        assert fwd.peers == {} and driver.held(fwd) == set()
+
+    driver.run(case)
+
+
+def test_forward_node_closes_a_local_stream_whose_far_connect_fails(driver):
+    fwd, svc, user = ForwardNode(A, 24011, (B, 24012)), Toy(B, tcp={24013: RAW}), Toy(C)  # nothing on B:24012
+
+    async def case():
+        await driver.add(fwd, svc, user)
+        flow = user.new_flow()
+        await driver.act(user, [OpenStream(flow, (A, 24011), RAW), Send(flow, b"lost")])
+        assert await driver.wait(lambda: "closed" in user.hooks(flow))
+        await driver.settle(0.2)
+        assert user.hooks(flow) == ["connected", "closed"] and svc.events == []
+        assert fwd.peers == {} and driver.held(fwd) == set()
 
     driver.run(case)
