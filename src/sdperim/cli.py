@@ -63,14 +63,20 @@ def _main(main):
     return run
 
 
-def _load_host(path: str, section: str, host_id: str | None):
-    """The config, this host's entry in ``section`` (the first one unless
-    ``host_id`` names another) and only this host's material."""
-    from .config import ConfigError, load_config, load_host_material
+def _config_entry(path: str, section: str, host_id: str | None = None):
+    """The config and its entry in ``section``: the first one unless ``host_id`` names another."""
+    from .config import ConfigError, load_config
     cfg = load_config(path)
-    entry = next((e for e in getattr(cfg, section) if host_id in (None, e.id)), None)
+    entry = next((e for e in getattr(cfg, section) if host_id is None or e.id == host_id), None)
     if entry is None:
         raise ConfigError(f"{path}: {section} has no entry with id {host_id}" if host_id else f"{path}: no {section}")
+    return cfg, entry
+
+
+def _load_host(path: str, section: str, host_id: str | None):
+    """``_config_entry`` plus only this host's material."""
+    from .config import load_host_material
+    cfg, entry = _config_entry(path, section, host_id)
     return cfg, entry, load_host_material(cfg, os.path.dirname(os.path.abspath(path)), entry)
 
 
@@ -87,10 +93,18 @@ def _load_yaml(path: str) -> dict:
     return raw or {}
 
 
+def _run(main) -> int:
+    """Runs the coroutine ``main``; an interrupt ends the binary with ``EXIT_OK``."""
+    try:
+        return asyncio.run(main)
+    except KeyboardInterrupt:
+        return EXIT_OK
+
+
 async def _run_forever(host):
     await host.start()
     try:
-        await asyncio.Event().wait()  # until interrupted: the caller's KeyboardInterrupt handler gives the exit code
+        await asyncio.Event().wait()  # until interrupted: ``_run`` gives the exit code
     finally:
         await host.stop()
 
@@ -112,10 +126,7 @@ def controller_main(argv=None) -> int:
     from .transport.real import RealHost  # only here: provisioning, which perimbench runs in-process, needs no driver
     node = build_controller(cfg, material, random.SystemRandom())
     print(f"controller {cfg.controller.id[:8]} on {cfg.controller.host}:{cfg.ports.control}")
-    try:
-        return asyncio.run(_run_forever(RealHost(node, cfg.controller.host)))
-    except KeyboardInterrupt:
-        return EXIT_OK
+    return _run(_run_forever(RealHost(node, cfg.controller.host)))
 
 
 @_main
@@ -129,10 +140,7 @@ def gateway_main(argv=None) -> int:
     cfg, entry, material = _load(_load_host, args.config, "gateways", args.id)
     node = build_gateway(cfg, material, entry.id, random.SystemRandom())
     print(f"gateway {entry.id[:8]} on {entry.host} (spa {cfg.ports.spa}, relay {cfg.ports.control})")
-    try:
-        return asyncio.run(_run_forever(RealHost(node, entry.host, log_path=args.log)))
-    except KeyboardInterrupt:
-        return EXIT_OK
+    return _run(_run_forever(RealHost(node, entry.host, log_path=args.log)))
 
 
 async def _client_session(node, bind_host: str, args) -> int:
@@ -181,10 +189,7 @@ def client_main(argv=None) -> int:
     args = parser.parse_args(argv)
     cfg, entry, material = _load(_load_host, args.config, "clients", args.id)
     node = build_client(cfg, material, entry.id, random.SystemRandom())
-    try:
-        return asyncio.run(_client_session(node, entry.host, args))
-    except KeyboardInterrupt:
-        return EXIT_OK
+    return _run(_client_session(node, entry.host, args))
 
 
 @_main
@@ -225,9 +230,7 @@ def attack_main(argv=None) -> int:
             if not host or not port.isdigit():
                 p_flood.error(f"--target {args.target!r} is not HOST:PORT")
         elif args.config:
-            from .config import load_config
-            cfg = _load(load_config, args.config)
-            svc = cfg.services[0]
+            cfg, svc = _load(_config_entry, args.config, "services")
             host = next(g.host for g in cfg.gateways if g.id == svc.gateway)
             port = svc.public_port
         else:
@@ -246,8 +249,7 @@ def attack_main(argv=None) -> int:
         if args.target:
             target = args.target
         elif args.config:
-            from .config import load_config
-            target = _load(load_config, args.config).gateways[0].host
+            target = _load(_config_entry, args.config, "gateways")[1].host
         else:
             p_scan.error("give --target or --config")
         a, _, b = args.ports.partition("-")
@@ -313,7 +315,10 @@ def delaycalc_main(argv=None) -> int:
         if len(hop_nodes) != 4:
             raise _BadInput("trace reconciliation needs hop_nodes (4 pairs) in the params file")
         with _load(open, args.trace, "r", encoding="utf-8") as fh:
-            records = [TraceRecord(**json.loads(line)) for line in fh if line.strip()]
+            try:
+                records = [TraceRecord(**json.loads(line)) for line in fh if line.strip()]
+            except (ValueError, TypeError) as exc:  # not JSON lines, or not a trace record's fields
+                raise _BadInput(f"{args.trace}: not a trace: {exc}") from exc
         frames = [r for r in records if r.cls in PROTOCOL_CLASSES and not r.dropped]
         report["reconcile"] = reconcile(frames, params, hop_nodes).to_dict()
     print(json.dumps(report, indent=2, sort_keys=True))

@@ -55,7 +55,6 @@ class ClientRecord:
     spa_key: spa.SpaKey
     certificate: bytes
     authorized_services: list[str] = field(default_factory=list)
-    validation_interval: float = 30.0
 
 
 @dataclass
@@ -78,12 +77,7 @@ class _GatewayLink:
     src: tuple
     subject_id: bytes | None = None
     responder: HandshakeResponder | None = None
-    channel: object = None
-    gateway_id: bytes | None = None
-
-    @property
-    def registered(self) -> bool:
-        return self.channel is not None and self.gateway_id is not None
+    channel: object = None  # set at registration, when the certificate's subject is ``subject_id``
 
 
 @dataclass
@@ -114,12 +108,14 @@ class ControllerNode(Node):
         control_port: int = 5000,
         spa_port: int = 62201,
         rule_ttl: float = 60.0,
+        validation_interval: float = 30.0,
     ):
         super().__init__(name)
         self.identity = identity
         self.ca_public = ca_public
         self.rng = rng
         self.rule_ttl = rule_ttl
+        self.validation_interval = validation_interval
         self.records = {c.client_id: c for c in clients}
         self.services = {s.service_id: s for s in services}
         self.gateway_records = {g.gateway_id: g for g in gateways}
@@ -141,9 +137,6 @@ class ControllerNode(Node):
 
     # -- helpers ------------------------------------------------------------
 
-    def _log(self, **record):
-        return Log(record)
-
     def _gw_send(self, link: _GatewayLink, kind: int, fields) -> Send:
         return Send(link.flow, link.channel.frame(kind, fields))
 
@@ -157,7 +150,7 @@ class ControllerNode(Node):
         return responder, encode_frame(Kind.CHANNEL_ACCEPT, responder.accept_fields())
 
     def _login_response(self, ctx: _ClientCtx) -> Send:
-        interval_ms = u32(int(ctx.record.validation_interval * 1000))
+        interval_ms = u32(int(self.validation_interval * 1000))
         return self._client_send(ctx, Kind.LOGIN_RESPONSE, [(F.SESSION, ctx.session_id), (F.INTERVAL_MS, interval_ms)])
 
     def _connection_response(self, ctx: _ClientCtx, request_id: int, svc=None, reason: bytes = b"") -> Send:
@@ -177,24 +170,24 @@ class ControllerNode(Node):
     def on_datagram(self, port, src, data, now):
         pkt = spa.parse_spa(data)
         if pkt is None:
-            return [self._log(event="spa", verdict="malformed", src=src[0])]
+            return [Log({"event": "spa", "verdict": "malformed", "src": src[0]})]
         if pkt.target != spa.TargetRole.CONTROLLER:
-            return [self._log(event="spa", verdict="wrong-target", src=src[0])]
+            return [Log({"event": "spa", "verdict": "wrong-target", "src": src[0]})]
         if pkt.client_id not in self.gateway_records:  # a client's SPA reaches this node only as SPA_FORWARD
-            return [self._log(event="spa", verdict=spa.SpaVerdict.UNKNOWN_CLIENT.value, src=src[0])]
+            return [Log({"event": "spa", "verdict": spa.SpaVerdict.UNKNOWN_CLIENT.value, "src": src[0]})]
         verdict = self.store.verify(pkt, now)
         if verdict is not spa.SpaVerdict.ACCEPT:
-            return [self._log(event="spa", verdict=verdict.value, src=src[0])]
+            return [Log({"event": "spa", "verdict": verdict.value, "src": src[0]})]
         self.gated.expire(now)
         self.gated.put(src[0], _GateEntry(pkt.client_id, pkt.nonce, now + spa.GATE_WINDOW))
-        return [self._log(event="spa", verdict="accept", src=src[0], subject=pkt.client_id.hex())]
+        return [Log({"event": "spa", "verdict": "accept", "src": src[0], "subject": pkt.client_id.hex()})]
 
     # -- streams ---------------------------------------------------------------
 
     def on_stream_request(self, flow, port, src, now):
         gate = self.gated.get(src[0])
         if gate is None or gate.deadline < now:
-            return [self._log(event="stream", verdict="drop", reason="ungated", src=src[0])]
+            return [Log({"event": "stream", "verdict": "drop", "reason": "ungated", "src": src[0]})]
         self.links[flow] = _GatewayLink(flow=flow, src=src)
         return [AcceptStream(flow)]
 
@@ -206,13 +199,13 @@ class ControllerNode(Node):
         """Forgets ``flow``'s link with every index that names it and closes it,
         logging ``record``; the one place this node forgets a flow (see ``Node``)."""
         link = self.links.pop(flow, None)
-        if link is not None and self.by_gateway.get(link.gateway_id) is link:  # a newer link may hold the id
-            del self.by_gateway[link.gateway_id]
+        if link is not None and self.by_gateway.get(link.subject_id) is link:  # a newer link may hold the id
+            del self.by_gateway[link.subject_id]
         for key in [k for k in self.clients_ctx if k[0] == flow]:
             # channel gone: the session ends, but established service flows
             # are the gateway's business (expiry semantics, not revocation)
             del self.clients_ctx[key]
-        return [self._log(**record), Close(flow)]
+        return [Log(record), Close(flow)]
 
     def on_data(self, flow, data, now):
         link = self.links.get(flow)
@@ -221,19 +214,19 @@ class ControllerNode(Node):
         try:
             kind, fields = decode_frame(data)
         except WireError:
-            return [self._log(event="frame", verdict="drop", reason="malformed")]
+            return [Log({"event": "frame", "verdict": "drop", "reason": "malformed"})]
         try:
             if kind == Kind.CHANNEL_HELLO:
                 return self._on_hello(link, fields, now)
             if kind == Kind.AH_REGISTER:
                 return self._on_register(link, fields, now)
-            if kind == Kind.SECURE and link.registered:
+            if kind == Kind.SECURE and link.channel is not None:
                 inner_kind, inner = link.channel.open_frame(fields)
                 return self._on_gateway_message(link, inner_kind, inner, now)
         except (CredentialError, WireError, KeyError) as exc:
             # every conversation relayed over the link ends with it
             return self._close(flow, event="channel", verdict="closed", reason=str(exc))
-        return [self._log(event="frame", verdict="ignored", kind=kind)]
+        return [Log({"event": "frame", "verdict": "ignored", "kind": kind})]
 
     def _on_hello(self, link, fields, now):
         subject = fields.need(F.SUBJECT_ID)
@@ -254,11 +247,10 @@ class ControllerNode(Node):
         if old is not link:  # a gateway that restarted without closing its stream: the older link goes
             actions = self._close(old.flow, event="gateway", verdict="superseded", gateway=cert.subject_id.hex())
         link.channel = channel
-        link.gateway_id = cert.subject_id
         self.by_gateway[cert.subject_id] = link
         self.gateway_records[cert.subject_id].host = link.src[0]
         return actions + [
-            self._log(event="gateway", verdict="registered", gateway=cert.subject_id.hex()),
+            Log({"event": "gateway", "verdict": "registered", "gateway": cert.subject_id.hex()}),
             self._gw_send(link, Kind.AH_REGISTER_ACK, [(F.OK, u8(1))]),
         ]
 
@@ -286,20 +278,19 @@ class ControllerNode(Node):
                 return self._on_client_frame(ctx, frame, now)
             except (CredentialError, WireError, KeyError) as exc:
                 # one client's bad message ends its own conversation, not the gateway's link
-                log = self._log(event="client-frame", verdict="closed", reason=str(exc), client=ctx.client_id.hex())
+                log = Log({"event": "client-frame", "verdict": "closed", "reason": str(exc), "client": ctx.client_id.hex()})
                 return self._end_conversation(ctx, log)
         if kind == Kind.SERVICES_ACK:
             ctx = self.clients_ctx.get((link.flow, fields.u32(F.FLOW)))
             if ctx is None or ctx.session_id is None:
                 return []
-            interval = ctx.record.validation_interval
-            return [SetTimer(("validate", ctx.gw.flow, ctx.relay_flow), interval)]
+            return [SetTimer(("validate", ctx.gw.flow, ctx.relay_flow), self.validation_interval)]
         if kind == Kind.AH_ACK:
             return self._on_ah_ack(fields, now)
         if kind == Kind.RELAY_CLOSE:
             self.clients_ctx.pop((link.flow, fields.u32(F.FLOW)), None)
             return []
-        return [self._log(event="gateway-frame", verdict="ignored", kind=kind)]
+        return [Log({"event": "gateway-frame", "verdict": "ignored", "kind": kind})]
 
     def _on_client_spa(self, link, fields, now):
         relay_flow = fields.u32(F.FLOW)
@@ -316,11 +307,11 @@ class ControllerNode(Node):
         record = self.records.get(ctx.client_id)
         if verdict != "accept" or record is None:
             # dark toward the client: the gateway blackholes the flow
-            log = self._log(event="client-spa", verdict=verdict or "unknown-client", client=ctx.client_id.hex())
+            log = Log({"event": "client-spa", "verdict": verdict or "unknown-client", "client": ctx.client_id.hex()})
             return self._end_conversation(ctx, log)
         ctx.record = record
         ctx.responder, accept = self._respond(pkt.nonce)
-        out.append(self._log(event="client-spa", verdict="accept", client=ctx.client_id.hex()))
+        out.append(Log({"event": "client-spa", "verdict": "accept", "client": ctx.client_id.hex()}))
         out.append(self._gw_send(link, Kind.RELAY_DATA, [(F.FLOW, u32(relay_flow)), (F.DATA, accept)]))
         return out
 
@@ -328,16 +319,16 @@ class ControllerNode(Node):
         try:
             kind, fields = decode_frame(frame)
         except WireError:
-            return [self._log(event="client-frame", verdict="drop", reason="malformed")]
+            return [Log({"event": "client-frame", "verdict": "drop", "reason": "malformed"})]
         if kind == Kind.LOGIN_REQUEST:
             return self._on_login(ctx, fields, now)
         if kind == Kind.SECURE and ctx.channel is not None:
             try:
                 inner_kind, inner = ctx.channel.open_frame(fields)
             except CredentialError as exc:
-                return [self._log(event="client-frame", verdict="drop", reason=str(exc))]
+                return [Log({"event": "client-frame", "verdict": "drop", "reason": str(exc)})]
             return self._on_client_message(ctx, inner_kind, inner, now)
-        return [self._log(event="client-frame", verdict="ignored", kind=kind)]
+        return [Log({"event": "client-frame", "verdict": "ignored", "kind": kind})]
 
     def _end_conversation(self, ctx, log: Log) -> list:
         """Ends one relayed client conversation: its context and session go,
@@ -357,12 +348,12 @@ class ControllerNode(Node):
                 raise CredentialError("certificate/client mismatch")
         except (CredentialError, WireError) as exc:
             # certificate mismatch: the conversation is torn down
-            log = self._log(event="login", verdict="rejected", reason=str(exc), client=ctx.client_id.hex())
+            log = Log({"event": "login", "verdict": "rejected", "reason": str(exc), "client": ctx.client_id.hex()})
             return self._end_conversation(ctx, log)
         ctx.channel = channel
         ctx.session_id = self.rng.randbytes(16)
         actions = [
-            self._log(event="login", verdict="ok", client=ctx.client_id.hex(), session=ctx.session_id.hex()),
+            Log({"event": "login", "verdict": "ok", "client": ctx.client_id.hex(), "session": ctx.session_id.hex()}),
             self._login_response(ctx),
         ]
         actions.extend(self._push_services(ctx))
@@ -402,7 +393,7 @@ class ControllerNode(Node):
             return self._on_connection_request(ctx, fields, now)
         if kind == Kind.DEVICE_VALIDATE_ACK:
             return self._on_validate_ack(ctx, fields, now)
-        return [self._log(event="client-message", verdict="ignored", kind=kind)]
+        return [Log({"event": "client-message", "verdict": "ignored", "kind": kind})]
 
     def _on_connection_request(self, ctx, fields, now):
         service_id = fields.text(F.SERVICE_ID)
@@ -410,13 +401,13 @@ class ControllerNode(Node):
         svc = self.services.get(service_id)
         if svc is None or service_id not in ctx.record.authorized_services:
             return [
-                self._log(event="authorize", verdict="denied", reason="unauthorized", service=service_id),
+                Log({"event": "authorize", "verdict": "denied", "reason": "unauthorized", "service": service_id}),
                 self._connection_response(ctx, request_id, reason=b"unauthorized"),
             ]
         gw_link = self.by_gateway.get(svc.gateway_id)
         if gw_link is None:
             return [
-                self._log(event="authorize", verdict="denied", reason="gateway-unavailable", service=service_id),
+                Log({"event": "authorize", "verdict": "denied", "reason": "gateway-unavailable", "service": service_id}),
                 self._connection_response(ctx, request_id, reason=b"GatewayUnavailable"),
             ]
         token = self._next_request
@@ -453,12 +444,12 @@ class ControllerNode(Node):
         nonce = fields.need(F.NONCE)
         sig = fields.need(F.SIG)
         if ctx.pending_nonce is None or nonce != ctx.pending_nonce:
-            return [self._log(event="validate", verdict="stale", client=ctx.client_id.hex())]
+            return [Log({"event": "validate", "verdict": "stale", "client": ctx.client_id.hex()})]
         cert = verify_certificate(ctx.record.certificate, self.ca_public)
         if not verify_validation(cert, nonce, sig):
             return self._revoke(ctx, "validation-signature", now)
         ctx.pending_nonce = None
-        return [self._log(event="validate", verdict="ok", client=ctx.client_id.hex())]
+        return [Log({"event": "validate", "verdict": "ok", "client": ctx.client_id.hex()})]
 
     def on_timer(self, key, now):
         if key[0] == "validate":
@@ -470,7 +461,7 @@ class ControllerNode(Node):
             ctx.pending_nonce = self.rng.randbytes(16)
             return [
                 self._client_send(ctx, Kind.DEVICE_VALIDATE, [(F.NONCE, ctx.pending_nonce)]),
-                SetTimer(key, ctx.record.validation_interval),
+                SetTimer(key, self.validation_interval),
             ]
         if key[0] == "ahack":
             pending = self._pending_auth.pop(key[1], None)
@@ -478,14 +469,14 @@ class ControllerNode(Node):
                 return []
             ctx, request_id, _ = pending
             return [
-                self._log(event="authorize", verdict="denied", reason="GatewayUnavailable"),
+                Log({"event": "authorize", "verdict": "denied", "reason": "GatewayUnavailable"}),
                 self._connection_response(ctx, request_id, reason=b"GatewayUnavailable"),
             ]
         return []
 
     def _revoke(self, ctx, reason, now):
         self.clients_ctx.pop((ctx.gw.flow, ctx.relay_flow), None)
-        actions = [self._log(event="revoke", client=ctx.client_id.hex(), reason=reason)]
+        actions = [Log({"event": "revoke", "client": ctx.client_id.hex(), "reason": reason})]
         for link in self.by_gateway.values():
             actions.append(self._gw_send(link, Kind.AH_REVOKE, [(F.SUBJECT_ID, ctx.client_id)]))
         return actions

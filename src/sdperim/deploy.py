@@ -14,7 +14,7 @@ if TYPE_CHECKING:
     from .controller import ClientRecord, ControllerNode, GatewayRecord, ServiceDescriptor
     from .gateway.node import GatewayNode
     from .services import EchoNode
-    from .transport.sim import SimNet, Topology
+    from .transport.sim import LinkSpec, SimNet
 
 
 @dataclass
@@ -42,7 +42,6 @@ def controller_records(cfg: DeploymentConfig, material: Material) -> tuple[list[
             spa_key=material.spa_keys[c.id],
             certificate=material.certs[c.id],
             authorized_services=list(c.services),
-            validation_interval=cfg.timing.validation_interval,
         )
         for c in cfg.clients
     ]
@@ -65,6 +64,7 @@ def build_controller(cfg: DeploymentConfig, material: Material, rng) -> Controll
         control_port=cfg.ports.control,
         spa_port=cfg.ports.spa,
         rule_ttl=cfg.timing.rule_ttl,
+        validation_interval=cfg.timing.validation_interval,
     )
 
 
@@ -106,10 +106,10 @@ def build_client(cfg: DeploymentConfig, material: Material, client_id: str, rng)
     )
 
 
-def build_topology(cfg: DeploymentConfig) -> Topology:
-    from .transport.sim import LinkSpec, Topology, two_way
+def build_topology(cfg: DeploymentConfig) -> list[LinkSpec]:
+    from .transport.sim import LinkSpec, two_way
     if cfg.topology_links is not None:
-        return Topology([LinkSpec(**spec) for spec in cfg.topology_links])
+        return [LinkSpec(**spec) for spec in cfg.topology_links]
     links = []
     hosts = {cfg.controller.host} | {g.host for g in cfg.gateways}
     for g in cfg.gateways:
@@ -121,7 +121,7 @@ def build_topology(cfg: DeploymentConfig) -> Topology:
         gw_host = next(g.host for g in cfg.gateways if g.id == s.gateway)
         if s.protected_host not in hosts:
             links += two_way(gw_host, s.protected_host)
-    return Topology(links)
+    return links
 
 
 def build_sim(cfg: DeploymentConfig) -> SimDeployment:

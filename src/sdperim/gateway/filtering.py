@@ -33,7 +33,7 @@ class FilterEngine:
         self._rules = {}  # rule_id -> [client_id, src_ip, service_id, public_port, expires_at]
         self._by_source = {}  # (src_ip, public_port) -> rule_id
         self._by_owner = {}  # (client_id, service_id) -> rule_id
-        self._conntrack = {}  # (src_ip, src_port, dst_port) -> [established_at, last_activity, rule_id, client_id]
+        self._conntrack = {}  # (src_ip, src_port, dst_port) -> [last_activity, client_id]
         self._next_rule_id = 1
         self.work_units = 0
 
@@ -87,7 +87,7 @@ class FilterEngine:
             rules = [rid for rid, rule in self._rules.items() if rule[0] == client_id]
             for rid in rules:
                 self._drop_rule(rid)
-            flows = [k for k, e in self._conntrack.items() if e[3] == client_id]
+            flows = [k for k, e in self._conntrack.items() if e[1] == client_id]
             for k in flows:
                 del self._conntrack[k]
             return len(rules), flows
@@ -119,7 +119,7 @@ class FilterEngine:
             if rule[4] <= now:
                 self._drop_rule(rid)
                 return DROP, "rule-expired"
-            self._conntrack[(src_ip, src_port, dst_port)] = [now, now, rid, rule[0]]
+            self._conntrack[(src_ip, src_port, dst_port)] = [now, rule[0]]
             return FORWARD, "rule-match"
 
     def verdict_segment(self, src_ip, src_port, dst_port, now):
@@ -129,7 +129,7 @@ class FilterEngine:
             entry = self._conntrack.get((src_ip, src_port, dst_port))
             if entry is None:
                 return DROP, "no-conntrack"
-            entry[1] = now
+            entry[0] = now
             return FORWARD, "conntrack"
 
     # -- connection tracking ----------------------------------------------
@@ -139,7 +139,7 @@ class FilterEngine:
             entry = self._conntrack.get((src_ip, src_port, dst_port))
             if entry is None:
                 return False
-            entry[1] = now
+            entry[0] = now
             return True
 
     def conntrack_remove(self, src_ip, src_port, dst_port):
@@ -148,7 +148,7 @@ class FilterEngine:
 
     def expire_idle(self, now, idle_timeout):
         with self._lock:
-            doomed = [k for k, e in self._conntrack.items() if now - e[1] >= idle_timeout]
+            doomed = [k for k, e in self._conntrack.items() if now - e[0] >= idle_timeout]
             for k in doomed:
                 del self._conntrack[k]
             return len(doomed)
@@ -160,4 +160,4 @@ class FilterEngine:
     def conntrack_client(self, src_ip, src_port, dst_port):
         with self._lock:
             entry = self._conntrack.get((src_ip, src_port, dst_port))
-            return None if entry is None else entry[3]
+            return None if entry is None else entry[1]

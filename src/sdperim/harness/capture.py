@@ -5,6 +5,8 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, field
 
+from ..transport.sim import CLS_SYN
+
 ATTACK_FRAME_LIMIT = 60  # labeling only, never used for filtering decisions
 INTERVAL = 1.0  # seconds per row: the per-second series the DoS results are read from
 
@@ -31,9 +33,6 @@ class CaptureSeries:
         self.cpu_proxy.append(cpu)
         self.half_open.append(half_open)
 
-    def __len__(self):
-        return len(self.acked_segments)
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("t,acked_segments,attack_segments_seen,attack_segments_forwarded,cpu_proxy,half_open\n")
@@ -46,4 +45,4 @@ class CaptureSeries:
 def is_attack_segment(rec, dst: str, dst_port: int) -> bool:
     """An initiation segment at the target whose frame length is under the
     attack-labeling threshold (reporting only)."""
-    return rec.cls == "syn" and rec.dst == dst and rec.dst_port == dst_port and rec.size < ATTACK_FRAME_LIMIT
+    return rec.cls == CLS_SYN and rec.dst == dst and rec.dst_port == dst_port and rec.size < ATTACK_FRAME_LIMIT

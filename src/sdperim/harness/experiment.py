@@ -15,9 +15,9 @@ from typing import Callable
 
 from ..deploy import SimDeployment, build_sim, default_config
 from ..services import PING_SIZE, EchoNode, PingerNode
-from ..transport.sim import CLS_ACCEPT, SimNet, Topology, two_way
+from ..transport.sim import CLS_ACCEPT, SimNet, two_way
 from .capture import INTERVAL, CaptureSeries, is_attack_segment
-from .flood import FloodSpec, FloodStats, sim_flood
+from .flood import SPOOFED_PREFIX, FloodSpec, FloodStats, sim_flood
 
 SETUP_END = 5.0  # virtual seconds reserved for registration + authentication
 
@@ -57,7 +57,7 @@ class ExperimentResult:
         return self.attacker_segments_to_service == 0 and sum(self.capture.attack_segments_forwarded) == 0
 
     def summary(self) -> dict:
-        legit = {h: c for h, c in self.service_origins.items() if not h.startswith("10.66.")}
+        legit = {h: c for h, c in self.service_origins.items() if not h.startswith(SPOOFED_PREFIX)}
         return {
             "with_sdp": self.spec.with_sdp,
             "seed": self.spec.seed,
@@ -84,7 +84,7 @@ def setup_with_sdp(seed: int, outsider: str) -> SimDeployment:
     dep = build_sim(default_config(seed=seed))
     net, cfg = dep.net, dep.cfg
     for link in two_way(outsider, dep.gateway().name):
-        net.topology.links[(link.src, link.dst)] = link
+        net.links[(link.src, link.dst)] = link
     client = dep.client()
     net.run(until=1.0)
     net.add_node(client)
@@ -128,7 +128,7 @@ class _TraceSink:
         if rec.delivered is not None and is_attack_segment(rec, *self.target):
             _tally(self.attack_seen, rec.delivered, self.t0)
         elif (rec.cls == CLS_ACCEPT and (rec.src, rec.src_port) == self.target
-              and rec.dst.startswith("10.66.")):
+              and rec.dst.startswith(SPOOFED_PREFIX)):
             _tally(self.attack_forwarded, rec.sent, self.t0)
 
 
@@ -220,7 +220,7 @@ def _unprotected_arm(spec: ExperimentSpec) -> _Arm:
     the legitimate sender."""
     svc = default_config(seed=spec.seed).services[0]
     target = (svc.protected_host, svc.protected_port)
-    net = SimNet(Topology(two_way("pinger", target[0]) + two_way("attacker", target[0])), seed=spec.seed)
+    net = SimNet(two_way("pinger", target[0]) + two_way("attacker", target[0]), seed=spec.seed)
     echo = EchoNode(*target)
     pinger = PingerNode("pinger", target, spec.echo_rate)
     net.add_node(echo)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 # labeling tells flood segments from legitimate 64-byte handshake segments.
 SYN_SIZE = 40
 LINGER_ABORT = struct.pack("ii", 1, 0)  # a close resets the stream and leaves no TIME_WAIT
+SPOOFED_PREFIX = "10.66."  # simulated flood sources: non-routable, so their handshake replies reach no node
 
 
 @dataclass
@@ -42,8 +43,7 @@ class FloodStats:
 
 
 def spoofed_source(rng, i: int) -> tuple[str, int]:
-    # non-routable sources; the simulator delivers their handshake replies nowhere
-    return (f"10.66.{(i // 250) % 250}.{i % 250 + 1}", 1024 + rng.randrange(60000))
+    return (f"{SPOOFED_PREFIX}{(i // 250) % 250}.{i % 250 + 1}", 1024 + rng.randrange(60000))
 
 
 def sim_flood(net, spec: FloodSpec, attacker: str, start: float) -> FloodStats:

@@ -16,7 +16,7 @@ from .deploy import build_sim, default_config
 from .harness.experiment import ExperimentSpec, run_experiment, setup_with_sdp
 from .harness.scan import ScannerNode
 from .services import EchoNode
-from .transport.sim import PROTOCOL_CLASSES, SimNet, Topology, two_way
+from .transport.sim import PROTOCOL_CLASSES, SimNet, two_way
 
 AUTH_HOPS = (("client", "gateway"), ("gateway", "controller"), ("controller", "gateway"), ("gateway", "client"))
 AUTH_ALPHA_BITS = 720  # one accounting size on every hop, so the model's per-hop alphas are exact
@@ -73,7 +73,6 @@ def _scenario_dos(seed: int, out_dir: str, with_sdp: bool, flood: bool = True) -
         raise
     os.replace(part, path)
     _write(out_dir, "capture.csv", result.capture.to_csv())
-    _write(out_dir, "experiment.json", result.to_json())
     return result.summary()
 
 
@@ -83,7 +82,7 @@ def _scenario_portscan(seed: int, out_dir: str, with_sdp: bool) -> dict:
         net, target = dep.net, dep.gateway().name
         net.run(until=5.0)
     else:
-        net, target = SimNet(Topology(two_way("scanner", "cloud")), seed=seed), "cloud"
+        net, target = SimNet(two_way("scanner", "cloud"), seed=seed), "cloud"
         net.add_node(EchoNode("cloud", 22))
     ports = sorted({*range(1, 2049), *net.nodes[target].tcp_ports})  # the target's own listeners too
     scanner = ScannerNode("scanner", target, ports)

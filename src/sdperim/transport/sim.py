@@ -100,14 +100,6 @@ class LinkSpec:
         return bits / self.rate_bps + self.beta_m / self.speed_mps
 
 
-class Topology:
-    def __init__(self, links: list[LinkSpec]):
-        self.links: dict[tuple[str, str], LinkSpec] = {(spec.src, spec.dst): spec for spec in links}
-
-    def link(self, src: str, dst: str) -> LinkSpec | None:
-        return self.links.get((src, dst))
-
-
 def two_way(src: str, dst: str, rate_bps: float = 1e9, speed_mps: float = 2e8, beta_m: float = 1.0, **kw) -> list[LinkSpec]:
     return [LinkSpec(src, dst, rate_bps, speed_mps, beta_m, **kw), LinkSpec(dst, src, rate_bps, speed_mps, beta_m, **kw)]
 
@@ -166,8 +158,8 @@ class SimNet:
     holds ``(when, seq, handler, args)`` and ``run`` calls ``handler(*args)``.
     Each seq is unique, so the heap never compares two handlers."""
 
-    def __init__(self, topology: Topology, seed: int = 0):
-        self.topology = topology
+    def __init__(self, links: list[LinkSpec], seed: int = 0):
+        self.links: dict[tuple[str, str], LinkSpec] = {(spec.src, spec.dst): spec for spec in links}
         self.seed = seed
         self.clock = 0.0
         self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
@@ -227,7 +219,7 @@ class SimNet:
     # -- link transmission ----------------------------------------------------
 
     def _transmit(self, cls: str, src: str, dst: str, src_port: int, dst_port: int, size: int, kind: int | None, deliver: Callable[..., None], args: tuple) -> None:
-        link = self.topology.link(src, dst)
+        link = self.links.get((src, dst))
         rec = TraceRecord(
             seq=self._seq + 1, cls=cls, src=src, dst=dst, src_port=src_port, dst_port=dst_port,
             size=size, kind=kind, sent=self.clock, delivered=None,

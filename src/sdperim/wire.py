@@ -178,9 +178,8 @@ def text(s: str) -> bytes:
     return s.encode("utf-8")
 
 
-def encode_frame(kind: int, fields: list[tuple[int, bytes]] | bytes) -> bytes:
-    payload = fields if isinstance(fields, bytes) else encode_fields(fields)
-    body = bytes([kind]) + payload
+def encode_frame(kind: int, fields: list[tuple[int, bytes]]) -> bytes:
+    body = bytes([kind]) + encode_fields(fields)
     if len(body) > MAX_FRAME_LEN:
         raise WireError("frame too long")
     return _FRAME_HDR.pack(len(body)) + body

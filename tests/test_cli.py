@@ -180,6 +180,16 @@ def test_unparsable_config_exits_2_without_a_traceback(tmp_path):
     no_alpha = tmp_path / "no-alpha.yaml"
     no_alpha.write_text(yaml.safe_dump(dict(beta_m=[50.0] * 8, rate_bps=1.0e6, speed_mps=2.0e8)))
     missing = str(tmp_path / "nonexistent.yaml")
+    # valid configs without the entry an attack takes its target from
+    no_services = dict(no_clients, services=[])
+    (tmp_path / "no-services.yaml").write_text(yaml.safe_dump(no_services))
+    (tmp_path / "no-gateways.yaml").write_text(yaml.safe_dump(dict(no_services, gateways=[])))
+    # valid parameters beside trace files that are not JSON lines, or not a trace's records
+    hops = tmp_path / "hops.yaml"
+    hops.write_text(yaml.safe_dump(dict(alpha_bits=[720.0] * 8, beta_m=[50.0] * 8, rate_bps=1.0e6, speed_mps=2.0e8,
+                                        hop_nodes=[["a", "b"], ["b", "c"], ["c", "b"], ["b", "a"]])))
+    (tmp_path / "not-json.jsonl").write_text("{not json\n")
+    (tmp_path / "not-a-trace.jsonl").write_text('{"event": "spa", "verdict": "accept"}\n')
     cases = [
         *([binary, "--config", str(bad)] for binary in ("gateway", "controller", "client")),
         ["gateway", "--config", str(good), "--id", "ee" * 16],  # no such host: it names the section and the id
@@ -188,13 +198,16 @@ def test_unparsable_config_exits_2_without_a_traceback(tmp_path):
         ["attack", "flood", "--config", missing, "--out", str(tmp_path)],
         ["attack", "flood", "--config", str(bad), "--out", str(tmp_path)],
         ["attack", "flood", "--target", "127.0.0.1", "--out", str(tmp_path)],
+        ["attack", "flood", "--config", str(tmp_path / "no-services.yaml"), "--out", str(tmp_path)],
         ["attack", "scan", "--config", missing, "--out", str(tmp_path)],
+        ["attack", "scan", "--config", str(tmp_path / "no-gateways.yaml"), "--out", str(tmp_path)],
         ["attack", "scan", "--target", "127.0.0.25", "--ports", "1:9", "--out", str(tmp_path)],
         ["attack", "experiment", "--config", str(unknown), "--out", str(tmp_path)],
         ["attack", "experiment", "--config", str(bad), "--out", str(tmp_path)],
         ["delaycalc", "--params", str(no_alpha)],
         ["delaycalc", "--params", str(bad)],
         ["delaycalc", "--params", missing],
+        *(["delaycalc", "--params", str(hops), "--trace", str(tmp_path / t)] for t in ("not-json.jsonl", "not-a-trace.jsonl")),
     ]
     for args in cases:
         result = run(args)

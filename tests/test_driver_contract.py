@@ -31,7 +31,7 @@ from sdperim.transport.base import (
     SetTimer,
 )
 from sdperim.transport.real import RealHost
-from sdperim.transport.sim import SimNet, Topology, two_way
+from sdperim.transport.sim import SimNet, two_way
 from sdperim.wire import MAX_FRAME_LEN, F, Kind, encode_frame
 
 A, B, C = "127.0.0.60", "127.0.0.61", "127.0.0.62"
@@ -138,7 +138,7 @@ class Sim(Driver):
 
     def __init__(self):
         super().__init__()
-        self.net = SimNet(Topology(two_way(A, B) + two_way(C, A)), seed=1)
+        self.net = SimNet(two_way(A, B) + two_way(C, A), seed=1)
 
     async def add(self, *nodes):
         for node in nodes:

@@ -12,7 +12,7 @@ from sdperim.harness.flood import FloodSpec, real_flood, sim_flood
 from sdperim.harness.scan import CLOSED, CONCURRENCY, OPEN, ScannerNode, ScanReport, real_port_scan
 from sdperim.services import EchoNode
 from sdperim.transport.base import RAW, Node
-from sdperim.transport.sim import SimNet, Topology, two_way
+from sdperim.transport.sim import SimNet, two_way
 
 
 class TestFloodSpec:
@@ -23,7 +23,7 @@ class TestFloodSpec:
             FloodSpec("gw", 4444, duration=-1)
 
     def test_sender_count_matches_rate_times_duration(self):
-        net = SimNet(Topology(two_way("attacker", "gw")), seed=1)
+        net = SimNet(two_way("attacker", "gw"), seed=1)
         net.add_node(EchoNode("gw", 4444))
         stats = sim_flood(net, FloodSpec("gw", 4444, rate=200, duration=3.0), attacker="attacker", start=0.0)
         net.run(until=5.0)
@@ -59,7 +59,7 @@ class TestCaptureSeries:
         assert lines[1] == "5.0,1,2,0,3,4"
 
     def test_attack_labeling_by_frame_length(self):
-        net = SimNet(Topology(two_way("attacker", "gw") + two_way("c", "gw")), seed=1)
+        net = SimNet(two_way("attacker", "gw") + two_way("c", "gw"), seed=1)
         net.add_node(EchoNode("gw", 4444))
         net.inject_syn(("10.66.0.1", 99), ("gw", 4444), size=40, attacker="attacker")
         from sdperim.transport.base import Node, OpenStream
@@ -87,7 +87,7 @@ class TestScanReport:
 
 class TestSimScanner:
     def test_open_vs_dark_vs_refused(self):
-        net = SimNet(Topology(two_way("scanner", "target")), seed=2)
+        net = SimNet(two_way("scanner", "target"), seed=2)
         net.add_node(EchoNode("target", 100))
         scanner = ScannerNode("scanner", "target", [100, 101])
         net.add_node(scanner)
@@ -97,7 +97,7 @@ class TestSimScanner:
 
     def test_at_most_concurrency_probes_in_flight(self):
         # a target that declines every initiation in silence: each probe waits out its timeout
-        net = SimNet(Topology(two_way("scanner", "target")), seed=2)
+        net = SimNet(two_way("scanner", "target"), seed=2)
         dark = Node("target")
         dark.tcp_ports = {port: RAW for port in range(1, CONCURRENCY + 2)}
         net.add_node(dark)

@@ -608,7 +608,7 @@ class TestDarkness:
         rng = random.Random(13)
         stranger = Node("stranger")
         for link in two_way("stranger", "gateway") + two_way("stranger", "controller"):
-            dep.net.topology.links[(link.src, link.dst)] = link
+            dep.net.links[(link.src, link.dst)] = link
         dep.net.add_node(stranger)
         actions = []
         for i in range(300):

@@ -75,6 +75,12 @@ def test_scenario_names_cover_the_shipped_set():
     }
 
 
+def test_dos_scenario_writes_each_result_once(tmp_path):
+    # the run's summary goes to summary.json alone; CI's pinned file list holds the same set
+    out = scenario_run("baseline", 7, tmp_path)
+    assert sorted(os.listdir(out)) == ["capture.csv", "summary.json", "trace.jsonl"]
+
+
 # sha256 of (capture.csv, experiment.json, trace.jsonl) for TestExperiment.SPEC
 # at seed 3; the simulator contract is byte-identical artifacts per seed
 PINNED = {

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from sdperim.transport.base import RAW, AcceptStream, Close, Node, OpenStream, Send, SendDatagram, SetTimer
 from sdperim.harness.experiment import setup_with_sdp
 from sdperim.harness.scan import ScannerNode
-from sdperim.transport.sim import HANDSHAKE_TIMEOUT, LinkSpec, SimNet, Topology, TraceRecord, _Flow, two_way
+from sdperim.transport.sim import HANDSHAKE_TIMEOUT, LinkSpec, SimNet, TraceRecord, _Flow, two_way
 
 
 class Sink(Node):
@@ -68,7 +68,7 @@ class Dark(Node):
 
 def make_net(**link_kw):
     links = two_way("a", "b", **link_kw)
-    return SimNet(Topology(links), seed=1)
+    return SimNet(links, seed=1)
 
 
 def live_flows() -> int:
@@ -237,7 +237,7 @@ class TestStreams:
     def test_half_open_flow_memory(self):
         # what the net keeps for each half-open spoofed flow of a SYN flood
         n = 20_000
-        net = SimNet(Topology(two_way("a", "b")), seed=1)
+        net = SimNet(two_way("a", "b"), seed=1)
         net.trace = deque(maxlen=0)  # keep no trace records
         sink = Sink("b")
         net.add_node(sink)
@@ -360,7 +360,7 @@ class TestTrace:
     @staticmethod
     def lossy_run(seed, trace=None):
         """Every third send goes to a host with no link, and is dropped."""
-        net = SimNet(Topology(two_way("a", "b")), seed=seed)
+        net = SimNet(two_way("a", "b"), seed=seed)
         if trace is not None:
             net.trace = trace
         net.add_node(Sink("b"))
